@@ -326,12 +326,16 @@ def write_soft_corpus(path: str, sentences: Iterable[SoftSentence]) -> None:
 
 
 def parse_soft_line(line: str) -> SoftSentence:
-    obj = json.loads(line)
-    out: SoftSentence = [int(t) for t in obj["toks"]]
-    for pos_text, entry in obj.get("soft", {}).items():
-        ids = np.array([int(i) for i, _ in entry["p"]], dtype=np.int64)
-        probs = np.array([float(p) for _, p in entry["p"]], dtype=np.float64)
-        out[int(pos_text)] = SoftWord(Dist(probs, ids), int(entry["orig"]))
+    """One JSON Lines record; any malformed record raises ValueError."""
+    try:
+        obj = json.loads(line)
+        out: SoftSentence = [int(t) for t in obj["toks"]]
+        for pos_text, entry in obj.get("soft", {}).items():
+            ids = np.array([int(i) for i, _ in entry["p"]], dtype=np.int64)
+            probs = np.array([float(p) for _, p in entry["p"]], dtype=np.float64)
+            out[int(pos_text)] = SoftWord(Dist(probs, ids), int(entry["orig"]))
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"malformed soft corpus line ({type(exc).__name__}: {exc})") from exc
     return out
 
 

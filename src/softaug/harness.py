@@ -237,7 +237,10 @@ def run_sweep(spec: SweepSpec, task: SyntheticTask, lm: NGramLM, threads: int = 
     else:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(threads, initializer=_init_sweep_worker, initargs=(spec, task, lm)) as pool:
-            rows = pool.map(_run_cell_job, jobs)
+            # One cell per task: default chunks hand a run of consecutive
+            # cells (one strategy's) to a single worker, which then finishes
+            # last when that strategy's cells cost more than the others.
+            rows = pool.map(_run_cell_job, jobs, chunksize=1)
     return SweepResult(rows)
 
 

@@ -1,19 +1,32 @@
 """Embedding mixtures and a hand-differentiated downstream consumer.
 
-The core operation realizes the expected embedding of a soft position:
-a hard id j contributes row E_j, a soft position contributes
-sum_j p_j * E_j over its distribution's support.  A minimal mean-pool
-linear classifier (softmax cross-entropy) sits on top so that gradient
-flow through the mixture into multiple embedding rows can be verified
-against central finite differences.
+A hard id j stands for embedding row E_j and a soft position for
+sum_j p_j * E_j over its distribution's support.  Mean pooling is linear,
+so ``pack`` reduces a whole sentence, once, to a sparse bag over the
+vocabulary: its unique row ids (ascending) and the summed weight of each
+row, where a hard occurrence counts 1, a soft support entry counts p_j
+and a dense distribution spans every row.  Row ids are range-checked
+there and nowhere else.  Every consumer then runs the same array
+expressions:
 
-All arithmetic is float64; a hard token and a point-mass soft word take
-numerically identical paths, so their forward values and gradients agree
-bitwise.
+    pooled = weights @ E[ids] / len(sentence)
+    E[ids] -= lr * (weights[:, None] * dpooled)
+
+with ``dpooled`` the loss gradient w.r.t. the pooled vector divided by the
+sentence length; the ids are unique, so the update needs no scatter-add.
+A minimal linear classifier (softmax cross-entropy) sits on the pooled
+vector.  ``_loss_grads`` is the one forward-backward routine: ``loss``,
+``backward``, ``grad_check`` and ``train_toy`` call it, while
+``mix_embedding``, ``forward`` and ``evaluate`` read its forward half.
+
+All arithmetic is float64.  A hard token and a point-mass soft word pack
+to the same bag, as do a dense distribution and its full-support sparse
+form, so their forward values, gradients and training runs agree bitwise.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,79 +64,92 @@ def init_model(vocab_size: int, dim: int, classes: int, seed: int) -> ToyModel:
     return ToyModel(emb, np.zeros((classes, dim)), np.zeros(classes))
 
 
+@dataclass(frozen=True)
+class Bag:
+    """A sentence packed for the mixture: one entry per distinct row."""
+
+    ids: np.ndarray      # unique row ids, ascending
+    weights: np.ndarray  # total mixture weight of each row
+    length: int          # positions in the sentence, the mean-pool divisor
+
+
+def pack(sentence: SoftSentence, vocab_size: int) -> Bag:
+    """Sum the sentence's mixture weights per embedding row.
+
+    Weights accumulate in position order, so equal sentences written as
+    hard ids or point masses, or with dense or full sparse supports, give
+    identical bags.
+    """
+    if not sentence:
+        raise ValueError("empty sentence")
+    acc: dict[int, float] = {}
+    for item in sentence:
+        if isinstance(item, SoftWord):
+            dist = item.dist
+            if dist.ids is None:
+                if len(dist.probs) != vocab_size:
+                    raise ValueError("dense distribution length does not match embedding rows")
+                ids = range(vocab_size)
+            else:
+                ids = dist.ids.tolist()
+            for i, p in zip(ids, dist.probs.tolist()):
+                acc[i] = acc.get(i, 0.0) + p
+        else:
+            i = operator.index(item)
+            acc[i] = acc.get(i, 0.0) + 1.0
+    ids = sorted(acc)
+    if ids and (ids[0] < 0 or ids[-1] >= vocab_size):
+        bad = ids[0] if ids[0] < 0 else ids[-1]
+        raise ValueError(f"id out of range: {bad}")
+    return Bag(np.array(ids, dtype=np.int64), np.array([acc[i] for i in ids]), len(sentence))
+
+
+def _pool(emb: np.ndarray, bag: Bag) -> np.ndarray:
+    return bag.weights @ emb[bag.ids] / bag.length
+
+
 def mix_embedding(word: int | SoftWord, emb: np.ndarray) -> np.ndarray:
     """Embedding of a hard or soft position.
 
     Hard ids return the embedding row itself; soft words return the
     probability-weighted sum of rows over the distribution's support.
     """
-    if isinstance(word, SoftWord):
-        dist = word.dist
-        if dist.ids is None:
-            if len(dist.probs) != len(emb):
-                raise ValueError("dense distribution length does not match embedding rows")
-            return dist.probs @ emb
-        if np.any(dist.ids < 0) or np.any(dist.ids >= len(emb)):
-            raise ValueError("id out of range in soft word")
-        return dist.probs @ emb[dist.ids]
-    if not 0 <= word < len(emb):
-        raise ValueError(f"id out of range: {word}")
-    return emb[word]
+    return _pool(emb, pack([word], len(emb)))
 
 
-def _pooled(model: ToyModel, sentence: SoftSentence) -> np.ndarray:
-    if not sentence:
-        raise ValueError("empty sentence")
-    acc = np.zeros(model.emb.shape[1], dtype=np.float64)
-    for item in sentence:
-        acc = acc + mix_embedding(item, model.emb)
-    return acc / len(sentence)
+def _check_label(model: ToyModel, label: int) -> int:
+    if not 0 <= label < model.num_classes:
+        raise ValueError(f"label out of range: {label}")
+    return label
+
+
+def _forward(model: ToyModel, bag: Bag) -> tuple[np.ndarray, np.ndarray]:
+    pooled = _pool(model.emb, bag)
+    logits = model.w @ pooled + model.b
+    z = np.exp(logits - logits.max())
+    return pooled, z / z.sum()
+
+
+def _loss_grads(
+    model: ToyModel, bag: Bag, label: int
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Loss, embedding-row gradients aligned with ``bag.ids``, dW and db."""
+    pooled, probs = _forward(model, bag)
+    value = -float(np.log(probs[label]))
+    dlogits = probs
+    dlogits[label] -= 1.0
+    dpos = (model.w.T @ dlogits) / bag.length
+    return value, bag.weights[:, None] * dpos, dlogits[:, None] * pooled, dlogits
 
 
 def forward(model: ToyModel, sentence: SoftSentence) -> np.ndarray:
     """Class probabilities softmax(W @ meanpool(mixed) + b)."""
-    logits = model.w @ _pooled(model, sentence) + model.b
-    z = np.exp(logits - logits.max())
-    return z / z.sum()
+    return _forward(model, pack(sentence, len(model.emb)))[1]
 
 
 def loss(model: ToyModel, sentence: SoftSentence, label: int) -> float:
-    if not 0 <= label < model.num_classes:
-        raise ValueError(f"label out of range: {label}")
-    return -float(np.log(forward(model, sentence)[label]))
-
-
-def _loss_grads(
-    model: ToyModel, sentence: SoftSentence, label: int
-) -> tuple[float, dict[int, np.ndarray], np.ndarray, np.ndarray]:
-    if not 0 <= label < model.num_classes:
-        raise ValueError(f"label out of range: {label}")
-    pooled = _pooled(model, sentence)
-    logits = model.w @ pooled + model.b
-    z = np.exp(logits - logits.max())
-    probs = z / z.sum()
-
-    dlogits = probs.copy()
-    dlogits[label] -= 1.0
-    dw = np.outer(dlogits, pooled)
-    db = dlogits
-    dpos = (model.w.T @ dlogits) / len(sentence)
-
-    demb: dict[int, np.ndarray] = {}
-    for item in sentence:
-        if isinstance(item, SoftWord):
-            entries = (
-                enumerate(item.dist.probs)
-                if item.dist.ids is None
-                else zip(item.dist.ids, item.dist.probs)
-            )
-            for i, p in entries:
-                i = int(i)
-                g = p * dpos
-                demb[i] = demb[i] + g if i in demb else g
-        else:
-            demb[item] = demb[item] + dpos if item in demb else dpos.copy()
-    return -float(np.log(probs[label])), demb, dw, db
+    _check_label(model, label)
+    return _loss_grads(model, pack(sentence, len(model.emb)), label)[0]
 
 
 def backward(
@@ -135,8 +161,10 @@ def backward(
     position spreads its pooled gradient over every row in its support,
     scaled by that row's probability.
     """
-    _, demb, dw, db = _loss_grads(model, sentence, label)
-    return demb, dw, db
+    _check_label(model, label)
+    bag = pack(sentence, len(model.emb))
+    _, rows, dw, db = _loss_grads(model, bag, label)
+    return dict(zip(bag.ids.tolist(), rows)), dw, db
 
 
 @dataclass
@@ -156,10 +184,6 @@ class GradCheckReport:
         return self.max_error <= self.tolerance
 
 
-def _batch_loss(model: ToyModel, batch: list[tuple[SoftSentence, int]]) -> float:
-    return sum(loss(model, s, y) for s, y in batch) / len(batch)
-
-
 def grad_check(
     model: ToyModel,
     batch: list[tuple[SoftSentence, int]],
@@ -169,18 +193,21 @@ def grad_check(
     """Compare analytic gradients against central finite differences."""
     if not batch:
         raise ValueError("empty batch")
+    bags = [(pack(s, len(model.emb)), _check_label(model, y)) for s, y in batch]
     demb = np.zeros_like(model.emb)
     dw = np.zeros_like(model.w)
     db = np.zeros_like(model.b)
-    for sentence, label in batch:
-        rows, gw, gb = backward(model, sentence, label)
-        for i, g in rows.items():
-            demb[i] += g
+    for bag, label in bags:
+        _, rows, gw, gb = _loss_grads(model, bag, label)
+        demb[bag.ids] += rows
         dw += gw
         db += gb
-    demb /= len(batch)
-    dw /= len(batch)
-    db /= len(batch)
+    demb /= len(bags)
+    dw /= len(bags)
+    db /= len(bags)
+
+    def batch_loss() -> float:
+        return sum(_loss_grads(model, bag, label)[0] for bag, label in bags) / len(bags)
 
     def numeric(param: np.ndarray) -> np.ndarray:
         out = np.zeros_like(param)
@@ -188,9 +215,9 @@ def grad_check(
         for idx in range(flat.size):
             keep = flat[idx]
             flat[idx] = keep + step
-            up = _batch_loss(model, batch)
+            up = batch_loss()
             flat[idx] = keep - step
-            down = _batch_loss(model, batch)
+            down = batch_loss()
             flat[idx] = keep
             out.ravel()[idx] = (up - down) / (2.0 * step)
         return out
@@ -207,6 +234,16 @@ def grad_check(
     return GradCheckReport(errors, step, tolerance)
 
 
+def _pack_corpus(
+    model: ToyModel, corpus: list[SoftSentence], labels: list[int]
+) -> list[Bag]:
+    if len(corpus) != len(labels):
+        raise ValueError("corpus and labels length mismatch")
+    for label in labels:
+        _check_label(model, label)
+    return [pack(sentence, len(model.emb)) for sentence in corpus]
+
+
 def train_toy(
     model: ToyModel,
     corpus: list[SoftSentence],
@@ -218,17 +255,17 @@ def train_toy(
     """Plain SGD, one uniformly drawn sample per step.
 
     Updates the model in place and records the pre-update loss of each
-    visited sample.
+    visited sample.  Every sentence and label is checked before the
+    first step.
     """
-    if len(corpus) != len(labels):
-        raise ValueError("corpus and labels length mismatch")
+    bags = _pack_corpus(model, corpus, labels)
     trace = []
     for _ in range(steps):
-        i = rng.randint(len(corpus))
-        step_loss, rows, dw, db = _loss_grads(model, corpus[i], labels[i])
+        i = rng.randint(len(bags))
+        bag = bags[i]
+        step_loss, rows, dw, db = _loss_grads(model, bag, labels[i])
         trace.append(step_loss)
-        for j, g in rows.items():
-            model.emb[j] -= lr * g
+        model.emb[bag.ids] -= lr * rows
         model.w -= lr * dw
         model.b -= lr * db
     return model, trace
@@ -236,17 +273,13 @@ def train_toy(
 
 def evaluate(model: ToyModel, corpus: list[SoftSentence], labels: list[int]) -> float:
     """Fraction of sentences whose argmax class matches the label."""
-    if len(corpus) != len(labels):
-        raise ValueError("corpus and labels length mismatch")
-    if not corpus:
+    bags = _pack_corpus(model, corpus, labels)
+    if not bags:
         raise ValueError("empty corpus")
-    hits = 0
-    for sentence, label in zip(corpus, labels):
-        if not 0 <= label < model.num_classes:
-            raise ValueError(f"label out of range: {label}")
-        if int(np.argmax(forward(model, sentence))) == label:
-            hits += 1
-    return hits / len(corpus)
+    hits = sum(
+        int(np.argmax(_forward(model, bag)[1])) == label for bag, label in zip(bags, labels)
+    )
+    return hits / len(bags)
 
 
 def save_loss_trace(path: str, trace: list[float]) -> None:
@@ -279,7 +312,12 @@ def load_embedding(path: str) -> np.ndarray:
     lines = read_text(path).splitlines()
     if not lines:
         raise ValueError(f"empty embedding file: {path}")
-    rows, dim = (int(x) for x in lines[0].split())
+    header = lines[0].split()
+    if len(header) != 2 or not all(x.isdigit() for x in header):
+        raise ValueError(f"bad embedding header in {path}: {lines[0]!r}")
+    rows, dim = int(header[0]), int(header[1])
+    if len(lines) - 1 < rows:
+        raise ValueError(f"embedding file {path} has {len(lines) - 1} rows, header says {rows}")
     emb = np.empty((rows, dim), dtype=np.float64)
     for i in range(rows):
         values = lines[1 + i].split()

@@ -7,6 +7,8 @@ shares no code with the package internals it checks.
 
 from __future__ import annotations
 
+import math
+
 BOS_ID, EOS_ID = 0, 1
 
 
@@ -61,6 +63,35 @@ def brute_mix(entries, emb) -> list[float]:
         for d in range(dim):
             out[d] += p * row[d]
     return out
+
+
+def sgd_step_oracle(sentence, label, emb, w, b, lr):
+    """One SGD step of the mean-pool softmax classifier, per coordinate.
+
+    *sentence* items are hard ids or lists of (id, p) pairs.  Returns
+    (loss, emb, w, b) after the step, as nested lists.
+    """
+    n, dim, classes = len(sentence), len(emb[0]), len(b)
+    positions = [item if isinstance(item, list) else [(item, 1.0)] for item in sentence]
+    pooled = [0.0] * dim
+    for entries in positions:
+        mixed = brute_mix(entries, emb)
+        for d in range(dim):
+            pooled[d] += mixed[d] / n
+    logits = [b[c] + sum(w[c][d] * pooled[d] for d in range(dim)) for c in range(classes)]
+    top = max(logits)
+    z = [math.exp(v - top) for v in logits]
+    probs = [v / sum(z) for v in z]
+    dlogits = [probs[c] - (1.0 if c == label else 0.0) for c in range(classes)]
+    dpooled = [sum(w[c][d] * dlogits[c] for c in range(classes)) / n for d in range(dim)]
+    new_emb = [list(row) for row in emb]
+    for entries in positions:
+        for token_id, p in entries:
+            for d in range(dim):
+                new_emb[token_id][d] -= lr * p * dpooled[d]
+    new_w = [[w[c][d] - lr * dlogits[c] * pooled[d] for d in range(dim)] for c in range(classes)]
+    new_b = [b[c] - lr * dlogits[c] for c in range(classes)]
+    return -math.log(probs[label]), new_emb, new_w, new_b
 
 
 def replay_bpe_choices(word_counts: dict[str, int], merges) -> bool:

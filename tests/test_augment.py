@@ -269,6 +269,26 @@ class TestSoftSerialization:
                 else:
                     assert w1 == w2
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"soft":{}}',
+            '{"toks":[5,6],"soft":{"0":{"orig":5}}}',
+            '{"toks":[5,6],"soft":{"0":{"p":[[5,1.0]]}}}',
+            '{"toks":[5,6],"soft":{"0":{"orig":5,"p":[5]}}}',
+            '{"toks":[5,6],"soft":{"0":{"orig":5,"p":[[5]]}}}',
+            '{"toks":[5,6],"soft":{"0":{"orig":5,"p":7}}}',
+            '{"toks":[5,6],"soft":{"2":{"orig":5,"p":[[5,1.0]]}}}',
+            '{"toks":[5,6],"soft":[]}',
+            '{"toks":[5,null]}',
+            '[5,6]',
+            '{"toks":',
+        ],
+    )
+    def test_malformed_line_raises_value_error(self, line):
+        with pytest.raises(ValueError):
+            ag.parse_soft_line(line)
+
     def test_jsonl_format_fields(self, tiny_lm):
         model, _, _ = tiny_lm
         out = sa.augment_soft([5, 6, 7], 1.0, model, 3, SplitMix64(8))

@@ -8,7 +8,7 @@ from softaug import softmix as sm
 from softaug.augment import Dist, SoftWord
 from softaug.rng import SplitMix64, derive
 
-from oracles import brute_mix
+from oracles import brute_mix, sgd_step_oracle
 
 
 def random_model(seed, vocab_size=30, dim=8, classes=3, zero_classifier=False):
@@ -184,11 +184,18 @@ class TestBackward:
         batch = [(random_sentence(rng, 30, 5), 1)]
         real = sm._loss_grads
 
-        def broken(model, sentence, label):
-            value, rows, dw, db = real(model, sentence, label)
+        def broken(model, bag, label):
+            value, rows, dw, db = real(model, bag, label)
             return value, rows, dw * 1.01, db
 
+        def one_step(model):
+            sa.train_toy(model, [s for s, _ in batch], [y for _, y in batch], 0.5, 1, SplitMix64(0))
+            return model.w
+
+        clean_w = one_step(model.copy())
         monkeypatch.setattr(sm, "_loss_grads", broken)
+        # The corrupted routine is the one training runs, and the check sees it.
+        assert not np.array_equal(one_step(model.copy()), clean_w)
         assert not sa.grad_check(model, batch).passed
 
 
@@ -244,6 +251,71 @@ class TestTraining:
         assert windows[-1] < windows[0]
         assert np.mean(windows[10:]) < 0.7 * np.mean(windows[:10])
 
+    def test_hard_equals_point_mass_training_bitwise(self):
+        corpus, labels = self.marker_dataset(40, n=60)
+        soft = [[SoftWord(Dist(np.array([1.0]), np.array([t])), t) for t in s] for s in corpus]
+        m1 = sa.init_model(20, 8, 2, seed=41)
+        m2 = sa.init_model(20, 8, 2, seed=41)
+        _, t1 = sa.train_toy(m1, corpus, labels, 0.5, 300, SplitMix64(42))
+        _, t2 = sa.train_toy(m2, soft, labels, 0.5, 300, SplitMix64(42))
+        assert t1 == t2
+        for a, b in ((m1.emb, m2.emb), (m1.w, m2.w), (m1.b, m2.b)):
+            assert np.array_equal(a, b)
+
+    def test_dense_equals_full_sparse_training_bitwise(self):
+        rng = SplitMix64(43)
+        corpus, dense_corpus, labels = [], [], []
+        for _ in range(30):
+            probs = np.array([rng.random() + 1e-3 for _ in range(20)])
+            probs /= probs.sum()
+            order = np.lexsort((np.arange(20), -probs))
+            hard = [4 + rng.randint(16) for _ in range(5)]
+            pos = rng.randint(6)
+            sparse_word = SoftWord(Dist(probs[order], order.astype(np.int64)), 4)
+            corpus.append(hard[:pos] + [sparse_word] + hard[pos:])
+            dense_corpus.append(hard[:pos] + [SoftWord(Dist(probs), 4)] + hard[pos:])
+            labels.append(rng.randint(2))
+        m1 = sa.init_model(20, 8, 2, seed=44)
+        m2 = sa.init_model(20, 8, 2, seed=44)
+        _, t1 = sa.train_toy(m1, corpus, labels, 0.5, 200, SplitMix64(45))
+        _, t2 = sa.train_toy(m2, dense_corpus, labels, 0.5, 200, SplitMix64(45))
+        assert t1 == t2
+        for a, b in ((m1.emb, m2.emb), (m1.w, m2.w), (m1.b, m2.b)):
+            assert np.array_equal(a, b)
+
+    def test_shared_rows_step_matches_oracle(self):
+        model = random_model(46, vocab_size=12, dim=5, classes=3)
+        word = SoftWord(Dist(np.array([0.5, 0.3, 0.2]), np.array([7, 3, 9])), 7)
+        # Row 3 is hit twice as a hard id and once through the soft support.
+        sentence = [3, word, 5, 3]
+        label, lr = 2, 0.7
+        oracle_sentence = [3, [(7, 0.5), (3, 0.3), (9, 0.2)], 5, 3]
+        want_loss, want_emb, want_w, want_b = sgd_step_oracle(
+            oracle_sentence, label, model.emb.tolist(), model.w.tolist(), model.b.tolist(), lr
+        )
+        _, trace = sa.train_toy(model, [sentence], [label], lr, 1, SplitMix64(47))
+        assert abs(trace[0] - want_loss) <= 1e-12
+        assert np.max(np.abs(model.emb - np.array(want_emb))) <= 1e-12
+        assert np.max(np.abs(model.w - np.array(want_w))) <= 1e-12
+        assert np.max(np.abs(model.b - np.array(want_b))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "bad_corpus, bad_labels, match",
+        [
+            ([[4, 5], [4, 25]], [0, 1], "id out of range"),
+            ([[4, 5], [4, SoftWord(Dist(np.array([1.0]), np.array([-1])), 4)]], [0, 1], "id out of range"),
+            ([[4, 5], [4, 6]], [0, 2], "label out of range"),
+            ([[4, 5], []], [0, 1], "empty sentence"),
+        ],
+    )
+    def test_malformed_input_rejected_before_training(self, bad_corpus, bad_labels, match):
+        model = sa.init_model(20, 8, 2, seed=48)
+        snapshot = model.copy()
+        # Zero steps: the check must not depend on which sample SGD draws.
+        with pytest.raises(ValueError, match=match):
+            sa.train_toy(model, bad_corpus, bad_labels, 0.5, 0, SplitMix64(49))
+        assert np.array_equal(model.emb, snapshot.emb)
+
     def test_evaluate_label_out_of_range(self):
         model = random_model(36, classes=2)
         with pytest.raises(ValueError, match="label out of range"):
@@ -259,6 +331,22 @@ class TestEmbeddingFile:
         assert header == "9 5"
         again = sa.load_embedding(path)
         assert np.array_equal(again, model.emb)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("3 2\n0.1 0.2\n0.3 0.4\n", "header says 3"),
+            ("3\n0.1 0.2\n", "bad embedding header"),
+            ("x 2\n0.1 0.2\n", "bad embedding header"),
+            ("-1 2\n", "bad embedding header"),
+            ("1 2\n0.1\n", "bad embedding row"),
+        ],
+    )
+    def test_malformed_file_raises_value_error(self, tmp_path, text, match):
+        path = tmp_path / "emb.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            sa.load_embedding(path)
 
 
 class TestCsvOutputs:
