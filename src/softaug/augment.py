@@ -326,14 +326,25 @@ def write_soft_corpus(path: str, sentences: Iterable[SoftSentence]) -> None:
 
 
 def parse_soft_line(line: str) -> SoftSentence:
-    """One JSON Lines record; any malformed record raises ValueError."""
+    """One JSON Lines record; any malformed record raises ValueError.
+
+    Each soft position must index ``toks``, its ``orig`` must equal the
+    token there, and its entries must form a valid distribution.
+    """
     try:
         obj = json.loads(line)
         out: SoftSentence = [int(t) for t in obj["toks"]]
         for pos_text, entry in obj.get("soft", {}).items():
+            pos, orig = int(pos_text), int(entry["orig"])
+            if not 0 <= pos < len(out):
+                raise ValueError(f"soft position {pos} outside a {len(out)}-token sentence")
+            if out[pos] != orig:
+                raise ValueError(f"soft position {pos}: orig {orig} is not its token {out[pos]}")
             ids = np.array([int(i) for i, _ in entry["p"]], dtype=np.int64)
             probs = np.array([float(p) for _, p in entry["p"]], dtype=np.float64)
-            out[int(pos_text)] = SoftWord(Dist(probs, ids), int(entry["orig"]))
+            dist = Dist(probs, ids)
+            dist.validate()
+            out[pos] = SoftWord(dist, orig)
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise ValueError(f"malformed soft corpus line ({type(exc).__name__}: {exc})") from exc
     return out

@@ -14,34 +14,33 @@ Sentences are padded with n-1 BOS symbols and terminated by a predicted
 EOS.  Models are immutable once built; queries are pure and cache dense
 distributions per history.
 
-Serialization is an ARPA-style text file whose unigram section lists every
-vocabulary entry in id order.  Log10 probabilities are written with six
-decimals; reload recovers the exact integer count tables by inverting the
-printed values (the writer enforces a corpus-size bound under which the
-rounding is provably exact), so a reloaded model is bit-identical.
+Serialization is a text file of the integer counts that define the model
+(see ``dump_lm``): a header line, the vocabulary in id order, then every
+order-n gram with its count.  The lower history levels are not stored:
+every event counts toward all of its history suffixes, so each lower
+table is a marginal of the top one and is rebuilt by the same routine
+that training uses.  A reloaded model is therefore bit-identical, at any
+corpus size.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import BLANK, BOS, EOS, UNK, Sentence, Vocabulary, read_text
+from .corpus import BLANK, BOS, EOS, UNK, Sentence, Vocabulary
 from .rng import SplitMix64
 
-# Largest total event count for which 6-decimal log10 probabilities invert
-# to exact integer counts: the relative quantization error of a 6-decimal
-# log10 value is 1.16e-6, so every recovered count stays within 0.23 of the
-# true integer below this bound (the reader rejects residues above 0.3).
-MAX_EXACT_EVENTS = 200_000
-
-_DUMMY_LOG10 = -99.0
 _CACHE_LIMIT = 4096
 
 # History -> {token: count} tables, indexed by history length.
 CountTables = list[dict[tuple, dict[int, int]]]
+
+_MAGIC = "#ngram-counts v1"
+_END = "\\end\\"
 
 
 class NGramLM:
@@ -143,6 +142,25 @@ class NGramLM:
         return min(idx, len(p) - 1)
 
 
+def _count_tables(grams: Iterable[tuple[tuple, int]], order: int) -> CountTables:
+    """Count tables for history lengths 0..order-1 from (order-n gram, count) pairs.
+
+    A gram's count adds to each suffix of its history, so every lower
+    table is the marginal of the top one.
+    """
+    counts: CountTables = [dict() for _ in range(order)]
+    top = order - 1
+    for gram, c in grams:
+        w = gram[-1]
+        for k, level in enumerate(counts):
+            hist = gram[top - k : top]
+            table = level.get(hist)
+            if table is None:
+                table = level[hist] = {}
+            table[w] = table.get(w, 0) + c
+    return counts
+
+
 def train_lm(
     sentences: Iterable[Sentence],
     vocab: Vocabulary,
@@ -150,22 +168,20 @@ def train_lm(
     discount: float = 0.75,
     alpha: float = 0.1,
 ) -> NGramLM:
-    """Collect k-gram counts for all k <= order and freeze the model."""
+    """Count every (BOS-padded history, next token) event and freeze the model."""
     sentences = list(sentences)
     if not sentences:
         raise ValueError("empty corpus")
-    counts: CountTables = [dict() for _ in range(order)]
-    for sent in sentences:
-        padded = [BOS] * (order - 1) + list(sent) + [EOS]
-        for t in range(order - 1, len(padded)):
-            w = padded[t]
-            for k in range(order):
-                hist = tuple(padded[t - k : t])
-                table = counts[k].get(hist)
-                if table is None:
-                    table = counts[k][hist] = {}
-                table[w] = table.get(w, 0) + 1
-    return NGramLM(order, discount, alpha, vocab, counts)
+    if order < 1:
+        raise ValueError("order must be >= 1")
+
+    def events():
+        for sent in sentences:
+            padded = (BOS,) * (order - 1) + tuple(sent) + (EOS,)
+            for t in range(order, len(padded) + 1):
+                yield padded[t - order : t], 1
+
+    return NGramLM(order, discount, alpha, vocab, _count_tables(events(), order))
 
 
 def perplexity(lm: NGramLM, sentences: Iterable[Sentence]) -> float:
@@ -183,200 +199,104 @@ def perplexity(lm: NGramLM, sentences: Iterable[Sentence]) -> float:
     return math.exp(-total / n)
 
 
-# -- ARPA-style serialization ---------------------------------------------
+# -- count-file serialization ----------------------------------------------
 
 
-def _lambda_of(lm: NGramLM, gram: tuple) -> float | None:
-    if 1 <= len(gram) < lm.order:
-        entry = lm._tables[len(gram)].get(gram)
-        if entry is not None:
-            return entry[2]
-    return None
+def _dump_lines(lm: NGramLM) -> Iterable[str]:
+    surfaces = lm.vocab.surfaces
+    yield (f"{_MAGIC} order={lm.order} discount={lm.discount!r} alpha={lm.alpha!r} "
+           f"events={lm.total_events} vocab={len(surfaces)}\n")
+    for surface, count in zip(surfaces, lm.vocab.counts):
+        if surface.split() != [surface]:
+            raise ValueError(f"surface {surface!r} is empty or holds whitespace")
+        yield f"{count}\t{surface}\n"
+    top = lm.counts[lm.order - 1]
+    for hist in sorted(top):
+        prefix = "".join(surfaces[t] + " " for t in hist)
+        table = top[hist]
+        for w in sorted(table):
+            yield f"{table[w]}\t{prefix}{surfaces[w]}\n"
+    yield _END + "\n"
 
 
 def dump_lm(lm: NGramLM) -> str:
-    """Render the model as ARPA-style text (see module docstring)."""
-    size = len(lm.vocab)
-    if lm.total_events + lm.alpha * size >= MAX_EXACT_EVENTS:
-        raise ValueError(
-            f"corpus too large for exact serialization "
-            f"({lm.total_events} events, limit {MAX_EXACT_EVENTS})"
-        )
-    sections: list[list[str]] = []
+    """The model as count-file text.
 
-    lines = []
-    for w in range(size):
-        # alpha = 0 leaves unseen tokens at probability zero; the dummy
-        # value inverts back to a zero count on reload.
-        p0 = float(lm._p0[w])
-        parts = [f"{math.log10(p0) if p0 > 0 else _DUMMY_LOG10:.6f}", lm.vocab.surface(w)]
-        lam = _lambda_of(lm, (w,))
-        if lam is not None:
-            parts.append(f"{math.log10(lam):.6f}")
-        lines.append("\t".join(parts))
-    sections.append(lines)
-
-    for k in range(2, lm.order + 1):
-        grams: list[tuple[tuple, float | None]] = []
-        for hist in lm.counts[k - 1]:
-            dist = lm._dist_for_history(hist)
-            for w in sorted(lm.counts[k - 1][hist]):
-                grams.append((hist + (w,), float(dist[w])))
-        if k < lm.order:
-            all_bos = (BOS,) * k
-            if all_bos in lm.counts[k] and all_bos not in {g for g, _ in grams}:
-                grams.append((all_bos, None))
-        grams.sort(key=lambda gp: gp[0])
-        lines = []
-        for gram, prob in grams:
-            text = " ".join(lm.vocab.surface(t) for t in gram)
-            log10p = _DUMMY_LOG10 if prob is None else math.log10(prob)
-            parts = [f"{log10p:.6f}", text]
-            lam = _lambda_of(lm, gram)
-            if lam is not None:
-                parts.append(f"{math.log10(lam):.6f}")
-            lines.append("\t".join(parts))
-        sections.append(lines)
-
-    out = [
-        "# interpolated absolute-discount ngram model",
-        f"# order: {lm.order}",
-        f"# discount: {lm.discount!r}",
-        f"# alpha: {lm.alpha!r}",
-        f"# events: {lm.total_events}",
-        "",
-        "\\data\\",
-    ]
-    for k, lines in enumerate(sections, 1):
-        out.append(f"ngram {k}={len(lines)}")
-    for k, lines in enumerate(sections, 1):
-        out.append("")
-        out.append(f"\\{k}-grams:")
-        out.extend(lines)
-    out.append("")
-    out.append("\\end\\")
-    out.append("")
-    return "\n".join(out)
+    Line 1 is ``#ngram-counts v1 order=N discount=D alpha=A events=E
+    vocab=V``; then V lines ``count<TAB>surface`` (the vocabulary and its
+    counts, in id order); then one ``count<TAB>w1 ... wN`` line per order-N
+    gram, in ascending id order; then ``\\end\\``.  Every data line starts
+    with its count, so no surface can be taken for the end marker.  Lower
+    levels are rebuilt on load; a hand-built model whose lower tables are
+    not marginals of its top table does not survive the trip.
+    """
+    return "".join(_dump_lines(lm))
 
 
 def save_lm(lm: NGramLM, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_lm(lm))
+        fh.writelines(_dump_lines(lm))
 
 
-def _count_prob(counts: CountTables, p0: np.ndarray, discount: float, hist: tuple, w: int) -> float:
-    """Recursion evaluated on partially reconstructed count tables."""
-    if not hist:
-        return float(p0[w])
-    table = counts[len(hist)].get(hist) if len(hist) < len(counts) else None
-    if not table:
-        return _count_prob(counts, p0, discount, hist[1:], w)
-    total = sum(table.values())
-    disc = max(table.get(w, 0) - discount, 0.0) / total
-    lam = discount * len(table) / total
-    return disc + lam * _count_prob(counts, p0, discount, hist[1:], w)
+def _parse_lines(lines: Iterable[str], path: str) -> NGramLM:
+    """Build the model from count-file lines, consuming them one at a time."""
+    numbered = enumerate((line.rstrip("\n") for line in lines), 1)
+    first = next(numbered, (1, ""))[1]
+    head = first.split()
+    if head[:2] != _MAGIC.split():
+        raise ValueError(f"{path} is not an n-gram count file (no {_MAGIC!r} header)")
+    try:
+        fields = dict(field.split("=", 1) for field in head[2:])
+        order, events, size = (int(fields[key]) for key in ("order", "events", "vocab"))
+        discount, alpha = float(fields["discount"]), float(fields["alpha"])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"bad header in {path}: {first!r}") from exc
 
+    def data(lineno: int, line: str, least: int) -> tuple[int, str]:
+        count, tab, text = line.partition("\t")
+        if not (tab and count.isascii() and count.isdigit() and int(count) >= least):
+            raise ValueError(f"line {lineno} of {path} is not 'count<TAB>text' "
+                             f"with an integer count >= {least}: {line!r}")
+        return int(count), text
 
-def _round_count(raw: float, context: str) -> int:
-    c = round(raw)
-    if abs(raw - c) > 0.3 or c < 0:
-        raise ValueError(f"corrupt model file: non-integral count {raw!r} for {context}")
-    return int(c)
+    entries = [data(lineno, line, 0) for lineno, line in itertools.islice(numbered, size)]
+    if len(entries) != size:
+        raise ValueError(f"{path} ends inside its vocabulary")
+    vocab = Vocabulary([s for _, s in entries], [c for c, _ in entries])
+    index = {s: i for i, s in enumerate(vocab.surfaces)}
+
+    def grams():
+        prev: tuple = ()
+        for lineno, line in numbered:
+            if line == _END:
+                return
+            count, text = data(lineno, line, 1)
+            try:
+                gram = tuple(index[s] for s in text.split(" "))
+            except KeyError as exc:
+                raise ValueError(f"unknown surface {exc} on line {lineno} of {path}") from None
+            if len(gram) != order or gram <= prev:
+                raise ValueError(f"line {lineno} of {path} is not an order-{order} gram "
+                                 f"in ascending id order: {line!r}")
+            prev = gram
+            yield gram, count
+        raise ValueError(f"{path} has no {_END} line")
+
+    model = NGramLM(order, discount, alpha, vocab, _count_tables(grams(), order))
+    if model.total_events != events:
+        raise ValueError(f"gram counts sum to {model.total_events}, not {events}, in {path}")
+    return model
 
 
 def parse_lm(text: str, path: str = "<string>") -> NGramLM:
-    """Rebuild the exact model from ARPA-style text."""
-    header: dict[str, str] = {}
-    declared: dict[int, int] = {}
-    sections: dict[int, list[tuple[float, list[str], float | None]]] = {}
-    current: int | None = None
-    for line in text.splitlines():
-        if line.startswith("#"):
-            if ":" in line:
-                key, _, value = line[1:].partition(":")
-                header[key.strip()] = value.strip()
-            continue
-        if not line or line == "\\data\\":
-            continue
-        if line == "\\end\\":
-            break
-        if line.startswith("ngram "):
-            k, _, count = line[len("ngram ") :].partition("=")
-            declared[int(k)] = int(count)
-            continue
-        if line.endswith("-grams:") and line.startswith("\\"):
-            current = int(line[1 : -len("-grams:")])
-            sections[current] = []
-            continue
-        if current is None:
-            raise ValueError(f"unexpected line outside sections in {path}: {line!r}")
-        fields = line.split("\t")
-        if len(fields) not in (2, 3):
-            raise ValueError(f"bad gram line in {path}: {line!r}")
-        bow = float(fields[2]) if len(fields) == 3 else None
-        sections[current].append((float(fields[0]), fields[1].split(" "), bow))
-
-    try:
-        order = int(header["order"])
-        discount = float(header["discount"])
-        alpha = float(header["alpha"])
-        events = int(header["events"])
-    except KeyError as exc:
-        raise ValueError(f"missing header field in {path}: {exc}") from exc
-    if sorted(sections) != list(range(1, order + 1)):
-        raise ValueError(f"sections do not match order {order} in {path}")
-    for k, lines in sections.items():
-        if declared.get(k) != len(lines):
-            raise ValueError(f"section {k} length mismatch in {path}")
-
-    unigrams = sections[1]
-    surfaces = [gram[0] for _, gram, _ in unigrams]
-    size = len(surfaces)
-    denom = events + alpha * size
-    c1: dict[int, int] = {}
-    backoffs: dict[tuple, float] = {}
-    for w, (log10p, _, bow) in enumerate(unigrams):
-        c = _round_count(10.0**log10p * denom - alpha, f"unigram {surfaces[w]}")
-        if c:
-            c1[w] = c
-        if bow is not None:
-            backoffs[(w,)] = 10.0**bow
-    if sum(c1.values()) != events:
-        raise ValueError(f"unigram counts do not sum to declared events in {path}")
-    vocab = Vocabulary(surfaces, [0] * 4 + [c1.get(w, 0) for w in range(4, size)])
-    index = {s: i for i, s in enumerate(surfaces)}
-
-    counts: CountTables = [{(): c1}] + [dict() for _ in range(order - 1)]
-    p0 = (np.array([c1.get(w, 0) for w in range(size)], dtype=np.float64) + alpha) / denom
-    for k in range(2, order + 1):
-        groups: dict[tuple, list[tuple[float, int]]] = {}
-        level_bows: dict[tuple, float] = {}
-        for log10p, gram_text, bow in sections[k]:
-            gram = tuple(index[s] for s in gram_text)
-            if bow is not None:
-                level_bows[gram] = 10.0**bow
-            hist, w = gram[:-1], gram[-1]
-            groups.setdefault(hist, []).append((log10p, w))
-        for hist, entries in groups.items():
-            real = [(lp, w) for lp, w in entries if lp > _DUMMY_LOG10 + 1.0]
-            if not real:
-                continue
-            lam_stored = backoffs.get(hist)
-            if lam_stored is None:
-                raise ValueError(f"history without backoff weight in {path}: {hist}")
-            total = _round_count(discount * len(real) / lam_stored, f"history {hist}")
-            lam = discount * len(real) / total
-            table = {}
-            for log10p, w in real:
-                plow = _count_prob(counts, p0, discount, hist[1:], w)
-                c = _round_count((10.0**log10p - lam * plow) * total + discount, f"gram {hist}+{w}")
-                table[w] = c
-            if sum(table.values()) != total:
-                raise ValueError(f"inconsistent counts for history {hist} in {path}")
-            counts[k - 1][hist] = table
-        backoffs = level_bows
-    return NGramLM(order, discount, alpha, vocab, counts)
+    """Rebuild the exact model from count-file text (see ``dump_lm``)."""
+    return _parse_lines(text.splitlines(), path)
 
 
 def load_lm(path: str) -> NGramLM:
-    return parse_lm(read_text(path), path)
+    """Read a count file line by line (see ``dump_lm``)."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return _parse_lines(fh, path)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"malformed UTF-8 in {path}") from exc

@@ -283,6 +283,14 @@ class TestSoftSerialization:
             '{"toks":[5,null]}',
             '[5,6]',
             '{"toks":',
+            # a negative position would index from the end of toks
+            '{"toks":[5,6],"soft":{"-1":{"orig":6,"p":[[6,1.0]]}}}',
+            # orig must be the token at its position
+            '{"toks":[5,6],"soft":{"1":{"orig":5,"p":[[6,1.0]]}}}',
+            # entries must form a distribution: no negative mass, no duplicate ids, mass 1
+            '{"toks":[5,6],"soft":{"1":{"orig":6,"p":[[6,-0.5],[6,2.0]]}}}',
+            '{"toks":[5,6],"soft":{"1":{"orig":6,"p":[[6,0.5],[6,0.5]]}}}',
+            '{"toks":[5,6],"soft":{"1":{"orig":6,"p":[[6,0.5],[7,0.6]]}}}',
         ],
     )
     def test_malformed_line_raises_value_error(self, line):

@@ -101,6 +101,48 @@ class TestLanguageModelCommands:
         )
 
 
+class TestModelFileErrors:
+    @pytest.fixture(scope="class")
+    def corrupt_models(self, workdir, tmp_path_factory):
+        text = (workdir / "model.arpa").read_text(encoding="utf-8")
+        lines = text.splitlines()
+        root = tmp_path_factory.mktemp("corrupt")
+        bodies = {
+            "unknown-surface": "\n".join(lines[:-2] + [lines[-2] + "zz", lines[-1]]) + "\n",
+            "truncated": "\n".join(lines[:-1]) + "\n",
+            "not-a-model": (workdir / "sub.txt").read_text(encoding="utf-8"),
+        }
+        for name, body in bodies.items():
+            (root / name).write_text(body, encoding="utf-8")
+        (root / "not-utf8").write_bytes(text.encode("utf-8").replace(b"\t", b"\t\xff", 9))
+        return root, sorted(bodies) + ["not-utf8"]
+
+    @pytest.mark.parametrize("command", ["ppl", "augment"])
+    def test_corrupt_model_is_data_error(self, workdir, corrupt_models, command, tmp_path):
+        root, names = corrupt_models
+        for name in names:
+            args = ["--lm", root / name, "--input", workdir / "sub.txt"]
+            if command == "augment":
+                args += ["--strategy", "soft", "--gamma", 0.2, "--output", tmp_path / "s.jsonl"]
+            proc = run_cli(command, *args, expect=1)
+            assert "Traceback" not in proc.stderr, name
+            assert any(line.startswith("error: ") for line in proc.stderr.splitlines()), name
+
+    def test_corpus_above_2e5_events(self, tmp_path):
+        rng = SplitMix64(21)
+        words = [f"w{i}" for i in range(30)]
+        lines = [" ".join(words[rng.randint(30)] for _ in range(1 + rng.randint(24)))
+                 for _ in range(17_000)]
+        (tmp_path / "big.txt").write_text("\n".join(lines) + "\n")
+        run_cli("train-lm", "--input", tmp_path / "big.txt", "--output", tmp_path / "big.arpa")
+        proc = run_cli("ppl", "--lm", tmp_path / "big.arpa", "--input", tmp_path / "big.txt")
+        vocab = sa.build_vocab(lines)
+        sents = [vocab.encode_tokens(line.split()) for line in lines]
+        model = sa.train_lm(sents, vocab)
+        assert model.total_events > 200_000
+        assert proc.stdout.strip() == f"{lmm.perplexity(model, sents):.4f}"
+
+
 class TestAugmentCommand:
     def test_base_passthrough(self, workdir, tmp_path):
         out = tmp_path / "base.txt"

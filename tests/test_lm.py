@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import softaug as sa
 from softaug import lm as lmm
-from softaug.corpus import BOS, EOS
+from softaug.corpus import BOS, EOS, SPECIAL_TOKENS
 from softaug.rng import SplitMix64
 
 from conftest import random_corpus
@@ -181,12 +183,167 @@ class TestSerialization:
         model, _, _ = tiny_lm
         assert lmm.dump_lm(model) == lmm.dump_lm(model)
 
-    def test_oversized_corpus_rejected(self):
-        vocab = toy_vocab(["a"])
-        a = vocab.id_of("a")
-        model = lmm.NGramLM(1, 0.5, 0.1, vocab, [{(): {a: lmm.MAX_EXACT_EVENTS}}])
-        with pytest.raises(ValueError, match="too large"):
+    def test_model_above_2e5_events_round_trips(self, tmp_path):
+        sents, vocab = random_corpus(12, 18_000, 40, max_len=24)
+        model = sa.train_lm(sents, vocab, order=3)
+        assert model.total_events > 200_000
+        text = lmm.dump_lm(model)
+        again = lmm.parse_lm(text)
+        assert again.counts == model.counts
+        assert lmm.dump_lm(again) == text
+        path = tmp_path / "model.arpa"
+        lmm.save_lm(model, path)
+        assert path.read_text(encoding="utf-8") == text
+        loaded = lmm.load_lm(path)
+        assert loaded.counts == model.counts
+        rng = SplitMix64(13)
+        for _ in range(200):
+            sent = sents[rng.randint(len(sents))]
+            prefix = sent[: rng.randint(len(sent) + 1)]
+            assert np.array_equal(loaded.next_dist(prefix), model.next_dist(prefix))
+
+    def test_file_lists_vocabulary_and_top_order_counts(self):
+        vocab = toy_vocab(["a", "b", "b"])
+        a, b = vocab.id_of("a"), vocab.id_of("b")
+        model = sa.train_lm([[a, b]], vocab, order=2)
+        assert lmm.dump_lm(model).splitlines() == [
+            "#ngram-counts v1 order=2 discount=0.75 alpha=0.1 events=3 vocab=6",
+            "0\t<s>", "0\t</s>", "0\t<unk>", "0\t<blank>", "2\tb", "1\ta",
+            "1\t<s> a", "1\tb </s>", "1\ta b",
+            "\\end\\",
+        ]
+
+    def test_surface_with_whitespace_is_not_written(self):
+        vocab = sa.Vocabulary(list(SPECIAL_TOKENS) + ["a b"], [0, 0, 0, 0, 1])
+        model = lmm.NGramLM(1, 0.5, 0.1, vocab, [{(): {4: 1}}])
+        with pytest.raises(ValueError, match="whitespace"):
             lmm.dump_lm(model)
+
+
+# The format the model file had before it held integer counts.
+OLD_ARPA = """# interpolated absolute-discount ngram model
+# order: 2
+# discount: 0.75
+# alpha: 0.1
+# events: 3
+
+\\data\\
+ngram 1=6
+ngram 2=3
+
+\\1-grams:
+-1.556303\t<s>\t-0.124939
+-0.514910\t</s>
+-1.556303\t<unk>
+-1.556303\t<blank>
+-0.514910\tb\t-0.124939
+-0.514910\ta\t-0.124939
+
+\\2-grams:
+-0.319513\t<s> a
+-0.319513\tb </s>
+-0.319513\ta b
+
+\\end\\
+"""
+
+
+@st.composite
+def corpus_models(draw):
+    size = draw(st.integers(1, 8))
+    sents = draw(st.lists(st.lists(st.integers(4, 3 + size), max_size=8), min_size=1, max_size=12))
+    vocab = sa.build_vocab(" ".join(f"w{i}" for i in range(size)))
+    order = draw(st.integers(1, 4))
+    return sa.train_lm(sents, vocab, order=order, alpha=draw(st.sampled_from([0.0, 0.1])))
+
+
+def _gram_line(lines, draw):
+    """Index of a gram line (every model has at least one event)."""
+    start = 1 + int(lines[0].rsplit("vocab=", 1)[1])
+    return draw(st.integers(start, len(lines) - 2))
+
+
+def _set_count(lines, i, count):
+    lines[i] = count + "\t" + lines[i].split("\t", 1)[1]
+
+
+def _corrupt(kind, lines, draw):
+    if kind == "unknown surface":
+        i = _gram_line(lines, draw)
+        lines[i] = lines[i] + "zz"
+    elif kind in ("non-integer count", "zero count", "negative count"):
+        value = {"non-integer count": "1.5", "zero count": "0", "negative count": "-2"}[kind]
+        _set_count(lines, _gram_line(lines, draw), value)
+    elif kind == "non-integer vocabulary count":
+        _set_count(lines, draw(st.integers(1, int(lines[0].rsplit("vocab=", 1)[1]))), "x")
+    elif kind == "short gram":
+        i = _gram_line(lines, draw)
+        lines[i] = lines[i].rsplit(" ", 1)[0] if " " in lines[i] else lines[i].split("\t")[0] + "\t"
+    elif kind == "long gram":
+        i = _gram_line(lines, draw)
+        lines[i] = lines[i] + " " + SPECIAL_TOKENS[0]
+    elif kind == "duplicate gram":
+        i = _gram_line(lines, draw)
+        lines.insert(i, lines[i])
+    elif kind == "missing end marker":
+        lines.pop()
+    elif kind == "events mismatch":
+        head, _, rest = lines[0].partition("events=")
+        events, _, tail = rest.partition(" ")
+        lines[0] = f"{head}events={int(events) + 1} {tail}"
+    return lines
+
+
+CORRUPTIONS = [
+    "unknown surface", "non-integer count", "zero count", "negative count",
+    "non-integer vocabulary count", "short gram", "long gram", "duplicate gram",
+    "missing end marker", "events mismatch",
+]
+
+
+class TestModelFileProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(corpus_models(), st.data())
+    def test_round_trip_is_bit_exact(self, model, data):
+        text = lmm.dump_lm(model)
+        again = lmm.parse_lm(text)
+        assert again.counts == model.counts
+        assert again.vocab.surfaces == model.vocab.surfaces
+        assert again.vocab.counts == model.vocab.counts
+        assert lmm.dump_lm(again) == text
+        ids = st.integers(4, len(model.vocab) - 1)
+        for prefix in data.draw(st.lists(st.lists(ids, max_size=5), max_size=4)) + [[]]:
+            assert np.array_equal(again.next_dist(prefix), model.next_dist(prefix))
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpus_models(), st.sampled_from(CORRUPTIONS), st.data())
+    def test_corrupt_file_raises_value_error(self, model, kind, data):
+        lines = _corrupt(kind, lmm.dump_lm(model).splitlines(), data.draw)
+        with pytest.raises(ValueError):
+            lmm.parse_lm("\n".join(lines) + "\n")
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpus_models(), st.data())
+    def test_truncated_file_raises_value_error(self, model, data):
+        text = lmm.dump_lm(model)
+        cut = data.draw(st.integers(0, len(text) - 2))
+        with pytest.raises(ValueError):
+            lmm.parse_lm(text[:cut])
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "model.arpa"
+        path.write_bytes(b"#ngram-counts v1 order=1 discount=0.5 alpha=0.1 events=1 vocab=5\n\xff\n")
+        with pytest.raises(ValueError, match="malformed UTF-8"):
+            lmm.load_lm(path)
+
+    @pytest.mark.parametrize("text", ["", "\n", OLD_ARPA], ids=["empty", "blank", "old-arpa"])
+    def test_not_a_count_file(self, text, tmp_path):
+        with pytest.raises(ValueError, match="not an n-gram count file"):
+            lmm.parse_lm(text)
+        path = tmp_path / "model.arpa"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="not an n-gram count file"):
+            lmm.load_lm(path)
 
 
 class TestImmutability:
