@@ -66,8 +66,12 @@ class Dist:
         return [(int(i), float(p)) for i, p in zip(self.ids, self.probs)]
 
     def validate(self, tol: float = 1e-9) -> None:
+        if not np.all(np.isfinite(self.probs)):
+            raise ValueError("non-finite probability")
         if np.any(self.probs < 0):
             raise ValueError("negative probability")
+        if self.ids is not None and np.any(self.ids < 0):
+            raise ValueError("negative id in sparse distribution")
         if abs(float(self.probs.sum()) - 1.0) > tol:
             raise ValueError("probabilities do not sum to 1")
         if self.ids is not None and len(set(self.ids.tolist())) != len(self.ids):
@@ -200,16 +204,23 @@ def augment_soft(
 ) -> SoftSentence:
     """Replace selected tokens by their contextual distribution.
 
-    With topk > 0 the dense distribution is truncated to its k most
-    probable entries and renormalized; topk = 0 stores it in full.
+    With topk > 0 the k most probable entries come from ``lm.top_k``,
+    which evaluates only the history supports and the head of the unigram
+    order, so a position costs about the same at any |V|; they are
+    renormalized exactly as ``top_k`` renormalizes the dense vector, so
+    the bytes match.  topk = 0 stores the dense ``next_dist`` in full, at
+    O(|V|) per position.
     """
     mask = select_positions(sentence, gamma, rng)
     out: SoftSentence = []
     for pos, (t, hit) in enumerate(zip(sentence, mask)):
-        if hit:
-            out.append(SoftWord(top_k(lm.next_dist(sentence[:pos]), topk), t))
-        else:
+        if not hit:
             out.append(t)
+        elif topk > 0:
+            ids, probs = lm.top_k(sentence[:pos], topk)
+            out.append(SoftWord(Dist(probs / probs.sum(), ids), t))
+        else:
+            out.append(SoftWord(Dist(lm.next_dist(sentence[:pos])), t))
     return out
 
 
@@ -325,27 +336,44 @@ def write_soft_corpus(path: str, sentences: Iterable[SoftSentence]) -> None:
             fh.write(_soft_line(s) + "\n")
 
 
+def _integer(value) -> int:
+    # JSON gives int for integer literals only; bool is a subclass of int.
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _number(value) -> float:
+    if type(value) not in (int, float):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def parse_soft_line(line: str) -> SoftSentence:
     """One JSON Lines record; any malformed record raises ValueError.
 
-    Each soft position must index ``toks``, its ``orig`` must equal the
-    token there, and its entries must form a valid distribution.
+    Tokens, ``orig`` and support ids must be JSON integers and
+    probabilities JSON numbers.  Each soft position must be written as a
+    plain index into ``toks``, its ``orig`` must equal the token there,
+    and its entries must form a valid distribution.
     """
     try:
         obj = json.loads(line)
-        out: SoftSentence = [int(t) for t in obj["toks"]]
+        out: SoftSentence = [_integer(t) for t in obj["toks"]]
         for pos_text, entry in obj.get("soft", {}).items():
-            pos, orig = int(pos_text), int(entry["orig"])
-            if not 0 <= pos < len(out):
-                raise ValueError(f"soft position {pos} outside a {len(out)}-token sentence")
+            pos, orig = int(pos_text), _integer(entry["orig"])
+            if pos_text != str(pos) or not 0 <= pos < len(out):
+                raise ValueError(
+                    f"soft position {pos_text!r} is not an index of a {len(out)}-token sentence"
+                )
             if out[pos] != orig:
                 raise ValueError(f"soft position {pos}: orig {orig} is not its token {out[pos]}")
-            ids = np.array([int(i) for i, _ in entry["p"]], dtype=np.int64)
-            probs = np.array([float(p) for _, p in entry["p"]], dtype=np.float64)
+            ids = np.array([_integer(i) for i, _ in entry["p"]], dtype=np.int64)
+            probs = np.array([_number(p) for _, p in entry["p"]], dtype=np.float64)
             dist = Dist(probs, ids)
             dist.validate()
             out[pos] = SoftWord(dist, orig)
-    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+    except (KeyError, TypeError, IndexError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed soft corpus line ({type(exc).__name__}: {exc})") from exc
     return out
 

@@ -11,8 +11,16 @@ Unseen histories fall through unchanged (lam = 1, no discounted mass), so
 every history yields a proper distribution over the full vocabulary.
 
 Sentences are padded with n-1 BOS symbols and terminated by a predicted
-EOS.  Models are immutable once built; queries are pure and cache dense
-distributions per history.
+EOS.  Models are immutable once built; queries are pure and cache their
+results per history.  ``next_dist`` (and ``sample``/``logprob`` through it)
+returns and caches the dense distribution.  ``top_k`` is sparse: outside
+the union S of the present history levels' supports, P(w | h) is
+Lam(h) * P0(w) with Lam(h) the product of the present levels' lam, so the
+k most probable tokens lie in S plus the first k + |S| tokens in P0
+order.  Only such candidates are evaluated, with the dense path's
+operations in the dense path's order, so the probabilities are
+bit-identical to ``next_dist``; the cost per history grows with |S| and k,
+not with |V|.
 
 Serialization is a text file of the integer counts that define the model
 (see ``dump_lm``): a header line, the vocabulary in id order, then every
@@ -34,7 +42,14 @@ import numpy as np
 from .corpus import BLANK, BOS, EOS, UNK, Sentence, Vocabulary
 from .rng import SplitMix64
 
+# Entries per query cache.  A top-k entry is never larger than a dense one.
 _CACHE_LIMIT = 4096
+
+# Upper bound on the model order.  Each event counts toward every history
+# length, so a model stores `order` tables and up to `order` history
+# tuples per event; a file or flag asking for more is refused before any
+# table is allocated.  Orders past ~6 have no data to estimate anyway.
+MAX_ORDER = 16
 
 # History -> {token: count} tables, indexed by history length.
 CountTables = list[dict[tuple, dict[int, int]]]
@@ -54,8 +69,7 @@ class NGramLM:
         vocab: Vocabulary,
         counts: CountTables,
     ):
-        if order < 1:
-            raise ValueError("order must be >= 1")
+        _check_order(order)
         if not 0.0 < discount < 1.0:
             raise ValueError("discount must lie strictly between 0 and 1")
         if alpha < 0.0:
@@ -79,6 +93,10 @@ class NGramLM:
         if denom <= 0.0:
             raise ValueError("model has no counts and no smoothing floor")
         self._p0 = (c1 + self.alpha) / denom
+        # Ids by P0 descending, ties by id ascending: the order in which
+        # tokens outside every support rank after any history.
+        self._p0_order = np.lexsort((np.arange(size), -self._p0))
+        self._neg_p0_sorted = -self._p0[self._p0_order]
         # Per history: (ids, (count - D) / c(h), lam(h)).
         self._tables: list[dict[tuple, tuple[np.ndarray, np.ndarray, float]]] = [{}]
         for k in range(1, self.order):
@@ -90,10 +108,12 @@ class NGramLM:
                 level[hist] = (ids, (cnts - self.discount) / total, self.discount * len(ids) / total)
             self._tables.append(level)
         self._cache: dict[tuple, np.ndarray] = {}
+        self._top_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_cache"] = {}
+        state["_top_cache"] = {}
         return state
 
     # -- queries ---------------------------------------------------------
@@ -104,14 +124,20 @@ class NGramLM:
         padded = (BOS,) * n + tuple(prefix)
         return padded[len(padded) - n :] if n else ()
 
-    def _dist_for_history(self, hist: tuple) -> np.ndarray:
-        p = self._p0.copy()
+    def _levels(self, hist: tuple) -> list[tuple[np.ndarray, np.ndarray, float]]:
+        """The present history levels of *hist*, shortest history first."""
+        levels = []
         for k in range(1, len(hist) + 1):
             entry = self._tables[k].get(hist[len(hist) - k :])
             if entry is not None:
-                ids, add, lam = entry
-                p *= lam
-                p[ids] += add
+                levels.append(entry)
+        return levels
+
+    def _dist_for_history(self, hist: tuple) -> np.ndarray:
+        p = self._p0.copy()
+        for ids, add, lam in self._levels(hist):
+            p *= lam
+            p[ids] += add
         return p
 
     def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
@@ -127,6 +153,65 @@ class NGramLM:
                 self._cache[hist] = cached
         return cached.copy()
 
+    def top_k(self, prefix: Sequence[int], k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The min(k, |V|) most probable next tokens after *prefix*.
+
+        Returns (ids, probs): ids by probability descending, ties by id
+        ascending, and probs equal to ``next_dist(prefix)[ids]`` bitwise.
+        Only the history supports and the head of the P0 order are
+        evaluated; a cut the candidates cannot prove exact is widened to
+        every id.  Returns fresh arrays; results are cached per
+        (history, k).
+        """
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        key = (self.pad_prefix(prefix), k)
+        cached = self._top_cache.get(key)
+        if cached is None:
+            cached = self._top_k_for_history(*key)
+            if len(self._top_cache) < _CACHE_LIMIT:
+                self._top_cache[key] = cached
+        return cached[0].copy(), cached[1].copy()
+
+    def _top_k_for_history(self, hist: tuple, k: int) -> tuple[np.ndarray, np.ndarray]:
+        size = len(self._p0)
+        k = min(k, size)
+        levels = self._levels(hist)
+        supports = [ids for ids, _, _ in levels]
+        # The summed support sizes bound |S|, the size of their union.
+        bound = _candidate_bound(k, sum(map(len, supports)))
+        if bound < size:
+            cand = np.unique(np.concatenate([*supports, self._p0_order[:bound]]))
+            ids, probs = _select(self._p0, cand, levels, k)
+            if len(cand) == size or (
+                len(ids) == k and self._cut_is_exact(cand, bound, levels, ids[-1], probs[-1])
+            ):
+                return ids, probs
+        return _select(self._p0, np.arange(size), levels, k)
+
+    def _cut_is_exact(self, cand, bound, levels, last_id, last_p) -> bool:
+        """Does every id outside *cand* rank after (last_p, last_id)?
+
+        *cand* holds the supports and the first *bound* ids in P0 order.
+        An id outside it is outside every support, so its probability is
+        its P0 times the lams, and rounding keeps that monotone in P0:
+        none beats x0, the first of them in P0 order.  Values equal to
+        x0's come from the rest of x0's P0 block (ids above x0) or, if
+        rounding merged it in, from the next lower P0 block, whose ids may
+        be anything.
+        """
+        for x0 in self._p0_order[bound:]:
+            at = cand.searchsorted(x0)
+            if at == len(cand) or cand[at] != x0:
+                break
+        top = _backed_off(self._p0[x0], levels)
+        if last_p != top:
+            return last_p > top
+        if last_id > x0:
+            return False
+        lower = int(self._neg_p0_sorted.searchsorted(-self._p0[x0], side="right"))
+        return lower == len(self._p0) or _backed_off(-self._neg_p0_sorted[lower], levels) < top
+
     def logprob(self, prefix: Sequence[int], token: int) -> float:
         if not 0 <= token < len(self.vocab):
             raise ValueError(f"id out of range: {token}")
@@ -140,6 +225,40 @@ class NGramLM:
         u = rng.random() * cum[-1]
         idx = int(np.searchsorted(cum, u, side="right"))
         return min(idx, len(p) - 1)
+
+
+def _candidate_bound(k: int, support_bound: int) -> int:
+    """How many ids of the P0 order join the supports as top-k candidates.
+
+    With support_bound >= |S|, at least k of the first k + support_bound
+    lie outside the supports, so the k-th best candidate is at least as
+    probable as any id left out.
+    """
+    return k + support_bound
+
+
+def _select(p0: np.ndarray, cand: np.ndarray, levels, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top k of the sorted candidate ids, evaluated as ``_dist_for_history``
+    evaluates them: P0, then per present level ``*= lam`` and ``+= add``."""
+    p = p0[cand]
+    for ids, add, lam in levels:
+        p *= lam
+        p[cand.searchsorted(ids)] += add
+    top = np.lexsort((cand, -p))[:k]
+    return cand[top], p[top]
+
+
+def _backed_off(p0: float, levels) -> float:
+    """Probability of an id outside every present level's support."""
+    p = float(p0)
+    for _, _, lam in levels:
+        p *= lam
+    return p
+
+
+def _check_order(order: int) -> None:
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must lie in [1, {MAX_ORDER}], not {order}")
 
 
 def _count_tables(grams: Iterable[tuple[tuple, int]], order: int) -> CountTables:
@@ -172,8 +291,7 @@ def train_lm(
     sentences = list(sentences)
     if not sentences:
         raise ValueError("empty corpus")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _check_order(order)
 
     def events():
         for sent in sentences:
@@ -251,6 +369,7 @@ def _parse_lines(lines: Iterable[str], path: str) -> NGramLM:
         discount, alpha = float(fields["discount"]), float(fields["alpha"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad header in {path}: {first!r}") from exc
+    _check_order(order)
 
     def data(lineno: int, line: str, least: int) -> tuple[int, str]:
         count, tab, text = line.partition("\t")

@@ -9,6 +9,8 @@ processes.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _SALT = 0x5851F42D4C957F2D
@@ -49,3 +51,17 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("randint needs n >= 1")
         return int(self.random() * n)
+
+
+def random_block(seed: int, n: int) -> np.ndarray:
+    """The first n ``SplitMix64(seed).random()`` draws, bit for bit, as one
+    float64 array.
+
+    The i-th state is seed + i * golden ratio (mod 2^64), so every state
+    and its finalizer are computed at once in wrapping uint64 arithmetic.
+    """
+    state = np.uint64(seed & _MASK) + np.uint64(_GOLDEN) * np.arange(1, n + 1, dtype=np.uint64)
+    z = (state ^ (state >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import SoftSentence, SoftWord
-from .rng import SplitMix64
+from .rng import SplitMix64, random_block
 
 GRAD_TOLERANCE = 1e-4
 GRAD_STEP = 1e-5
@@ -56,11 +56,7 @@ class ToyModel:
 
 def init_model(vocab_size: int, dim: int, classes: int, seed: int) -> ToyModel:
     """Embedding uniform in [-0.1, 0.1); classifier zero-initialized."""
-    rng = SplitMix64(seed)
-    emb = np.empty((vocab_size, dim), dtype=np.float64)
-    for i in range(vocab_size):
-        for j in range(dim):
-            emb[i, j] = rng.random() * 0.2 - 0.1
+    emb = random_block(seed, vocab_size * dim).reshape(vocab_size, dim) * 0.2 - 0.1
     return ToyModel(emb, np.zeros((classes, dim)), np.zeros(classes))
 
 

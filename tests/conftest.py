@@ -2,6 +2,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -19,6 +20,17 @@ def random_corpus(seed, n_sentences, vocab_size, max_len=12):
         length = 1 + rng.randint(max_len)
         sents.append([4 + rng.randint(vocab_size) for _ in range(length)])
     return sents, vocab
+
+
+@st.composite
+def corpus_models(draw, max_size=8, max_sentences=12):
+    """A model of order 1-4, alpha 0 or 0.1, trained on a drawn corpus."""
+    size = draw(st.integers(1, max_size))
+    sents = draw(st.lists(st.lists(st.integers(4, 3 + size), max_size=8),
+                          min_size=1, max_size=max_sentences))
+    vocab = sa.build_vocab(" ".join(f"w{i}" for i in range(size)))
+    order = draw(st.integers(1, 4))
+    return sa.train_lm(sents, vocab, order=order, alpha=draw(st.sampled_from([0.0, 0.1])))
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,18 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import softaug as sa
 from softaug import augment as ag
 from softaug.corpus import BLANK
 from softaug.rng import SplitMix64, derive
+
+from conftest import corpus_models
 
 
 def fresh_rngs(seed, n):
@@ -164,6 +171,26 @@ class TestSoft:
         out = sa.augment_soft([9, 8], 1.0, model, 4, SplitMix64(21))
         assert [w.original_id for w in out] == [9, 8]
 
+    @pytest.mark.parametrize("topk", [1, 3, 32])
+    def test_topk_matches_dense_reference(self, tiny_lm, topk):
+        model, sents, _ = tiny_lm
+        for i, sent in enumerate(sents[:40]):
+            out = sa.augment_soft(list(sent), 0.6, model, topk, SplitMix64(derive(24, i)))
+            for pos, word in enumerate(out):
+                if isinstance(word, sa.SoftWord):
+                    assert word.dist == ag.top_k(model.next_dist(sent[:pos]), topk)
+
+    def test_topk_never_builds_a_dense_distribution(self, tiny_lm, monkeypatch):
+        model, sents, _ = tiny_lm
+
+        def dense(prefix):
+            raise AssertionError("next_dist called for a top-k soft word")
+
+        monkeypatch.setattr(model, "next_dist", dense)
+        monkeypatch.setattr(model, "_dist_for_history", dense)
+        out = sa.augment_soft(list(sents[0]), 1.0, model, 4, SplitMix64(25))
+        assert all(isinstance(word, sa.SoftWord) for word in out)
+
 
 class TestSelection:
     def test_positions_independent(self):
@@ -291,6 +318,17 @@ class TestSoftSerialization:
             '{"toks":[5,6],"soft":{"1":{"orig":6,"p":[[6,-0.5],[6,2.0]]}}}',
             '{"toks":[5,6],"soft":{"1":{"orig":6,"p":[[6,0.5],[6,0.5]]}}}',
             '{"toks":[5,6],"soft":{"1":{"orig":6,"p":[[6,0.5],[7,0.6]]}}}',
+            # non-finite mass, negative ids, and tokens or ids that are not integers
+            '{"toks":[5,6],"soft":{"1":{"orig":6,"p":[[6,NaN]]}}}',
+            '{"toks":[5,6],"soft":{"1":{"orig":6,"p":[[6,Infinity]]}}}',
+            '{"toks":[5,6],"soft":{"1":{"orig":6,"p":[[-3,1.0]]}}}',
+            '{"toks":[5,6.7]}',
+            '{"toks":[5,true]}',
+            '{"toks":[5,Infinity]}',
+            '{"toks":[5,6],"soft":{"1":{"orig":6,"p":[[6.0,1.0]]}}}',
+            '{"toks":[5,6],"soft":{"1":{"orig":6,"p":[[6,"1.0"]]}}}',
+            '{"toks":[5,6],"soft":{"01":{"orig":6,"p":[[6,1.0]]}}}',
+            '{"toks":[5,6],"soft":{"1":{"orig":6,"p":[[99999999999999999999,1.0]]}}}',
         ],
     )
     def test_malformed_line_raises_value_error(self, line):
@@ -311,3 +349,71 @@ class TestSoftSerialization:
         assert len(entry["p"]) == 3
         probs = [p for _, p in entry["p"]]
         assert probs == sorted(probs, reverse=True)
+
+
+@st.composite
+def soft_lines(draw, gamma=None):
+    """A soft corpus line written from a drawn model, top-k or dense."""
+    model = draw(corpus_models())
+    sent = draw(st.lists(st.integers(0, len(model.vocab) - 1), max_size=10))
+    if gamma is None:
+        gamma = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    topk = draw(st.sampled_from([0, 1, 3, 32]))
+    rng = SplitMix64(draw(st.integers(0, 2**64 - 1)))
+    return ag._soft_line(sa.augment_soft(sent, gamma, model, topk, rng))
+
+
+def _corrupt_soft(kind, obj, draw):
+    """Break one field of a parsed soft line in the named way."""
+    toks, soft = obj["toks"], obj["soft"]
+    if kind in ("fractional token", "integral float token", "boolean token"):
+        i = draw(st.integers(0, len(toks) - 1))
+        toks[i] = {"fractional token": toks[i] + 0.5, "integral float token": float(toks[i]),
+                   "boolean token": True}[kind]
+        return
+    entry = soft[draw(st.sampled_from(sorted(soft)))]
+    pair = entry["p"][draw(st.integers(0, len(entry["p"]) - 1))]
+    if kind == "nan probability":
+        pair[1] = math.nan
+    elif kind == "infinite probability":
+        pair[1] = draw(st.sampled_from([math.inf, -math.inf]))
+    elif kind == "string probability":
+        pair[1] = str(pair[1])
+    elif kind == "negative id":
+        pair[0] = -1 - pair[0]
+    elif kind == "fractional id":
+        pair[0] = pair[0] + 0.5
+    elif kind == "boolean id":
+        pair[0] = True
+    elif kind == "float orig":
+        entry["orig"] = float(entry["orig"])
+
+
+SOFT_CORRUPTIONS = [
+    "fractional token", "integral float token", "boolean token", "nan probability",
+    "infinite probability", "string probability", "negative id", "fractional id",
+    "boolean id", "float orig",
+]
+
+
+class TestSoftLineProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(soft_lines())
+    def test_write_read_write_is_byte_identical(self, line):
+        assert ag._soft_line(ag.parse_soft_line(line)) == line
+
+    @settings(max_examples=300, deadline=None)
+    @given(soft_lines(gamma=1.0), st.sampled_from(SOFT_CORRUPTIONS), st.data())
+    def test_corrupt_line_raises_value_error(self, line, kind, data):
+        obj = json.loads(line)
+        assume(obj["soft"])
+        _corrupt_soft(kind, obj, data.draw)
+        with pytest.raises(ValueError):
+            ag.parse_soft_line(json.dumps(obj))
+
+    @settings(max_examples=100, deadline=None)
+    @given(soft_lines())
+    def test_every_truncation_raises_value_error(self, line):
+        for cut in range(len(line)):
+            with pytest.raises(ValueError):
+                ag.parse_soft_line(line[:cut])

@@ -100,6 +100,15 @@ class TestLanguageModelCommands:
             "--output", tmp_path / "m", expect=2,
         )
 
+    def test_order_above_bound_is_data_error(self, workdir, tmp_path):
+        proc = run_cli(
+            "train-lm", "--input", workdir / "sub.txt", "--order", lmm.MAX_ORDER + 1,
+            "--output", tmp_path / "m.arpa", expect=1,
+        )
+        assert "Traceback" not in proc.stderr
+        assert any(line.startswith("error: order must lie in") for line in proc.stderr.splitlines())
+        assert not (tmp_path / "m.arpa").exists()
+
 
 class TestModelFileErrors:
     @pytest.fixture(scope="class")

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 
@@ -7,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import softaug as sa
+from softaug import augment as ag
 from softaug import lm as lmm
-from softaug.corpus import BOS, EOS, SPECIAL_TOKENS
+from softaug.corpus import BOS, EOS, SPECIAL_TOKENS, UNK
 from softaug.rng import SplitMix64
 
-from conftest import random_corpus
+from conftest import corpus_models, random_corpus
 from oracles import BruteNGram
 
 
@@ -248,15 +250,6 @@ ngram 2=3
 """
 
 
-@st.composite
-def corpus_models(draw):
-    size = draw(st.integers(1, 8))
-    sents = draw(st.lists(st.lists(st.integers(4, 3 + size), max_size=8), min_size=1, max_size=12))
-    vocab = sa.build_vocab(" ".join(f"w{i}" for i in range(size)))
-    order = draw(st.integers(1, 4))
-    return sa.train_lm(sents, vocab, order=order, alpha=draw(st.sampled_from([0.0, 0.1])))
-
-
 def _gram_line(lines, draw):
     """Index of a gram line (every model has at least one event)."""
     start = 1 + int(lines[0].rsplit("vocab=", 1)[1])
@@ -358,3 +351,145 @@ class TestImmutability:
         lmm.perplexity(model, sents[:10])
         after = hashlib.sha256(lmm.dump_lm(model).encode()).hexdigest()
         assert before == after
+
+
+def assert_top_k_exact(model, prefix, k):
+    """lm.top_k against the dense reference augment.top_k(next_dist)."""
+    ids, probs = model.top_k(prefix, k)
+    dense = model.next_dist(prefix)
+    ref = ag.top_k(dense, k)
+    assert np.array_equal(ids, ref.ids)
+    assert probs.tobytes() == dense[ids].tobytes()
+    assert (probs / probs.sum()).tobytes() == ref.probs.tobytes()
+
+
+def k_values(model):
+    size = len(model.vocab)
+    return [1, 2, 32, size - 1, size, size + 5]
+
+
+class TestTopK:
+    @settings(max_examples=200, deadline=None)
+    @given(corpus_models(max_size=40, max_sentences=30), st.data())
+    def test_matches_dense_reference(self, model, data):
+        # Prefix ids cover seen and unseen histories, specials included.
+        ids = st.integers(0, len(model.vocab) - 1)
+        for prefix in data.draw(st.lists(st.lists(ids, max_size=4), max_size=4)) + [[]]:
+            for k in k_values(model):
+                assert_top_k_exact(model, prefix, k)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_histories_with_support_above_k(self, order, alpha):
+        sents, vocab = random_corpus(5, 1500, 60)
+        model = sa.train_lm(sents, vocab, order=order, alpha=alpha)
+        rng = SplitMix64(6)
+        widest = 0
+        for _ in range(60):
+            sent = sents[rng.randint(len(sents))]
+            prefix = sent[: rng.randint(len(sent) + 1)]
+            levels = model._levels(model.pad_prefix(prefix))
+            widest = max([widest] + [len(ids) for ids, _, _ in levels])
+            for k in k_values(model):
+                assert_top_k_exact(model, prefix, k)
+        if order > 1:
+            assert widest > 32
+        # UNK never occurs in the corpus, so these histories are unseen.
+        for prefix in ([UNK], [4, UNK], [UNK, 4], [UNK] * 3):
+            for k in k_values(model):
+                assert_top_k_exact(model, prefix, k)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_cut_inside_one_large_tie_block(self, order):
+        words = [f"w{i}" for i in range(120)]
+        vocab = sa.build_vocab(" ".join(words))
+        ids = [vocab.id_of(w) for w in words]
+        # Every word occurs equally often, so P0 is one block of 120 ties.
+        sents = [ids[i:] + ids[:i] for i in range(0, 120, 7)]
+        model = sa.train_lm(sents, vocab, order=order)
+        assert len(set(model._p0[ids].tolist())) == 1
+        for prefix in ([], ids[:1], ids[5:8], [ids[3], ids[9]]):
+            for k in k_values(model):
+                assert_top_k_exact(model, prefix, k)
+
+    @staticmethod
+    def _spy_widening(monkeypatch):
+        """Record each evaluation over every id of the vocabulary."""
+        widened = []
+        select = lmm._select
+
+        def spy(p0, cand, levels, k):
+            if len(cand) == len(p0):
+                widened.append(k)
+            return select(p0, cand, levels, k)
+
+        monkeypatch.setattr(lmm, "_select", spy)
+        return widened
+
+    # Ids 0-3 are specials, 4-8 words.  Alpha near 2**52 puts the P0 of
+    # count-1 ids one ulp above that of count-0 ids; after the history's
+    # lam both round to one value, so a count-0 id ties with a count-1
+    # candidate and wins on id.  In the first case the k-th candidate (7)
+    # has a larger id than the first id left out (0); in the second the
+    # k-th candidate (5) precedes the first id left out (8, same P0
+    # block), but the lower block merged into that value.
+    @pytest.mark.parametrize("unigram, support, alpha, tie", [
+        ({6: 1, 7: 1, 8: 1}, {6: 1}, 2.0**52 + 1, (7, 0)),
+        ({5: 1, 6: 1, 7: 1, 8: 1}, {4: 1}, 2.0**52 - 7, (5, 0)),
+    ], ids=["candidate-above-first-left-out", "lower-block-merged"])
+    def test_rounding_tie_across_p0_blocks_is_widened(self, monkeypatch, unigram, support, alpha, tie):
+        vocab = sa.Vocabulary(list(SPECIAL_TOKENS) + ["a", "b", "c", "d", "e"], [0] * 4 + [1] * 5)
+        model = lmm.NGramLM(2, 0.1, alpha, vocab, [{(): unigram}, {(4,): support}])
+        dense = model.next_dist([4])
+        above, below = tie
+        assert model._p0[above] > model._p0[below] and dense[above] == dense[below]
+        widened = self._spy_widening(monkeypatch)
+        ids, _ = model.top_k([4], 2)
+        assert ids.tolist() == [*support, 0]
+        assert widened == [2]
+        assert_top_k_exact(model, [4], 2)
+
+    def test_too_few_candidates_are_widened(self, monkeypatch):
+        sents, vocab = random_corpus(8, 300, 60)
+        model = sa.train_lm(sents, vocab, order=3)
+        widened = self._spy_widening(monkeypatch)
+        monkeypatch.setattr(lmm, "_candidate_bound", lambda k, support: 1)
+        for sent in sents[:20]:
+            for pos in range(len(sent) + 1):
+                for k in (1, 2, 5, 40):
+                    assert_top_k_exact(model, sent[:pos], k)
+        assert widened
+
+    def test_rejects_k_below_one(self, tiny_lm):
+        with pytest.raises(ValueError):
+            tiny_lm[0].top_k([5], 0)
+
+    def test_cached_result_is_not_shared(self, tiny_lm):
+        model = copy.deepcopy(tiny_lm[0])
+        ids, probs = model.top_k([5], 3)
+        ids[:] = 0
+        probs[:] = 0.0
+        assert_top_k_exact(model, [5], 3)
+
+
+class TestOrderBound:
+    HEADER = "#ngram-counts v1 order={} discount=0.75 alpha=0.1 events=0 vocab=4\n"
+
+    def test_huge_header_order_is_refused_before_any_table(self, monkeypatch):
+        def no_tables(grams, order):
+            raise AssertionError("count tables built before the order was checked")
+
+        monkeypatch.setattr(lmm, "_count_tables", no_tables)
+        text = self.HEADER.format(2_000_000) + "0\t<s>\n0\t</s>\n0\t<unk>\n0\t<blank>\n\\end\\\n"
+        with pytest.raises(ValueError, match="order must lie in"):
+            lmm.parse_lm(text)
+
+    def test_bound_holds_for_train_and_constructor(self, monkeypatch):
+        vocab = toy_vocab(["a"])
+        sa.train_lm([[4]], vocab, order=lmm.MAX_ORDER)
+        with pytest.raises(ValueError, match="order must lie in"):
+            lmm.NGramLM(lmm.MAX_ORDER + 1, 0.5, 0.1, vocab, [{}] * (lmm.MAX_ORDER + 1))
+        monkeypatch.setattr(lmm, "_count_tables", None)
+        for order in (0, lmm.MAX_ORDER + 1, 10**9):
+            with pytest.raises(ValueError, match="order must lie in"):
+                sa.train_lm([[4]], vocab, order=order)

@@ -1,0 +1,29 @@
+import numpy as np
+import pytest
+
+import softaug as sa
+from softaug.rng import SplitMix64, random_block
+
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+class TestRandomBlock:
+    # Seeds near 2**64 wrap the state within the first draws; the sixth
+    # seed's third state is exactly 0.
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63, 2**64 - 1, (-3 * GOLDEN) % 2**64, -1])
+    def test_equals_scalar_draws_bitwise(self, seed):
+        rng = SplitMix64(seed)
+        scalar = np.array([rng.random() for _ in range(2000)])
+        assert random_block(seed, 2000).tobytes() == scalar.tobytes()
+
+    def test_empty_block(self):
+        assert random_block(7, 0).shape == (0,)
+
+
+class TestInitModel:
+    def test_embedding_equals_row_major_scalar_draws(self):
+        rng = SplitMix64(9)
+        expected = np.array([[rng.random() * 0.2 - 0.1 for _ in range(8)] for _ in range(30)])
+        model = sa.init_model(30, 8, 3, seed=9)
+        assert model.emb.tobytes() == expected.tobytes()
+        assert not model.w.any() and not model.b.any()
