@@ -20,7 +20,6 @@ from .augment import (
     augment_soft,
     augment_swap,
     read_soft_corpus,
-    top_k,
     unigram_dist,
     write_soft_corpus,
 )

@@ -1,10 +1,12 @@
 """Per-token corpus augmentation strategies.
 
-Seven strategies share one driver: ``base`` (identity), ``swap`` (bounded
-local shuffle), ``dropout`` (token deletion), ``blank`` (placeholder
-substitution), ``smooth`` (unigram resampling), ``lm_sample`` (language
-model resampling) and ``soft`` (replace the token by the full next-token
-distribution, to be mixed in embedding space downstream).
+Seven strategies: ``base`` (identity), ``swap`` (bounded local shuffle),
+``dropout`` (token deletion), ``blank`` (placeholder substitution),
+``smooth`` (unigram resampling), ``lm_sample`` (language model
+resampling) and ``soft`` (replace the token by its next-token
+distribution, to be mixed in embedding space downstream).  The last four
+share one driver: it draws the selection mask, then asks the strategy for
+a replacement at each selected position in order, and counts them.
 
 Selection is an independent Bernoulli(gamma) event per position, computed
 on the original sentence; prefixes handed to the language model likewise
@@ -19,7 +21,8 @@ from __future__ import annotations
 import json
 import multiprocessing
 from dataclasses import dataclass
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -36,33 +39,19 @@ _UNSELECTABLE = frozenset((BOS, EOS, BLANK))
 
 @dataclass(frozen=True, eq=False)
 class Dist:
-    """Probability distribution over token ids.
-
-    Dense when ``ids`` is None (``probs[j]`` belongs to id j), otherwise a
-    sparse pairing of ``ids`` and ``probs`` ordered by probability
-    descending with id-ascending tie-break.
-    """
+    """Probability distribution over token ids: ``ids`` paired with
+    ``probs``, ordered by probability descending with id-ascending
+    tie-break."""
 
     probs: np.ndarray
-    ids: np.ndarray | None = None
+    ids: np.ndarray
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dist):
             return NotImplemented
-        if (self.ids is None) != (other.ids is None):
-            return False
-        if self.ids is not None and not np.array_equal(self.ids, other.ids):
-            return False
-        return np.array_equal(self.probs, other.probs)
-
-    @property
-    def is_dense(self) -> bool:
-        return self.ids is None
+        return np.array_equal(self.ids, other.ids) and np.array_equal(self.probs, other.probs)
 
     def entries(self) -> list[tuple[int, float]]:
-        if self.ids is None:
-            order = np.lexsort((np.arange(len(self.probs)), -self.probs))
-            return [(int(i), float(self.probs[i])) for i in order]
         return [(int(i), float(p)) for i, p in zip(self.ids, self.probs)]
 
     def validate(self, tol: float = 1e-9) -> None:
@@ -70,25 +59,17 @@ class Dist:
             raise ValueError("non-finite probability")
         if np.any(self.probs < 0):
             raise ValueError("negative probability")
-        if self.ids is not None and np.any(self.ids < 0):
-            raise ValueError("negative id in sparse distribution")
+        if np.any(self.ids < 0):
+            raise ValueError("negative id in distribution")
         if abs(float(self.probs.sum()) - 1.0) > tol:
             raise ValueError("probabilities do not sum to 1")
-        if self.ids is not None and len(set(self.ids.tolist())) != len(self.ids):
-            raise ValueError("duplicate ids in sparse distribution")
+        if len(set(self.ids.tolist())) != len(self.ids):
+            raise ValueError("duplicate ids in distribution")
 
 
-def top_k(dense: np.ndarray, k: int) -> Dist:
-    """Keep the k most probable entries (ties id-ascending) and renormalize."""
-    if k <= 0:
-        return Dist(dense.copy())
-    order = np.lexsort((np.arange(len(dense)), -dense))[: min(k, len(dense))]
-    probs = dense[order]
-    return Dist(probs / probs.sum(), order.astype(np.int64))
-
-
-def unigram_dist(sentences: Iterable[Sentence], size: int) -> Dist:
-    """Unigram frequency distribution over non-special token ids."""
+def unigram_dist(sentences: Iterable[Sentence], size: int) -> np.ndarray:
+    """Unigram frequency distribution over non-special token ids, indexed
+    by id."""
     counts = np.zeros(size, dtype=np.float64)
     for sent in sentences:
         for t in sent:
@@ -97,7 +78,7 @@ def unigram_dist(sentences: Iterable[Sentence], size: int) -> Dist:
     total = counts.sum()
     if total == 0:
         raise ValueError("no non-special tokens to build a unigram distribution")
-    return Dist(counts / total)
+    return counts / total
 
 
 @dataclass(frozen=True)
@@ -170,33 +151,54 @@ def augment_dropout(sentence: Sentence, gamma: float, rng: SplitMix64) -> Senten
     return kept
 
 
-def augment_blank(sentence: Sentence, gamma: float, rng: SplitMix64) -> Sentence:
-    mask = select_positions(sentence, gamma, rng)
-    return [BLANK if hit else t for t, hit in zip(sentence, mask)]
+def _replace_selected(
+    sentence: Sentence, gamma: float, rng: SplitMix64, replace: Callable
+) -> tuple[list, int]:
+    """The driver of the masked strategies.
 
-
-def augment_smooth(sentence: Sentence, gamma: float, unigram: Dist, rng: SplitMix64) -> Sentence:
-    """Replace selected tokens by draws from the unigram distribution."""
+    Draws the selection mask first, then calls ``replace(sentence, pos,
+    rng)`` for each selected position in order, so every replacement draw
+    follows every selection draw.  Returns (result, replaced positions).
+    """
     mask = select_positions(sentence, gamma, rng)
-    cum = np.cumsum(unigram.probs)
-    out = []
-    for t, hit in zip(sentence, mask):
+    out = list(sentence)
+    for pos, hit in enumerate(mask):
         if hit:
-            draw = rng.random() * cum[-1]
-            out.append(int(np.searchsorted(cum, draw, side="right")))
-        else:
-            out.append(t)
-    return out
+            out[pos] = replace(sentence, pos, rng)
+    return out, sum(mask)
+
+
+def _blank_at(sentence: Sentence, pos: int, rng: SplitMix64) -> int:
+    return BLANK
+
+
+def _unigram_at(cum: np.ndarray, sentence: Sentence, pos: int, rng: SplitMix64) -> int:
+    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+
+
+def _lm_sample_at(lm: NGramLM, sentence: Sentence, pos: int, rng: SplitMix64) -> int:
+    return lm.sample(sentence[:pos], rng)
+
+
+def _soft_at(lm: NGramLM, topk: int, sentence: Sentence, pos: int, rng: SplitMix64) -> SoftWord:
+    # topk = 0 keeps every token, with next_dist's values as they are.
+    ids, probs = lm.top_k(sentence[:pos], topk or len(lm.vocab))
+    return SoftWord(Dist(probs / probs.sum() if topk else probs, ids), sentence[pos])
+
+
+def augment_blank(sentence: Sentence, gamma: float, rng: SplitMix64) -> Sentence:
+    return _replace_selected(sentence, gamma, rng, _blank_at)[0]
+
+
+def augment_smooth(sentence: Sentence, gamma: float, unigram: np.ndarray, rng: SplitMix64) -> Sentence:
+    """Replace selected tokens by draws from the unigram distribution."""
+    return _replace_selected(sentence, gamma, rng, partial(_unigram_at, np.cumsum(unigram)))[0]
 
 
 def augment_lm_sample(sentence: Sentence, gamma: float, lm: NGramLM, rng: SplitMix64) -> Sentence:
     """Replace selected tokens by samples from the model's next-token
     distribution; prefixes are the original tokens."""
-    mask = select_positions(sentence, gamma, rng)
-    return [
-        lm.sample(sentence[:pos], rng) if hit else t
-        for pos, (t, hit) in enumerate(zip(sentence, mask))
-    ]
+    return _replace_selected(sentence, gamma, rng, partial(_lm_sample_at, lm))[0]
 
 
 def augment_soft(
@@ -204,32 +206,32 @@ def augment_soft(
 ) -> SoftSentence:
     """Replace selected tokens by their contextual distribution.
 
-    With topk > 0 the k most probable entries come from ``lm.top_k``,
-    which evaluates only the history supports and the head of the unigram
-    order, so a position costs about the same at any |V|; they are
-    renormalized exactly as ``top_k`` renormalizes the dense vector, so
-    the bytes match.  topk = 0 stores the dense ``next_dist`` in full, at
-    O(|V|) per position.
+    The entries come from ``lm.top_k``, which evaluates only the history
+    supports and the head of the unigram order, with probabilities
+    bitwise equal to ``next_dist``.  With topk > 0 the k most probable
+    are kept and renormalized, so a position costs about the same at any
+    |V|; topk = 0 keeps every token, not renormalized, at O(|V|) per
+    position.
     """
-    mask = select_positions(sentence, gamma, rng)
-    out: SoftSentence = []
-    for pos, (t, hit) in enumerate(zip(sentence, mask)):
-        if not hit:
-            out.append(t)
-        elif topk > 0:
-            ids, probs = lm.top_k(sentence[:pos], topk)
-            out.append(SoftWord(Dist(probs / probs.sum(), ids), t))
-        else:
-            out.append(SoftWord(Dist(lm.next_dist(sentence[:pos])), t))
-    return out
+    return _replace_selected(sentence, gamma, rng, partial(_soft_at, lm, topk))[0]
+
+
+def _replacement(config: AugmentConfig, lm: NGramLM | None, unigram: np.ndarray | None):
+    """The per-position replacement of a masked strategy, or None."""
+    s = config.strategy
+    if s == "blank":
+        return _blank_at
+    if s == "smooth":
+        return partial(_unigram_at, np.cumsum(unigram))
+    if s == "lm_sample":
+        return partial(_lm_sample_at, lm)
+    if s == "soft":
+        return partial(_soft_at, lm, config.topk)
+    return None
 
 
 def _augment_one(
-    sentence: Sentence,
-    index: int,
-    config: AugmentConfig,
-    lm: NGramLM | None,
-    unigram: Dist | None,
+    sentence: Sentence, index: int, config: AugmentConfig, replace: Callable | None
 ) -> tuple[list, int]:
     """Augment one sentence; returns (result, replaced-position count)."""
     s = config.strategy
@@ -241,39 +243,28 @@ def _augment_one(
     if s == "dropout":
         out = augment_dropout(sentence, config.gamma, rng)
         return out, len(sentence) - len(out)
-    if s == "blank":
-        out = augment_blank(sentence, config.gamma, rng)
-    elif s == "smooth":
-        out = augment_smooth(sentence, config.gamma, unigram, rng)
-    elif s == "lm_sample":
-        out = augment_lm_sample(sentence, config.gamma, lm, rng)
-    else:
-        out = augment_soft(sentence, config.gamma, lm, config.topk, rng)
-    # Selection draws precede all replacement draws, so replaying the mask
-    # with a fresh stream recovers exactly which positions were replaced.
-    mask = select_positions(sentence, config.gamma, SplitMix64(derive(config.seed, index)))
-    return out, sum(mask)
+    return _replace_selected(sentence, config.gamma, rng, replace)
 
 
 _WORKER_STATE: tuple | None = None
 
 
-def _init_worker(config, lm, unigram):
+def _init_worker(config, replace):
     global _WORKER_STATE
-    _WORKER_STATE = (config, lm, unigram)
+    _WORKER_STATE = (config, replace)
 
 
 def _run_chunk(args: tuple[int, list[Sentence]]) -> list[tuple[list, int]]:
     start, chunk = args
-    config, lm, unigram = _WORKER_STATE
-    return [_augment_one(s, start + j, config, lm, unigram) for j, s in enumerate(chunk)]
+    config, replace = _WORKER_STATE
+    return [_augment_one(s, start + j, config, replace) for j, s in enumerate(chunk)]
 
 
 def augment_corpus(
     sentences: list[Sentence],
     config: AugmentConfig,
     lm: NGramLM | None = None,
-    unigram: Dist | None = None,
+    unigram: np.ndarray | None = None,
     vocab_size: int | None = None,
     threads: int = 1,
     return_stats: bool = False,
@@ -281,8 +272,10 @@ def augment_corpus(
     """Apply one strategy to every sentence, deterministically.
 
     Output depends only on (sentences, config); the worker count changes
-    scheduling, never bytes.  With ``return_stats=True`` also returns
-    (replaced, eligible) position totals.
+    scheduling, never bytes.  ``smooth`` builds its unigram from
+    *sentences* over *vocab_size* ids unless one is given.  With
+    ``return_stats=True`` also returns (replaced, eligible) position
+    totals.
     """
     config.validate()
     if config.strategy in LM_STRATEGIES and lm is None:
@@ -291,9 +284,10 @@ def augment_corpus(
         if vocab_size is None:
             vocab_size = max((max(s) for s in sentences if s), default=NUM_SPECIALS - 1) + 1
         unigram = unigram_dist(sentences, vocab_size)
+    replace = _replacement(config, lm, unigram)
 
     if threads <= 1:
-        results = [_augment_one(s, i, config, lm, unigram) for i, s in enumerate(sentences)]
+        results = [_augment_one(s, i, config, replace) for i, s in enumerate(sentences)]
     else:
         chunk_size = max(1, (len(sentences) + threads * 4 - 1) // (threads * 4))
         chunks = [
@@ -301,7 +295,7 @@ def augment_corpus(
             for lo in range(0, len(sentences), chunk_size)
         ]
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(threads, initializer=_init_worker, initargs=(config, lm, unigram)) as pool:
+        with ctx.Pool(threads, initializer=_init_worker, initargs=(config, replace)) as pool:
             results = [r for batch in pool.map(_run_chunk, chunks) for r in batch]
 
     out = [r[0] for r in results]
@@ -349,16 +343,24 @@ def _number(value) -> float:
     return float(value)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("repeated JSON key")
+    return obj
+
+
 def parse_soft_line(line: str) -> SoftSentence:
     """One JSON Lines record; any malformed record raises ValueError.
 
     Tokens, ``orig`` and support ids must be JSON integers and
-    probabilities JSON numbers.  Each soft position must be written as a
+    probabilities JSON numbers, and no object may repeat a key.  Each
+    soft position must be written as a
     plain index into ``toks``, its ``orig`` must equal the token there,
     and its entries must form a valid distribution.
     """
     try:
-        obj = json.loads(line)
+        obj = json.loads(line, object_pairs_hook=_unique_keys)
         out: SoftSentence = [_integer(t) for t in obj["toks"]]
         for pos_text, entry in obj.get("soft", {}).items():
             pos, orig = int(pos_text), _integer(entry["orig"])

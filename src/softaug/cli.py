@@ -18,7 +18,7 @@ import numpy as np
 from . import augment as aug
 from . import corpus as cp
 from . import harness, lm as lmmod, softmix
-from .rng import SplitMix64, derive
+from .rng import SplitMix64, derive, random_block
 
 
 def _echo_config(command: str, args: argparse.Namespace, seed_defaulted: bool = False) -> None:
@@ -164,12 +164,10 @@ def cmd_grad_check(args) -> int:
     rng = SplitMix64(derive(args.seed, 0xC0DE))
     model = softmix.init_model(args.vocab_size, args.dim, args.classes, derive(args.seed, 1))
     # A zero classifier blocks gradient flow into the embedding, so the
-    # check runs at a random operating point.
-    wrng = SplitMix64(derive(args.seed, 2))
-    model.w = np.array(
-        [[wrng.random() * 2 - 1 for _ in range(args.dim)] for _ in range(args.classes)]
-    )
-    model.b = np.array([wrng.random() * 0.2 - 0.1 for _ in range(args.classes)])
+    # check runs at a random operating point: w row-major, then b.
+    block = random_block(derive(args.seed, 2), args.classes * args.dim + args.classes)
+    model.w = block[: args.classes * args.dim].reshape(args.classes, args.dim) * 2 - 1
+    model.b = block[args.classes * args.dim :] * 0.2 - 0.1
     batch = []
     for _ in range(4):
         sentence: list = []

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import multiprocessing
 import os
 import time
 from dataclasses import dataclass
 
-from .augment import AugmentConfig, augment_corpus, unigram_dist
+from .augment import AugmentConfig, augment_corpus
 from .corpus import Sentence, Vocabulary, build_vocab
 from .lm import NGramLM, train_lm
 from .rng import SplitMix64, derive
@@ -115,12 +116,20 @@ class SweepSpec:
     def validate(self) -> None:
         if not self.strategies:
             raise ValueError("empty strategy list")
+        if not self.gammas:
+            raise ValueError("empty gamma list")
         if any(not 0.0 <= g <= 1.0 for g in self.gammas):
             raise ValueError("gammas must lie in [0, 1]")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie in (0, 1)")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be finite and > 0")
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -202,8 +211,7 @@ def run_cell(
         topk=spec.topk,
         seed=derive(seed, 1),
     )
-    unigram = unigram_dist(train_x, len(task.vocab)) if strategy == "smooth" else None
-    augmented = augment_corpus(train_x, config, lm=lm, unigram=unigram)
+    augmented = augment_corpus(train_x, config, lm=lm, vocab_size=len(task.vocab))
     model = init_model(len(task.vocab), spec.dim, 2, derive(seed, 2))
     train_toy(model, augmented, train_y, spec.lr, spec.steps, SplitMix64(derive(seed, 3)))
     accuracy = evaluate(model, test_x, test_y)

@@ -160,8 +160,8 @@ class NGramLM:
         ascending, and probs equal to ``next_dist(prefix)[ids]`` bitwise.
         Only the history supports and the head of the P0 order are
         evaluated; a cut the candidates cannot prove exact is widened to
-        every id.  Returns fresh arrays; results are cached per
-        (history, k).
+        every id.  Returns fresh arrays; results are cached per (history,
+        k) for k < |V| only, since a full result holds 2|V| numbers.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -169,7 +169,7 @@ class NGramLM:
         cached = self._top_cache.get(key)
         if cached is None:
             cached = self._top_k_for_history(*key)
-            if len(self._top_cache) < _CACHE_LIMIT:
+            if len(self._top_cache) < _CACHE_LIMIT and k < len(self._p0):
                 self._top_cache[key] = cached
         return cached[0].copy(), cached[1].copy()
 

@@ -4,10 +4,9 @@ A hard id j stands for embedding row E_j and a soft position for
 sum_j p_j * E_j over its distribution's support.  Mean pooling is linear,
 so ``pack`` reduces a whole sentence, once, to a sparse bag over the
 vocabulary: its unique row ids (ascending) and the summed weight of each
-row, where a hard occurrence counts 1, a soft support entry counts p_j
-and a dense distribution spans every row.  Row ids are range-checked
-there and nowhere else.  Every consumer then runs the same array
-expressions:
+row, where a hard occurrence counts 1 and a soft support entry counts
+p_j.  Row ids are range-checked there and nowhere else.  Every consumer
+then runs the same array expressions:
 
     pooled = weights @ E[ids] / len(sentence)
     E[ids] -= lr * (weights[:, None] * dpooled)
@@ -20,8 +19,8 @@ vector.  ``_loss_grads`` is the one forward-backward routine: ``loss``,
 ``mix_embedding``, ``forward`` and ``evaluate`` read its forward half.
 
 All arithmetic is float64.  A hard token and a point-mass soft word pack
-to the same bag, as do a dense distribution and its full-support sparse
-form, so their forward values, gradients and training runs agree bitwise.
+to the same bag, so their forward values, gradients and training runs
+agree bitwise.
 """
 
 from __future__ import annotations
@@ -73,22 +72,15 @@ def pack(sentence: SoftSentence, vocab_size: int) -> Bag:
     """Sum the sentence's mixture weights per embedding row.
 
     Weights accumulate in position order, so equal sentences written as
-    hard ids or point masses, or with dense or full sparse supports, give
-    identical bags.
+    hard ids or point masses, or with one support in any entry order,
+    give identical bags.
     """
     if not sentence:
         raise ValueError("empty sentence")
     acc: dict[int, float] = {}
     for item in sentence:
         if isinstance(item, SoftWord):
-            dist = item.dist
-            if dist.ids is None:
-                if len(dist.probs) != vocab_size:
-                    raise ValueError("dense distribution length does not match embedding rows")
-                ids = range(vocab_size)
-            else:
-                ids = dist.ids.tolist()
-            for i, p in zip(ids, dist.probs.tolist()):
+            for i, p in zip(item.dist.ids.tolist(), item.dist.probs.tolist()):
                 acc[i] = acc.get(i, 0.0) + p
         else:
             i = operator.index(item)

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from softaug.augment import Dist
+
 BOS_ID, EOS_ID = 0, 1
 
 
@@ -52,6 +56,14 @@ class BruteNGram:
             padded = [BOS_ID] * n + list(prefix)
             hist = tuple(padded[len(padded) - n :])
         return [self.prob(hist, w) for w in range(self.vocab_size)]
+
+
+def top_k(dense: np.ndarray, k: int) -> Dist:
+    """The k most probable entries of a dense vector (ties id-ascending),
+    renormalized: the dense reference for top-k soft words."""
+    order = np.lexsort((np.arange(len(dense)), -dense))[: min(k, len(dense))]
+    probs = dense[order]
+    return Dist(probs / probs.sum(), order.astype(np.int64))
 
 
 def brute_mix(entries, emb) -> list[float]:

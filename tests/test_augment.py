@@ -13,6 +13,7 @@ from softaug.corpus import BLANK
 from softaug.rng import SplitMix64, derive
 
 from conftest import corpus_models
+from oracles import top_k
 
 
 def fresh_rngs(seed, n):
@@ -93,25 +94,23 @@ class TestBlank:
 
 class TestSmooth:
     def test_gamma_zero_identity(self):
-        unigram = ag.Dist(np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
+        unigram = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
         sent = [4, 4, 4]
         assert sa.augment_smooth(list(sent), 0.0, unigram, SplitMix64(12)) == sent
 
     def test_point_mass_unigram(self):
         probs = np.zeros(8)
         probs[6] = 1.0
-        unigram = ag.Dist(probs)
-        out = sa.augment_smooth([4, 5, 7], 1.0, unigram, SplitMix64(13))
+        out = sa.augment_smooth([4, 5, 7], 1.0, probs, SplitMix64(13))
         assert out == [6, 6, 6]
 
     def test_replacement_distribution_matches_unigram(self):
         probs = np.zeros(10)
         probs[4:] = [0.3, 0.25, 0.2, 0.1, 0.1, 0.05]
-        unigram = ag.Dist(probs)
         counts = np.zeros(10)
         n = 100_000
         for rng in fresh_rngs(14, n):
-            counts[sa.augment_smooth([4], 1.0, unigram, rng)[0]] += 1
+            counts[sa.augment_smooth([4], 1.0, probs, rng)[0]] += 1
         assert np.max(np.abs(counts / n - probs)) <= 0.01
 
 
@@ -150,12 +149,17 @@ class TestSoft:
             assert word.dist.probs.tolist() == [1.0]
 
     def test_topk_zero_stores_dense_exactly(self, tiny_lm):
-        model, _, _ = tiny_lm
-        sent = [7, 4]
+        model, _, vocab = tiny_lm
+        # Nearly every content id ends some prefix; several of these histories
+        # have a next_dist that renormalizing would change.
+        sent = [7] + list(range(4, len(vocab)))
         out = sa.augment_soft(list(sent), 1.0, model, 0, SplitMix64(19))
         for pos, word in enumerate(out):
-            assert word.dist.is_dense
-            assert np.max(np.abs(word.dist.probs - model.next_dist(sent[:pos]))) <= 1e-12
+            assert isinstance(word, sa.SoftWord)
+            dense = model.next_dist(sent[:pos])
+            order = np.lexsort((np.arange(len(dense)), -dense))
+            assert word.dist.ids.tolist() == order.tolist()
+            assert word.dist.probs.tobytes() == dense[order].tobytes()
 
     def test_soft_words_are_normalized(self, tiny_lm):
         model, sents, _ = tiny_lm
@@ -178,7 +182,7 @@ class TestSoft:
             out = sa.augment_soft(list(sent), 0.6, model, topk, SplitMix64(derive(24, i)))
             for pos, word in enumerate(out):
                 if isinstance(word, sa.SoftWord):
-                    assert word.dist == ag.top_k(model.next_dist(sent[:pos]), topk)
+                    assert word.dist == top_k(model.next_dist(sent[:pos]), topk)
 
     def test_topk_never_builds_a_dense_distribution(self, tiny_lm, monkeypatch):
         model, sents, _ = tiny_lm
@@ -213,13 +217,13 @@ class TestSelection:
 class TestTopK:
     def test_ties_break_by_id(self):
         dense = np.array([0.0, 0.25, 0.25, 0.25, 0.25])
-        dist = ag.top_k(dense, 2)
+        dist = top_k(dense, 2)
         assert dist.ids.tolist() == [1, 2]
         assert np.allclose(dist.probs, [0.5, 0.5])
 
     def test_k_larger_than_support(self):
         dense = np.array([0.5, 0.5, 0.0])
-        dist = ag.top_k(dense, 10)
+        dist = top_k(dense, 10)
         assert len(dist.ids) == 3
         assert dist.probs.sum() == pytest.approx(1.0)
 
@@ -267,6 +271,33 @@ class TestDriver:
         out, (replaced, eligible) = sa.augment_corpus(sents, cfg, return_stats=True)
         assert eligible == sum(len(s) for s in sents)
         assert replaced == sum(1 for s in out for t in s if t == BLANK)
+
+    @pytest.mark.parametrize("strategy", ["smooth", "lm_sample", "soft"])
+    def test_replaced_count_equals_replayed_mask(self, tiny_lm, strategy):
+        model, sents, _ = tiny_lm
+        cfg = sa.AugmentConfig(strategy=strategy, gamma=0.3, topk=4, seed=9)
+        _, (replaced, _) = sa.augment_corpus(sents, cfg, lm=model, return_stats=True)
+        replay = sum(
+            sum(ag.select_positions(s, cfg.gamma, SplitMix64(derive(cfg.seed, i))))
+            for i, s in enumerate(sents)
+        )
+        assert replay > 0
+        assert replaced == replay
+
+    @pytest.mark.parametrize("strategy", ["dropout", "blank", "smooth", "lm_sample", "soft"])
+    def test_mask_drawn_once_per_sentence(self, tiny_lm, monkeypatch, strategy):
+        model, sents, _ = tiny_lm
+        calls = []
+        draw = ag.select_positions
+
+        def counted(sentence, gamma, rng):
+            calls.append(len(sentence))
+            return draw(sentence, gamma, rng)
+
+        monkeypatch.setattr(ag, "select_positions", counted)
+        cfg = sa.AugmentConfig(strategy=strategy, gamma=0.3, topk=4, seed=10)
+        sa.augment_corpus(sents, cfg, lm=model, return_stats=True)
+        assert calls == [len(s) for s in sents]
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -329,6 +360,9 @@ class TestSoftSerialization:
             '{"toks":[5,6],"soft":{"1":{"orig":6,"p":[[6,"1.0"]]}}}',
             '{"toks":[5,6],"soft":{"01":{"orig":6,"p":[[6,1.0]]}}}',
             '{"toks":[5,6],"soft":{"1":{"orig":6,"p":[[99999999999999999999,1.0]]}}}',
+            # a repeated key would silently keep its last value
+            '{"toks":[5,6],"soft":{"1":{"orig":6,"p":[[6,1.0]]},"1":{"orig":6,"p":[[7,1.0]]}}}',
+            '{"toks":[5,6],"toks":[7],"soft":{}}',
         ],
     )
     def test_malformed_line_raises_value_error(self, line):

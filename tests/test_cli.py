@@ -246,3 +246,11 @@ steps=250
         spec = tmp_path / "spec.txt"
         spec.write_text("strategies=\ngammas=0\n")
         run_cli("sweep", "--spec", spec, "--outdir", tmp_path / "out", expect=2)
+
+    @pytest.mark.parametrize("line", ["lr=nan", "lr=0", "steps=-5", "dim=0", "gammas="])
+    def test_bad_recipe_is_usage_error(self, tmp_path, line):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"strategies=base\ngammas=0\n{line}\n")
+        proc = run_cli("sweep", "--spec", spec, "--outdir", tmp_path / "out", expect=2)
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()

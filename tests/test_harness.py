@@ -88,6 +88,25 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="empty strategy list"):
             sa.SweepSpec(strategies=()).validate()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("lr", float("nan"), "lr"),
+            ("lr", float("inf"), "lr"),
+            ("lr", 0.0, "lr"),
+            ("lr", -0.5, "lr"),
+            ("steps", -5, "steps"),
+            ("dim", 0, "dim"),
+            ("gammas", (), "empty gamma list"),
+        ],
+    )
+    def test_bad_recipe_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            sa.SweepSpec(strategies=("base",), **{field: value}).validate()
+
+    def test_zero_steps_accepted(self):
+        sa.SweepSpec(strategies=("base",), steps=0).validate()
+
 
 class TestReports:
     def sample_result(self):

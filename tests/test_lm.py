@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import softaug as sa
-from softaug import augment as ag
 from softaug import lm as lmm
 from softaug.corpus import BOS, EOS, SPECIAL_TOKENS, UNK
 from softaug.rng import SplitMix64
 
 from conftest import corpus_models, random_corpus
-from oracles import BruteNGram
+from oracles import BruteNGram, top_k
 
 
 def toy_vocab(words):
@@ -354,10 +353,10 @@ class TestImmutability:
 
 
 def assert_top_k_exact(model, prefix, k):
-    """lm.top_k against the dense reference augment.top_k(next_dist)."""
+    """lm.top_k against the dense reference top_k(next_dist)."""
     ids, probs = model.top_k(prefix, k)
     dense = model.next_dist(prefix)
-    ref = ag.top_k(dense, k)
+    ref = top_k(dense, k)
     assert np.array_equal(ids, ref.ids)
     assert probs.tobytes() == dense[ids].tobytes()
     assert (probs / probs.sum()).tobytes() == ref.probs.tobytes()
@@ -470,6 +469,13 @@ class TestTopK:
         ids[:] = 0
         probs[:] = 0.0
         assert_top_k_exact(model, [5], 3)
+
+    def test_full_vocabulary_result_is_not_cached(self, tiny_lm):
+        model = copy.deepcopy(tiny_lm[0])
+        for k in (3, len(model.vocab), len(model.vocab) + 5):
+            model.top_k([5], k)
+        assert [k for _, k in model._top_cache] == [3]
+        assert_top_k_exact(model, [5], len(model.vocab))
 
 
 class TestOrderBound:

@@ -76,7 +76,7 @@ class TestMixEmbedding:
     def test_dense_distribution(self):
         model = random_model(6, vocab_size=10)
         probs = np.full(10, 0.1)
-        word = SoftWord(Dist(probs), 0)
+        word = SoftWord(Dist(probs, np.arange(10)), 0)
         expected = model.emb.mean(axis=0)
         assert np.max(np.abs(sa.mix_embedding(word, model.emb) - expected)) <= 1e-12
 
@@ -262,23 +262,26 @@ class TestTraining:
         for a, b in ((m1.emb, m2.emb), (m1.w, m2.w), (m1.b, m2.b)):
             assert np.array_equal(a, b)
 
-    def test_dense_equals_full_sparse_training_bitwise(self):
+    def test_support_order_does_not_change_training(self):
+        """Full support in probability order trains bitwise equal to full
+        support in id order."""
         rng = SplitMix64(43)
-        corpus, dense_corpus, labels = [], [], []
+        corpus, id_order_corpus, labels = [], [], []
         for _ in range(30):
             probs = np.array([rng.random() + 1e-3 for _ in range(20)])
             probs /= probs.sum()
             order = np.lexsort((np.arange(20), -probs))
             hard = [4 + rng.randint(16) for _ in range(5)]
             pos = rng.randint(6)
-            sparse_word = SoftWord(Dist(probs[order], order.astype(np.int64)), 4)
-            corpus.append(hard[:pos] + [sparse_word] + hard[pos:])
-            dense_corpus.append(hard[:pos] + [SoftWord(Dist(probs), 4)] + hard[pos:])
+            by_prob = SoftWord(Dist(probs[order], order.astype(np.int64)), 4)
+            by_id = SoftWord(Dist(probs, np.arange(20)), 4)
+            corpus.append(hard[:pos] + [by_prob] + hard[pos:])
+            id_order_corpus.append(hard[:pos] + [by_id] + hard[pos:])
             labels.append(rng.randint(2))
         m1 = sa.init_model(20, 8, 2, seed=44)
         m2 = sa.init_model(20, 8, 2, seed=44)
         _, t1 = sa.train_toy(m1, corpus, labels, 0.5, 200, SplitMix64(45))
-        _, t2 = sa.train_toy(m2, dense_corpus, labels, 0.5, 200, SplitMix64(45))
+        _, t2 = sa.train_toy(m2, id_order_corpus, labels, 0.5, 200, SplitMix64(45))
         assert t1 == t2
         for a, b in ((m1.emb, m2.emb), (m1.w, m2.w), (m1.b, m2.b)):
             assert np.array_equal(a, b)
