@@ -19,7 +19,6 @@ uniform per position before any replacement draws.
 from __future__ import annotations
 
 import json
-import multiprocessing
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable
@@ -28,6 +27,7 @@ import numpy as np
 
 from .corpus import BLANK, BOS, EOS, NUM_SPECIALS, Sentence
 from .lm import NGramLM
+from .parallel import fork_map
 from .rng import SplitMix64, derive
 
 STRATEGIES = ("base", "swap", "dropout", "blank", "smooth", "lm_sample", "soft")
@@ -55,6 +55,8 @@ class Dist:
         return [(int(i), float(p)) for i, p in zip(self.ids, self.probs)]
 
     def validate(self, tol: float = 1e-9) -> None:
+        if len(self.ids) != len(self.probs):
+            raise ValueError(f"{len(self.ids)} ids but {len(self.probs)} probabilities")
         if not np.all(np.isfinite(self.probs)):
             raise ValueError("non-finite probability")
         if np.any(self.probs < 0):
@@ -107,7 +109,7 @@ class AugmentConfig:
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
         if self.window_k < 1:
-            raise ValueError("window_k must be >= 1")
+            raise ValueError("window must be >= 1")
         if self.topk < 0:
             raise ValueError("topk must be >= 0")
 
@@ -246,20 +248,6 @@ def _augment_one(
     return _replace_selected(sentence, config.gamma, rng, replace)
 
 
-_WORKER_STATE: tuple | None = None
-
-
-def _init_worker(config, replace):
-    global _WORKER_STATE
-    _WORKER_STATE = (config, replace)
-
-
-def _run_chunk(args: tuple[int, list[Sentence]]) -> list[tuple[list, int]]:
-    start, chunk = args
-    config, replace = _WORKER_STATE
-    return [_augment_one(s, start + j, config, replace) for j, s in enumerate(chunk)]
-
-
 def augment_corpus(
     sentences: list[Sentence],
     config: AugmentConfig,
@@ -286,17 +274,12 @@ def augment_corpus(
         unigram = unigram_dist(sentences, vocab_size)
     replace = _replacement(config, lm, unigram)
 
-    if threads <= 1:
-        results = [_augment_one(s, i, config, replace) for i, s in enumerate(sentences)]
-    else:
-        chunk_size = max(1, (len(sentences) + threads * 4 - 1) // (threads * 4))
-        chunks = [
-            (lo, sentences[lo : lo + chunk_size])
-            for lo in range(0, len(sentences), chunk_size)
-        ]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(threads, initializer=_init_worker, initargs=(config, replace)) as pool:
-            results = [r for batch in pool.map(_run_chunk, chunks) for r in batch]
+    results = fork_map(
+        lambda i: _augment_one(sentences[i], i, config, replace),
+        range(len(sentences)),
+        threads,
+        chunksize=max(1, -(-len(sentences) // (4 * max(threads, 1)))),
+    )
 
     out = [r[0] for r in results]
     if not return_stats:

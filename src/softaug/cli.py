@@ -39,6 +39,21 @@ def _resolve_seed(args: argparse.Namespace) -> bool:
     return defaulted
 
 
+def _read_spec(args: argparse.Namespace) -> dict:
+    params = harness.parse_spec_file(cp.read_text(args.spec))
+    if "seed" not in params:
+        print("seed not given in spec file; defaulting to 0", file=sys.stderr)
+    return params
+
+
+def _checked(check, *args):
+    """Run a parameter check; what it rejects is a usage error (exit 2)."""
+    try:
+        return check(*args)
+    except (ValueError, TypeError) as exc:
+        _usage_error(str(exc))
+
+
 def cmd_vocab(args) -> int:
     _echo_config("vocab", args)
     # Several inputs build one joint vocabulary; run per file for separate ones.
@@ -69,6 +84,7 @@ def cmd_apply_bpe(args) -> int:
 
 def cmd_train_lm(args) -> int:
     _echo_config("train-lm", args)
+    _checked(lmmod.check_params, args.order, args.discount, args.alpha)
     lines = _read_lines(args.input)
     vocab = cp.build_vocab(lines)
     sentences = [vocab.encode_tokens(line.split()) for line in lines]
@@ -101,7 +117,7 @@ def cmd_augment(args) -> int:
         topk=args.topk,
         seed=args.seed,
     )
-    config.validate()
+    _checked(config.validate)
     lines = _read_lines(args.input)
 
     if args.strategy == "base":
@@ -200,11 +216,8 @@ def _random_soft(rng: SplitMix64, vocab_size: int, k: int):
 
 def cmd_make_task(args) -> int:
     _echo_config("make-task", args)
-    params = harness.parse_spec_file(cp.read_text(args.spec))
-    if "seed" not in params:
-        print("seed not given in spec file; defaulting to 0", file=sys.stderr)
-    seed = params.get("seed", 0)
-    task = harness.task_from_params(params, seed)
+    params = _read_spec(args)
+    task = harness.task_from_params(params, params.get("seed", 0))
     os.makedirs(args.outdir, exist_ok=True)
     corpus_path = os.path.join(args.outdir, "corpus.txt")
     labels_path = os.path.join(args.outdir, "labels.txt")
@@ -220,17 +233,9 @@ def cmd_make_task(args) -> int:
 
 def cmd_sweep(args) -> int:
     _echo_config("sweep", args)
-    params = harness.parse_spec_file(cp.read_text(args.spec))
-    if "seed" not in params:
-        print("seed not given in spec file; defaulting to 0", file=sys.stderr)
-    try:
-        spec = harness.sweep_spec_from_params(params)
-        spec.validate()
-    except (ValueError, TypeError) as exc:
-        _usage_error(str(exc))
-    for strategy in spec.strategies:
-        if strategy not in aug.STRATEGIES:
-            _usage_error(f"unknown strategy: {strategy!r}")
+    params = _read_spec(args)
+    spec = _checked(harness.sweep_spec_from_params, params)
+    _checked(spec.validate)
     task = harness.task_from_params(params, spec.seed)
     model = harness.train_task_lm(spec, task)
     result = harness.run_sweep(spec, task, model, threads=args.threads)
@@ -330,17 +335,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     _PARSER = parser
     args = parser.parse_args(argv)
-
-    if args.command == "train-lm" and not 0.0 < args.discount < 1.0:
-        parser.error("--discount must lie strictly between 0 and 1")
-    if args.command == "augment":
-        if not 0.0 <= args.gamma <= 1.0:
-            parser.error("--gamma must lie in [0, 1]")
-        if args.window < 1:
-            parser.error("--window must be >= 1")
-        if args.topk < 0:
-            parser.error("--topk must be >= 0")
-
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -126,13 +126,7 @@ def build_vocab(corpus: str | Iterable[str], max_size: int | None = None) -> Voc
     *max_size* (specials included in the budget) are dropped and map to UNK
     at encode time.
     """
-    lines = _as_lines(corpus)
-    if not lines:
-        raise ValueError("empty corpus")
-    counts: Counter[str] = Counter()
-    for line in lines:
-        counts.update(line.split())
-    return Vocabulary.from_counts(counts, max_size=max_size)
+    return Vocabulary.from_counts(count_words(corpus), max_size=max_size)
 
 
 def count_words(corpus: str | Iterable[str]) -> dict[str, int]:

@@ -20,14 +20,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
 
 from .augment import AugmentConfig, augment_corpus
 from .corpus import Sentence, Vocabulary, build_vocab
-from .lm import NGramLM, train_lm
+from .lm import NGramLM, check_params, train_lm
+from .parallel import fork_map
 from .rng import SplitMix64, derive
 from .softmix import evaluate, init_model, train_toy
 
@@ -114,12 +114,20 @@ class SweepSpec:
     lm_alpha: float = 0.1
 
     def validate(self) -> None:
+        """Check the whole recipe before any task or model is built.
+
+        Strategies, gammas, ``window`` and ``topk`` are checked by
+        ``AugmentConfig.validate`` and the LM fields by
+        ``lm.check_params``, the checks every other caller runs.
+        """
         if not self.strategies:
             raise ValueError("empty strategy list")
         if not self.gammas:
             raise ValueError("empty gamma list")
-        if any(not 0.0 <= g <= 1.0 for g in self.gammas):
-            raise ValueError("gammas must lie in [0, 1]")
+        for strategy in self.strategies:
+            for gamma in self.gammas:
+                AugmentConfig(strategy, gamma, self.window, self.topk).validate()
+        check_params(self.lm_order, self.lm_discount, self.lm_alpha)
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if not 0.0 < self.test_fraction < 1.0:
@@ -218,19 +226,6 @@ def run_cell(
     return CellResult(strategy, gamma, rep, accuracy, round(time.perf_counter() - start, 3))
 
 
-_SWEEP_STATE: tuple | None = None
-
-
-def _init_sweep_worker(spec, task, lm):
-    global _SWEEP_STATE
-    _SWEEP_STATE = (spec, task, lm)
-
-
-def _run_cell_job(args: tuple[str, float, int]) -> CellResult:
-    spec, task, lm = _SWEEP_STATE
-    return run_cell(spec, task, lm, *args)
-
-
 def run_sweep(spec: SweepSpec, task: SyntheticTask, lm: NGramLM, threads: int = 1) -> SweepResult:
     """Train and evaluate every (strategy, gamma, repetition) cell."""
     spec.validate()
@@ -240,16 +235,12 @@ def run_sweep(spec: SweepSpec, task: SyntheticTask, lm: NGramLM, threads: int = 
         for gamma in spec.gammas
         for rep in range(spec.reps)
     ]
-    if threads <= 1:
-        rows = [run_cell(spec, task, lm, *job) for job in jobs]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(threads, initializer=_init_sweep_worker, initargs=(spec, task, lm)) as pool:
-            # One cell per task: default chunks hand a run of consecutive
-            # cells (one strategy's) to a single worker, which then finishes
-            # last when that strategy's cells cost more than the others.
-            rows = pool.map(_run_cell_job, jobs, chunksize=1)
-    return SweepResult(rows)
+    # One cell per task: default chunks hand a run of consecutive cells
+    # (one strategy's) to a single worker, which then finishes last when
+    # that strategy's cells cost more than the others.
+    return SweepResult(
+        fork_map(lambda job: run_cell(spec, task, lm, *job), jobs, threads, chunksize=1)
+    )
 
 
 # -- reports ----------------------------------------------------------------
@@ -310,13 +301,23 @@ def emit_report(result: SweepResult, outdir: str) -> tuple[str, str]:
 
 # -- sweep spec files --------------------------------------------------------
 
-TASK_KEYS = ("vocab_size", "classes", "sentences", "length")
+DEFAULT_TASK_PARAMS = {"vocab_size": 500, "classes": 50, "sentences": 2000, "length": 12}
+
+# Every spec key and the parser of its value.  The task keys go to
+# ``task_from_params``, the others to ``SweepSpec`` (``discount`` and
+# ``alpha`` as ``lm_discount`` and ``lm_alpha``).
+SPEC_KEYS = {
+    "strategies": lambda value: tuple(s.strip() for s in value.split(",") if s.strip()),
+    "gammas": lambda value: tuple(float(g) for g in value.split(",") if g.strip()),
+    **dict.fromkeys(("reps", "seed", "dim", "steps", "topk", "window", "lm_order"), int),
+    **dict.fromkeys(("lr", "test_fraction", "discount", "alpha"), float),
+    **dict.fromkeys(DEFAULT_TASK_PARAMS, int),
+}
+_LM_RENAMES = {"discount": "lm_discount", "alpha": "lm_alpha"}
 
 
 def parse_spec_file(text: str) -> dict:
     """Parse a key=value sweep spec; '#' starts a comment line."""
-    known_int = {"reps", "seed", "dim", "steps", "topk", "window", "lm_order", *TASK_KEYS}
-    known_float = {"lr", "test_fraction", "discount", "alpha"}
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -326,47 +327,27 @@ def parse_spec_file(text: str) -> dict:
         key, value = key.strip(), value.strip()
         if not sep or not key:
             raise ValueError(f"bad spec line {lineno}: {raw!r}")
-        if key == "strategies":
-            out[key] = tuple(s.strip() for s in value.split(",") if s.strip())
-        elif key == "gammas":
-            out[key] = tuple(float(g) for g in value.split(",") if g.strip())
-        elif key in known_int:
-            out[key] = int(value)
-        elif key in known_float:
-            out[key] = float(value)
-        else:
+        if key not in SPEC_KEYS:
             raise ValueError(f"unknown spec key on line {lineno}: {key!r}")
+        out[key] = SPEC_KEYS[key](value)
     return out
 
 
-DEFAULT_TASK_PARAMS = {"vocab_size": 500, "classes": 50, "sentences": 2000, "length": 12}
-
-
 def task_from_params(params: dict, seed: int) -> SyntheticTask:
-    merged = dict(DEFAULT_TASK_PARAMS)
-    merged.update({k: v for k, v in params.items() if k in TASK_KEYS})
+    vocab_size, classes, sentences, length = (
+        params.get(k, v) for k, v in DEFAULT_TASK_PARAMS.items()
+    )
     return make_synthetic_task(
-        merged["vocab_size"],
-        merged["classes"],
-        merged["sentences"],
-        merged["length"],
-        SplitMix64(derive(seed, 0xDA7A)),
+        vocab_size, classes, sentences, length, SplitMix64(derive(seed, 0xDA7A))
     )
 
 
 def sweep_spec_from_params(params: dict) -> SweepSpec:
-    renames = {"lm_order": "lm_order", "discount": "lm_discount", "alpha": "lm_alpha"}
-    kwargs = {
-        k: v
-        for k, v in params.items()
-        if k in ("strategies", "gammas", "reps", "seed", "dim", "lr", "steps", "topk", "window", "test_fraction")
-    }
-    for src, dst in renames.items():
-        if src in params:
-            kwargs[dst] = params[src]
-    if "strategies" not in kwargs:
+    if "strategies" not in params:
         raise ValueError("spec file must list strategies")
-    return SweepSpec(**kwargs)
+    return SweepSpec(**{
+        _LM_RENAMES.get(k, k): v for k, v in params.items() if k not in DEFAULT_TASK_PARAMS
+    })
 
 
 def train_task_lm(spec: SweepSpec, task: SyntheticTask) -> NGramLM:

@@ -47,8 +47,9 @@ _CACHE_LIMIT = 4096
 
 # Upper bound on the model order.  Each event counts toward every history
 # length, so a model stores `order` tables and up to `order` history
-# tuples per event; a file or flag asking for more is refused before any
-# table is allocated.  Orders past ~6 have no data to estimate anyway.
+# tuples per event; ``check_params`` refuses a file or flag asking for
+# more before any table is allocated.  Orders past ~6 have no data to
+# estimate anyway.
 MAX_ORDER = 16
 
 # History -> {token: count} tables, indexed by history length.
@@ -69,11 +70,7 @@ class NGramLM:
         vocab: Vocabulary,
         counts: CountTables,
     ):
-        _check_order(order)
-        if not 0.0 < discount < 1.0:
-            raise ValueError("discount must lie strictly between 0 and 1")
-        if alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
+        check_params(order, discount, alpha)
         if len(counts) != order:
             raise ValueError("count tables must cover history lengths 0..order-1")
         self.order = order
@@ -256,9 +253,14 @@ def _backed_off(p0: float, levels) -> float:
     return p
 
 
-def _check_order(order: int) -> None:
+def check_params(order: int, discount: float, alpha: float) -> None:
+    """The range check for model parameters, wherever they come from."""
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must lie in [1, {MAX_ORDER}], not {order}")
+    if not 0.0 < discount < 1.0:
+        raise ValueError("discount must lie strictly between 0 and 1")
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError(f"alpha must be finite and >= 0, not {alpha}")
 
 
 def _count_tables(grams: Iterable[tuple[tuple, int]], order: int) -> CountTables:
@@ -291,7 +293,7 @@ def train_lm(
     sentences = list(sentences)
     if not sentences:
         raise ValueError("empty corpus")
-    _check_order(order)
+    check_params(order, discount, alpha)
 
     def events():
         for sent in sentences:
@@ -369,7 +371,7 @@ def _parse_lines(lines: Iterable[str], path: str) -> NGramLM:
         discount, alpha = float(fields["discount"]), float(fields["alpha"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad header in {path}: {first!r}") from exc
-    _check_order(order)
+    check_params(order, discount, alpha)
 
     def data(lineno: int, line: str, least: int) -> tuple[int, str]:
         count, tab, text = line.partition("\t")

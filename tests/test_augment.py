@@ -306,6 +306,14 @@ class TestDriver:
             sa.AugmentConfig(gamma=1.5).validate()
 
 
+class TestDist:
+    @pytest.mark.parametrize("probs, ids", [([0.5, 0.5], [1]), ([1.0], [1, 2]), ([], [1])])
+    def test_length_mismatch_rejected(self, probs, ids):
+        dist = sa.Dist(np.array(probs, dtype=np.float64), np.array(ids, dtype=np.int64))
+        with pytest.raises(ValueError, match="ids but"):
+            dist.validate()
+
+
 class TestSoftSerialization:
     def test_jsonl_round_trip_preserves_mixtures(self, tiny_lm, tmp_path):
         model, sents, _ = tiny_lm

@@ -100,14 +100,33 @@ class TestLanguageModelCommands:
             "--output", tmp_path / "m", expect=2,
         )
 
-    def test_order_above_bound_is_data_error(self, workdir, tmp_path):
+    def test_order_above_bound_is_usage_error(self, workdir, tmp_path):
         proc = run_cli(
             "train-lm", "--input", workdir / "sub.txt", "--order", lmm.MAX_ORDER + 1,
-            "--output", tmp_path / "m.arpa", expect=1,
+            "--output", tmp_path / "m.arpa", expect=2,
         )
         assert "Traceback" not in proc.stderr
-        assert any(line.startswith("error: order must lie in") for line in proc.stderr.splitlines())
+        assert "error: order must lie in" in proc.stderr
         assert not (tmp_path / "m.arpa").exists()
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-0.1"])
+    def test_bad_alpha_is_usage_error(self, workdir, tmp_path, alpha):
+        proc = run_cli(
+            "train-lm", "--input", workdir / "sub.txt", "--alpha", alpha,
+            "--output", tmp_path / "m.arpa", expect=2,
+        )
+        assert "Traceback" not in proc.stderr
+        assert "error: alpha must be finite" in proc.stderr
+        assert not (tmp_path / "m.arpa").exists()
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_in_header_is_data_error(self, workdir, tmp_path, alpha):
+        text = (workdir / "model.arpa").read_text(encoding="utf-8")
+        assert " alpha=0.1 " in text.splitlines()[0]
+        (tmp_path / "m.arpa").write_text(text.replace(" alpha=0.1 ", f" alpha={alpha} ", 1))
+        proc = run_cli("ppl", "--lm", tmp_path / "m.arpa", "--input", workdir / "sub.txt", expect=1)
+        assert "Traceback" not in proc.stderr
+        assert any(line.startswith("error: alpha must be finite") for line in proc.stderr.splitlines())
 
 
 class TestModelFileErrors:
@@ -195,6 +214,14 @@ class TestAugmentCommand:
         run_cli("augment", "--input", workdir / "sub.txt", "--strategy", "blank",
                 "--gamma", 1.5, "--output", tmp_path / "x", expect=2)
 
+    @pytest.mark.parametrize("flag, value", [("--window", 0), ("--topk", -1), ("--gamma", "nan")])
+    def test_invalid_flag_is_usage_error(self, workdir, tmp_path, flag, value):
+        proc = run_cli("augment", "--input", workdir / "sub.txt", "--strategy", "swap",
+                       flag, value, "--output", tmp_path / "x", expect=2)
+        assert "Traceback" not in proc.stderr
+        assert flag.lstrip("-") in proc.stderr.splitlines()[-1]
+        assert not (tmp_path / "x").exists()
+
     def test_config_echo_lists_resolved_flags(self, workdir, tmp_path):
         proc = run_cli("augment", "--input", workdir / "sub.txt", "--strategy", "swap",
                        "--gamma", 0.1, "--seed", 5, "--output", tmp_path / "s.txt")
@@ -247,7 +274,10 @@ steps=250
         spec.write_text("strategies=\ngammas=0\n")
         run_cli("sweep", "--spec", spec, "--outdir", tmp_path / "out", expect=2)
 
-    @pytest.mark.parametrize("line", ["lr=nan", "lr=0", "steps=-5", "dim=0", "gammas="])
+    @pytest.mark.parametrize("line", [
+        "lr=nan", "lr=0", "steps=-5", "dim=0", "gammas=", "topk=-1", "window=0",
+        "lm_order=0", "discount=1.5", "alpha=nan", "strategies=base,bogus",
+    ])
     def test_bad_recipe_is_usage_error(self, tmp_path, line):
         spec = tmp_path / "spec.txt"
         spec.write_text(f"strategies=base\ngammas=0\n{line}\n")

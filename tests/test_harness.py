@@ -98,11 +98,20 @@ class TestRunSweep:
             ("steps", -5, "steps"),
             ("dim", 0, "dim"),
             ("gammas", (), "empty gamma list"),
+            ("gammas", (0.0, 1.5), "gamma must lie in"),
+            ("topk", -1, "topk"),
+            ("window", 0, "window"),
+            ("lm_order", 0, "order must lie in"),
+            ("lm_order", 17, "order must lie in"),
+            ("lm_discount", 1.5, "discount"),
+            ("lm_alpha", float("nan"), "alpha"),
+            ("lm_alpha", float("inf"), "alpha"),
+            ("strategies", ("base", "bogus"), "unknown strategy"),
         ],
     )
     def test_bad_recipe_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
-            sa.SweepSpec(strategies=("base",), **{field: value}).validate()
+            sa.SweepSpec(**{"strategies": ("base",), field: value}).validate()
 
     def test_zero_steps_accepted(self):
         sa.SweepSpec(strategies=("base",), steps=0).validate()
@@ -182,6 +191,15 @@ class TestSpecFiles:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown spec key"):
             hn.parse_spec_file("bogus = 3")
+
+    def test_every_spec_key_reaches_the_spec_or_the_task(self):
+        text = "\n".join(f"{key}=1" for key in hn.SPEC_KEYS if key != "strategies")
+        params = hn.parse_spec_file(text + "\nstrategies=base\ndiscount=0.5\nalpha=0.2")
+        assert set(params) == set(hn.SPEC_KEYS)
+        spec = hn.sweep_spec_from_params(params)
+        assert (spec.lm_order, spec.lm_discount, spec.lm_alpha, spec.window) == (1, 0.5, 0.2, 1)
+        task = hn.task_from_params(params, spec.seed)
+        assert len(task.sentences) == 1 and len(task.vocab) == 5
 
     def test_missing_strategies_rejected(self):
         with pytest.raises(ValueError, match="strategies"):

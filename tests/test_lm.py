@@ -478,6 +478,33 @@ class TestTopK:
         assert_top_k_exact(model, [5], len(model.vocab))
 
 
+class TestParamCheck:
+    HEADER = "#ngram-counts v1 order=1 discount=0.75 alpha={} events=0 vocab=4\n"
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "-0.5"])
+    def test_bad_header_alpha_is_refused_before_any_table(self, monkeypatch, alpha):
+        def no_tables(grams, order):
+            raise AssertionError("count tables built before alpha was checked")
+
+        monkeypatch.setattr(lmm, "_count_tables", no_tables)
+        text = self.HEADER.format(alpha) + "0\t<s>\n0\t</s>\n0\t<unk>\n0\t<blank>\n\\end\\\n"
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            lmm.parse_lm(text)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_rejected_by_train_and_constructor(self, alpha):
+        vocab = toy_vocab(["a"])
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            sa.train_lm([[4]], vocab, order=1, alpha=alpha)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            lmm.NGramLM(1, 0.5, alpha, vocab, [{(): {4: 1}}])
+
+    @pytest.mark.parametrize("discount", [0.0, 1.0, math.nan])
+    def test_discount_outside_open_unit_interval_rejected(self, discount):
+        with pytest.raises(ValueError, match="discount"):
+            lmm.check_params(2, discount, 0.1)
+
+
 class TestOrderBound:
     HEADER = "#ngram-counts v1 order={} discount=0.75 alpha=0.1 events=0 vocab=4\n"
 
