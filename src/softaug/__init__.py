@@ -64,7 +64,6 @@ from .softmix import (
     load_embedding,
     loss,
     mix_embedding,
-    save_accuracy_csv,
     save_embedding,
     save_loss_trace,
     train_toy,

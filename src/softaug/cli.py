@@ -118,6 +118,8 @@ def cmd_augment(args) -> int:
         seed=args.seed,
     )
     _checked(config.validate)
+    if args.strategy in aug.LM_STRATEGIES and not args.lm:
+        _usage_error(f"strategy {args.strategy!r} requires --lm")
     lines = _read_lines(args.input)
 
     if args.strategy == "base":
@@ -128,8 +130,6 @@ def cmd_augment(args) -> int:
         return 0
 
     if args.strategy in aug.LM_STRATEGIES:
-        if not args.lm:
-            raise ValueError(f"strategy {args.strategy!r} requires --lm")
         model = lmmod.load_lm(args.lm)
         vocab = model.vocab
     else:
@@ -217,6 +217,7 @@ def _random_soft(rng: SplitMix64, vocab_size: int, k: int):
 def cmd_make_task(args) -> int:
     _echo_config("make-task", args)
     params = _read_spec(args)
+    _checked(harness.check_task_dims, *harness.task_dims(params))
     task = harness.task_from_params(params, params.get("seed", 0))
     os.makedirs(args.outdir, exist_ok=True)
     corpus_path = os.path.join(args.outdir, "corpus.txt")
@@ -236,6 +237,7 @@ def cmd_sweep(args) -> int:
     params = _read_spec(args)
     spec = _checked(harness.sweep_spec_from_params, params)
     _checked(spec.validate)
+    _checked(harness.check_task_dims, *harness.task_dims(params))
     task = harness.task_from_params(params, spec.seed)
     model = harness.train_task_lm(spec, task)
     result = harness.run_sweep(spec, task, model, threads=args.threads)

@@ -109,12 +109,12 @@ class Vocabulary:
         for lineno, line in enumerate(read_text(path).splitlines(), 1):
             if not line:
                 continue
-            try:
-                surface, count = line.split("\t")
-                surfaces.append(surface)
-                counts.append(int(count))
-            except ValueError as exc:
-                raise ValueError(f"bad vocab line {lineno} in {path}: {line!r}") from exc
+            surface, tab, count = line.partition("\t")
+            if not (surface.split() == [surface] and tab and count.isascii() and count.isdigit()):
+                raise ValueError(f"line {lineno} of {path} is not 'surface<TAB>count' with a "
+                                 f"non-empty, whitespace-free surface: {line!r}")
+            surfaces.append(surface)
+            counts.append(int(count))
         return cls(surfaces, counts)
 
 
@@ -161,18 +161,22 @@ class MergeTable:
 
     @classmethod
     def load(cls, path: str) -> "MergeTable":
-        lines = read_text(path).splitlines()
-        if not lines or not lines[0].startswith("#bpe v1"):
-            raise ValueError(f"not a merges file: {path}")
-        merges = []
-        for lineno, line in enumerate(lines[1:], 2):
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) != 2:
-                raise ValueError(f"bad merge line {lineno} in {path}: {line!r}")
-            merges.append((parts[0], parts[1]))
-        return cls(tuple(merges))
+        """Read a ``save`` file: ``#bpe v1 <n>``, then exactly n lines
+        ``left right``.  A last line without its newline was cut short."""
+        text = read_text(path)
+        lines = text.splitlines()
+        magic, _, n = lines[0].rpartition(" ") if lines else ("", "", "")
+        if magic != "#bpe v1" or not (n.isascii() and n.isdigit()):
+            raise ValueError(f"not a merges file (no '#bpe v1 <n>' header): {path}")
+        if not text.endswith("\n"):
+            raise ValueError(f"{path} is cut short: its last line has no newline")
+        if len(lines) - 1 != int(n):
+            raise ValueError(f"{path} holds {len(lines) - 1} merge lines, header says {n}")
+        merges = tuple(tuple(line.split(" ")) for line in lines[1:])
+        for lineno, pair in enumerate(merges, 2):
+            if len(pair) != 2 or any(sym.split() != [sym] for sym in pair):
+                raise ValueError(f"bad merge line {lineno} in {path}: {lines[lineno - 1]!r}")
+        return cls(merges)
 
 
 def _word_symbols(word: str) -> list[str]:

@@ -36,6 +36,14 @@ MARKER_FRACTION = 0.12
 CLASS_REPEAT_PROB = 0.75
 
 
+def check_task_dims(vocab_size: int, classes: int, sentences: int, length: int) -> None:
+    """The range check for task dimensions, wherever they come from."""
+    if classes < 1 or sentences < 1 or length < 1:
+        raise ValueError("classes, sentences and length must be >= 1")
+    if vocab_size < classes:
+        raise ValueError("vocab_size must be >= classes")
+
+
 @dataclass
 class SyntheticTask:
     """Generated classification corpus with its vocabulary and class map."""
@@ -66,10 +74,7 @@ def make_synthetic_task(
     *repeat_prob*, which is what gives a next-token model contextual
     evidence about the local class.
     """
-    if vocab_size < num_synonym_classes:
-        raise ValueError("vocab_size must be >= num_synonym_classes")
-    if num_synonym_classes < 1 or sentences_n < 1 or length < 1:
-        raise ValueError("task dimensions must be >= 1")
+    check_task_dims(vocab_size, num_synonym_classes, sentences_n, length)
     members: list[list[str]] = [[] for _ in range(num_synonym_classes)]
     for word in range(vocab_size):
         cls = word % num_synonym_classes
@@ -329,17 +334,19 @@ def parse_spec_file(text: str) -> dict:
             raise ValueError(f"bad spec line {lineno}: {raw!r}")
         if key not in SPEC_KEYS:
             raise ValueError(f"unknown spec key on line {lineno}: {key!r}")
+        if key in out:
+            raise ValueError(f"repeated spec key on line {lineno}: {key!r}")
         out[key] = SPEC_KEYS[key](value)
     return out
 
 
+def task_dims(params: dict) -> tuple[int, int, int, int]:
+    """(vocab_size, classes, sentences, length) of a spec, defaults filled in."""
+    return tuple(params.get(k, v) for k, v in DEFAULT_TASK_PARAMS.items())
+
+
 def task_from_params(params: dict, seed: int) -> SyntheticTask:
-    vocab_size, classes, sentences, length = (
-        params.get(k, v) for k, v in DEFAULT_TASK_PARAMS.items()
-    )
-    return make_synthetic_task(
-        vocab_size, classes, sentences, length, SplitMix64(derive(seed, 0xDA7A))
-    )
+    return make_synthetic_task(*task_dims(params), SplitMix64(derive(seed, 0xDA7A)))
 
 
 def sweep_spec_from_params(params: dict) -> SweepSpec:

@@ -11,13 +11,16 @@ Unseen histories fall through unchanged (lam = 1, no discounted mass), so
 every history yields a proper distribution over the full vocabulary.
 
 Sentences are padded with n-1 BOS symbols and terminated by a predicted
-EOS.  Models are immutable once built; queries are pure and cache their
-results per history.  ``next_dist`` (and ``sample``/``logprob`` through it)
-returns and caches the dense distribution.  ``top_k`` is sparse: outside
-the union S of the present history levels' supports, P(w | h) is
-Lam(h) * P0(w) with Lam(h) the product of the present levels' lam, so the
-k most probable tokens lie in S plus the first k + |S| tokens in P0
-order.  Only such candidates are evaluated, with the dense path's
+EOS.  Models are immutable once built and queries are pure.  ``next_dist``
+(and ``sample``/``logprob`` through it) evaluates the dense distribution on
+every call and keeps nothing: at a wide vocabulary its histories rarely
+repeat, and a stored |V|-vector per history costs far more memory than it
+saves time.  ``top_k`` is sparse and keeps the model's one cache, because
+its histories do repeat (all-BOS, with its large support, starts every
+sentence).  Outside the union S of the present history levels' supports,
+P(w | h) is Lam(h) * P0(w) with Lam(h) the product of the present levels'
+lam, so the k most probable tokens lie in S plus the first k + |S| tokens
+in P0 order.  Only such candidates are evaluated, with the dense path's
 operations in the dense path's order, so the probabilities are
 bit-identical to ``next_dist``; the cost per history grows with |S| and k,
 not with |V|.
@@ -42,7 +45,7 @@ import numpy as np
 from .corpus import BLANK, BOS, EOS, UNK, Sentence, Vocabulary
 from .rng import SplitMix64
 
-# Entries per query cache.  A top-k entry is never larger than a dense one.
+# Entries in the top-k cache.  An entry holds 2k numbers, never 2|V|.
 _CACHE_LIMIT = 4096
 
 # Upper bound on the model order.  Each event counts toward every history
@@ -104,12 +107,10 @@ class NGramLM:
                 total = float(cnts.sum())
                 level[hist] = (ids, (cnts - self.discount) / total, self.discount * len(ids) / total)
             self._tables.append(level)
-        self._cache: dict[tuple, np.ndarray] = {}
         self._top_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_cache"] = {}
         state["_top_cache"] = {}
         return state
 
@@ -130,25 +131,14 @@ class NGramLM:
                 levels.append(entry)
         return levels
 
-    def _dist_for_history(self, hist: tuple) -> np.ndarray:
+    def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
+        """Dense distribution over the vocabulary after *prefix*, evaluated
+        into a fresh array on every call."""
         p = self._p0.copy()
-        for ids, add, lam in self._levels(hist):
+        for ids, add, lam in self._levels(self.pad_prefix(prefix)):
             p *= lam
             p[ids] += add
         return p
-
-    def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
-        """Dense distribution over the vocabulary after *prefix*.
-
-        Returns a fresh array; internal per-history results are cached.
-        """
-        hist = self.pad_prefix(prefix)
-        cached = self._cache.get(hist)
-        if cached is None:
-            cached = self._dist_for_history(hist)
-            if len(self._cache) < _CACHE_LIMIT:
-                self._cache[hist] = cached
-        return cached.copy()
 
     def top_k(self, prefix: Sequence[int], k: int) -> tuple[np.ndarray, np.ndarray]:
         """The min(k, |V|) most probable next tokens after *prefix*.
@@ -235,7 +225,7 @@ def _candidate_bound(k: int, support_bound: int) -> int:
 
 
 def _select(p0: np.ndarray, cand: np.ndarray, levels, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top k of the sorted candidate ids, evaluated as ``_dist_for_history``
+    """Top k of the sorted candidate ids, evaluated as ``NGramLM.next_dist``
     evaluates them: P0, then per present level ``*= lam`` and ``+= add``."""
     p = p0[cand]
     for ids, add, lam in levels:

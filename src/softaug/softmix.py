@@ -278,14 +278,6 @@ def save_loss_trace(path: str, trace: list[float]) -> None:
             fh.write(f"{step},{value:.12g}\n")
 
 
-def save_accuracy_csv(path: str, rows: list[tuple[float, str, float]]) -> None:
-    """CSV of evaluation results: "gamma,strategy,accuracy"."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("gamma,strategy,accuracy\n")
-        for gamma, strategy, accuracy in rows:
-            fh.write(f"{gamma:g},{strategy},{accuracy:.6f}\n")
-
-
 def save_embedding(path: str, emb: np.ndarray) -> None:
     """Text format: "|V| d" header, one row per line, 17 significant digits."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -304,7 +296,7 @@ def load_embedding(path: str) -> np.ndarray:
     if len(header) != 2 or not all(x.isdigit() for x in header):
         raise ValueError(f"bad embedding header in {path}: {lines[0]!r}")
     rows, dim = int(header[0]), int(header[1])
-    if len(lines) - 1 < rows:
+    if len(lines) - 1 != rows:
         raise ValueError(f"embedding file {path} has {len(lines) - 1} rows, header says {rows}")
     emb = np.empty((rows, dim), dtype=np.float64)
     for i in range(rows):

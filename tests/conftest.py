@@ -47,3 +47,9 @@ def small_task():
     spec = sa.SweepSpec(strategies=("base",), reps=1, steps=400, test_fraction=0.25)
     lm = sa.train_task_lm(spec, task)
     return task, lm
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    """One file path per test module, rewritten by each hypothesis example."""
+    return tmp_path_factory.mktemp("files") / "file"

@@ -191,7 +191,6 @@ class TestSoft:
             raise AssertionError("next_dist called for a top-k soft word")
 
         monkeypatch.setattr(model, "next_dist", dense)
-        monkeypatch.setattr(model, "_dist_for_history", dense)
         out = sa.augment_soft(list(sents[0]), 1.0, model, 4, SplitMix64(25))
         assert all(isinstance(word, sa.SoftWord) for word in out)
 

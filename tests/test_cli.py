@@ -53,6 +53,15 @@ class TestPreprocessing:
         assert lines[0].startswith("#bpe v1 ")
         assert len(lines) - 1 <= 40
 
+    @pytest.mark.parametrize("cut", [-1, -4, -9])
+    def test_truncated_codes_file_is_data_error(self, workdir, tmp_path, cut):
+        codes = tmp_path / "codes.bpe"
+        codes.write_bytes((workdir / "codes.bpe").read_bytes()[:cut])
+        proc = run_cli("apply-bpe", "--input", workdir / "raw.txt", "--codes", codes,
+                       "--output", tmp_path / "sub.txt", expect=1)
+        assert proc.stderr.splitlines()[-1].startswith("error:")
+        assert "Traceback" not in proc.stderr
+
     def test_rerun_is_byte_identical(self, workdir, tmp_path):
         run_cli("train-bpe", "--input", workdir / "raw.txt", "--merges", 40, "--output", tmp_path / "codes2")
         assert (tmp_path / "codes2").read_bytes() == (workdir / "codes.bpe").read_bytes()
@@ -222,6 +231,14 @@ class TestAugmentCommand:
         assert flag.lstrip("-") in proc.stderr.splitlines()[-1]
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("strategy", ["soft", "lm_sample"])
+    def test_lm_strategy_without_lm_is_usage_error(self, tmp_path, strategy):
+        # The input does not exist: the flags are refused before it is read.
+        proc = run_cli("augment", "--input", tmp_path / "missing.txt", "--strategy", strategy,
+                       "--gamma", 0.1, "--output", tmp_path / "x", expect=2)
+        assert "requires --lm" in proc.stderr.splitlines()[-1]
+        assert not (tmp_path / "x").exists()
+
     def test_config_echo_lists_resolved_flags(self, workdir, tmp_path):
         proc = run_cli("augment", "--input", workdir / "sub.txt", "--strategy", "swap",
                        "--gamma", 0.1, "--seed", 5, "--output", tmp_path / "s.txt")
@@ -235,6 +252,10 @@ class TestGradCheckCommand:
     def test_default_passes(self):
         proc = run_cli("grad-check", "--seed", 0)
         assert "PASS" in proc.stdout
+
+
+# Spec lines whose task cannot be built; the other keys keep their defaults.
+BAD_TASK_LINES = ["classes=0", "vocab_size=3", "sentences=0", "length=0"]
 
 
 class TestTaskAndSweepCommands:
@@ -276,11 +297,21 @@ steps=250
 
     @pytest.mark.parametrize("line", [
         "lr=nan", "lr=0", "steps=-5", "dim=0", "gammas=", "topk=-1", "window=0",
-        "lm_order=0", "discount=1.5", "alpha=nan", "strategies=base,bogus",
+        "lm_order=0", "discount=1.5", "alpha=nan", "strategies=base,bogus", *BAD_TASK_LINES,
     ])
     def test_bad_recipe_is_usage_error(self, tmp_path, line):
+        key, _, value = line.partition("=")
+        recipe = {"strategies": "base", "gammas": "0", key: value}
         spec = tmp_path / "spec.txt"
-        spec.write_text(f"strategies=base\ngammas=0\n{line}\n")
+        spec.write_text("".join(f"{k}={v}\n" for k, v in recipe.items()))
         proc = run_cli("sweep", "--spec", spec, "--outdir", tmp_path / "out", expect=2)
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", BAD_TASK_LINES)
+    def test_bad_task_dimension_is_usage_error_for_make_task(self, tmp_path, line):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"{line}\n")
+        proc = run_cli("make-task", "--spec", spec, "--outdir", tmp_path / "task", expect=2)
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "task").exists()

@@ -1,9 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softaug import corpus as cp
 from softaug.rng import SplitMix64
 
 from oracles import replay_bpe_choices
+
+# A whitespace-free, non-empty symbol: what a surface or a BPE symbol may be.
+symbols = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6).filter(
+    lambda s: s.split() == [s]
+)
 
 
 class TestBuildVocab:
@@ -86,6 +93,78 @@ class TestLearnBpe:
         table.save(path)
         assert path.read_text().startswith(f"#bpe v1 {len(table)}\n")
         assert cp.MergeTable.load(path) == table
+
+
+class TestMergesFile:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(symbols, symbols), max_size=8, unique=True))
+    def test_round_trip(self, scratch_file, merges):
+        table = cp.MergeTable(tuple(merges))
+        table.save(scratch_file)
+        assert cp.MergeTable.load(scratch_file) == table
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(symbols, symbols), max_size=6, unique=True), st.data())
+    def test_every_truncation_raises_value_error(self, scratch_file, merges, data):
+        cp.MergeTable(tuple(merges)).save(scratch_file)
+        text = scratch_file.read_bytes()
+        scratch_file.write_bytes(text[: data.draw(st.integers(0, len(text) - 1))])
+        with pytest.raises(ValueError):
+            cp.MergeTable.load(scratch_file)
+
+    @pytest.mark.parametrize("text", [
+        "#bpe v1 5\na b\nc d\n",
+        "#bpe v1 1\na b\nc d\n",
+        "#bpe v1 xyz\na b\n",
+        "#bpe v10 1\na b\n",
+        "#bpe v1  1\na b\n",
+        "#bpe v1 1 \na b\n",
+        "#bpe v2 1\na b\n",
+        "a b\n",
+        "",
+        "#bpe v1 1\n b\n",
+        "#bpe v1 1\na \n",
+        "#bpe v1 1\na b c\n",
+        "#bpe v1 2\na b\n\n",
+        "#bpe v1 1\na\tx b\n",
+        "#bpe v1 2\na b\na b\n",
+    ])
+    def test_corrupt_file_raises_value_error(self, tmp_path, text):
+        path = tmp_path / "codes.bpe"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            cp.MergeTable.load(path)
+
+
+SPECIALS = ["<s>\t0", "</s>\t0", "<unk>\t0", "<blank>\t0"]
+
+
+class TestVocabularyFile:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(symbols.filter(lambda s: s not in cp.SPECIAL_TOKENS), max_size=8, unique=True),
+           st.data())
+    def test_round_trip(self, scratch_file, words, data):
+        counts = data.draw(st.lists(st.integers(0, 10**12), min_size=len(words), max_size=len(words)))
+        vocab = cp.Vocabulary(list(cp.SPECIAL_TOKENS) + words, [0] * 4 + counts)
+        vocab.save(scratch_file)
+        again = cp.Vocabulary.load(scratch_file)
+        assert (again.surfaces, again.counts) == (vocab.surfaces, vocab.counts)
+
+    @pytest.mark.parametrize("line", [
+        "\t3", "a b\t3", "a\u00a0b\t3", "a 3", "a", "a\t", "a\tx", "a\t-1", "a\t+1", "a\t3\t4",
+        "a\t\u0663", "<unk>\t1",
+    ])
+    def test_corrupt_line_raises_value_error(self, tmp_path, line):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("\n".join(SPECIALS + [line]) + "\n")
+        with pytest.raises(ValueError):
+            cp.Vocabulary.load(path)
+
+    def test_missing_specials_raise_value_error(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("\n".join(SPECIALS[1:] + ["a\t3"]) + "\n")
+        with pytest.raises(ValueError):
+            cp.Vocabulary.load(path)
 
 
 class TestApplyBpe:

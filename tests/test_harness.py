@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import softaug as sa
 from softaug import harness as hn
@@ -164,6 +166,17 @@ class TestReports:
             sa.emit_report(self.sample_result(), "/nonexistent-dir-zzz/sub")
 
 
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+# A value strategy per spec key, in the types parse_spec_file returns.
+SPEC_VALUES = {
+    **{key: st.integers(-10**6, 10**6) for key, parse in hn.SPEC_KEYS.items() if parse is int},
+    **{key: FLOATS for key, parse in hn.SPEC_KEYS.items() if parse is float},
+    "strategies": st.lists(st.sampled_from(sa.STRATEGIES), min_size=1, max_size=4).map(tuple),
+    "gammas": st.lists(FLOATS, min_size=1, max_size=4).map(tuple),
+}
+
+
 class TestSpecFiles:
     def test_parse_round_trip(self):
         text = """
@@ -193,7 +206,8 @@ class TestSpecFiles:
             hn.parse_spec_file("bogus = 3")
 
     def test_every_spec_key_reaches_the_spec_or_the_task(self):
-        text = "\n".join(f"{key}=1" for key in hn.SPEC_KEYS if key != "strategies")
+        rest = ("strategies", "discount", "alpha")
+        text = "\n".join(f"{key}=1" for key in hn.SPEC_KEYS if key not in rest)
         params = hn.parse_spec_file(text + "\nstrategies=base\ndiscount=0.5\nalpha=0.2")
         assert set(params) == set(hn.SPEC_KEYS)
         spec = hn.sweep_spec_from_params(params)
@@ -201,6 +215,29 @@ class TestSpecFiles:
         task = hn.task_from_params(params, spec.seed)
         assert len(task.sentences) == 1 and len(task.vocab) == 5
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.fixed_dictionaries({}, optional=SPEC_VALUES))
+    def test_written_spec_parses_back(self, params):
+        lines = ["# drawn spec"] + [
+            f"{key} = {','.join(map(str, v)) if isinstance(v, tuple) else v}"
+            for key, v in params.items()
+        ]
+        assert hn.parse_spec_file("\n".join(lines)) == params
+
+    @pytest.mark.parametrize("text, match", [
+        ("reps=1\nreps=2", "repeated spec key on line 2"),
+        ("strategies=base\n# x\nstrategies=soft", "repeated spec key on line 3"),
+        ("reps", "bad spec line 1"),
+        ("=3", "bad spec line 1"),
+        ("reps=two", "invalid literal"),
+        ("lr=fast", "could not convert"),
+        ("bogus=3", "unknown spec key"),
+    ])
+    def test_corrupt_spec_raises_value_error(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            hn.parse_spec_file(text)
+
     def test_missing_strategies_rejected(self):
         with pytest.raises(ValueError, match="strategies"):
             hn.sweep_spec_from_params(hn.parse_spec_file("reps = 2"))
+

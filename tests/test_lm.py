@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,15 @@ class TestScoring:
             assert math.exp(model.logprob(prefix, token)) == pytest.approx(
                 dist[token], abs=1e-12
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpus_models(), st.data())
+    def test_logprob_is_log_of_next_dist_bitwise(self, model, data):
+        ids = st.integers(0, len(model.vocab) - 1)
+        prefix = data.draw(st.lists(ids, max_size=5))
+        token = data.draw(ids)
+        with np.errstate(divide="ignore"):  # alpha 0 leaves unseen tokens at p = 0
+            assert model.logprob(prefix, token) == float(np.log(model.next_dist(prefix)[token]))
 
     def test_logprob_range_check(self, tiny_lm):
         model, _, vocab = tiny_lm
@@ -350,6 +360,20 @@ class TestImmutability:
         lmm.perplexity(model, sents[:10])
         after = hashlib.sha256(lmm.dump_lm(model).encode()).hexdigest()
         assert before == after
+
+    def test_next_dist_retains_no_memory(self):
+        sents, vocab = random_corpus(31, 3000, 3000)
+        model = sa.train_lm(sents, vocab, order=3)
+        prefixes = [[4 + i % 50, 4 + i // 50] for i in range(2000)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for prefix in prefixes:
+                model.next_dist(prefix)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20
 
 
 def assert_top_k_exact(model, prefix, k):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import softaug as sa
 from softaug import softmix as sm
@@ -343,6 +346,7 @@ class TestEmbeddingFile:
             ("x 2\n0.1 0.2\n", "bad embedding header"),
             ("-1 2\n", "bad embedding header"),
             ("1 2\n0.1\n", "bad embedding row"),
+            ("1 2\n0.1 0.2\n0.3 0.4\n", "header says 1"),
         ],
     )
     def test_malformed_file_raises_value_error(self, tmp_path, text, match):
@@ -350,6 +354,44 @@ class TestEmbeddingFile:
         path.write_text(text)
         with pytest.raises(ValueError, match=match):
             sa.load_embedding(path)
+
+
+def embeddings(min_rows=0):
+    shape = st.tuples(st.integers(min_rows, 6), st.integers(1, 5))
+    return hnp.arrays(np.float64, shape, elements=st.floats(allow_nan=False))
+
+
+# Each turns the (header fields, row lines) of a saved embedding with at
+# least one row into lines that load_embedding refuses.
+EMBEDDING_CORRUPTIONS = {
+    "row missing": lambda rows, dim, body: [f"{rows + 1} {dim}"] + body,
+    "row extra": lambda rows, dim, body: [f"{rows - 1} {dim}"] + body,
+    "blank line appended": lambda rows, dim, body: [f"{rows} {dim}"] + body + [""],
+    "rows short": lambda rows, dim, body: [f"{rows} {dim + 1}"] + body,
+    "rows long": lambda rows, dim, body: [f"{rows} {dim - 1}"] + body,
+    "value not a number": lambda rows, dim, body: [f"{rows} {dim}", "x" + body[0]] + body[1:],
+    "header of three fields": lambda rows, dim, body: [f"{rows} {dim} 1"] + body,
+    "header not integers": lambda rows, dim, body: [f"{rows}.0 {dim}"] + body,
+}
+
+
+class TestEmbeddingFileProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(embeddings())
+    def test_round_trip_is_exact(self, scratch_file, emb):
+        sa.save_embedding(scratch_file, emb)
+        again = sa.load_embedding(scratch_file)
+        assert again.shape == emb.shape and again.tobytes() == emb.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(embeddings(min_rows=1), st.sampled_from(sorted(EMBEDDING_CORRUPTIONS)))
+    def test_corrupt_file_raises_value_error(self, scratch_file, emb, kind):
+        sa.save_embedding(scratch_file, emb)
+        body = scratch_file.read_text().splitlines()[1:]
+        lines = EMBEDDING_CORRUPTIONS[kind](*emb.shape, body)
+        scratch_file.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError):
+            sa.load_embedding(scratch_file)
 
 
 class TestCsvOutputs:
@@ -360,10 +402,3 @@ class TestCsvOutputs:
         assert lines[0] == "step,loss"
         assert lines[1].startswith("0,0.7")
         assert len(lines) == 4
-
-    def test_accuracy_csv_format(self, tmp_path):
-        path = tmp_path / "acc.csv"
-        sa.save_accuracy_csv(path, [(0.15, "soft", 0.8848), (0.0, "base", 0.8904)])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "gamma,strategy,accuracy"
-        assert lines[1] == "0.15,soft,0.884800"
