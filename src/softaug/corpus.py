@@ -6,11 +6,19 @@ reserved specials in the fixed order ``<s> </s> <unk> <blank>``.  Byte-pair
 merges are learned greedily on word counts with a ``</w>`` marker attached
 to the final symbol of every word; segmented output carries ``@@`` on
 non-final subwords so that detokenization is an exact inverse.
+
+Both BPE loops are incremental.  Learning keeps weighted pair counts and
+an index from each pair to the words that hold it, so a merge re-counts
+only the words it changes.  Application jumps, per word, from one applied
+merge to the lowest-ranked present pair ranked after it, which is exactly
+what running every merge in list order does; subword-nmt's "lowest-ranked
+present pair" without that bound is not, when two merges build one string.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -34,6 +42,21 @@ def read_text(path: str) -> str:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"malformed UTF-8 at byte {exc.start} in {path}") from exc
+
+
+def _counted_lines(path: str, magic: str) -> list[str]:
+    """The body of a file headed ``<magic> <n>``: exactly n lines, the last
+    one ending in a newline, so a file cut short anywhere is refused."""
+    text = read_text(path)
+    lines = text.splitlines()
+    head, _, n = lines[0].rpartition(" ") if lines else ("", "", "")
+    if head != magic or not (n.isascii() and n.isdigit()):
+        raise ValueError(f"no '{magic} <n>' header in {path}")
+    if not text.endswith("\n"):
+        raise ValueError(f"{path} is cut short: its last line has no newline")
+    if len(lines) - 1 != int(n):
+        raise ValueError(f"{path} holds {len(lines) - 1} lines after its header, header says {n}")
+    return lines[1:]
 
 
 def _as_lines(corpus: str | Iterable[str]) -> list[str]:
@@ -100,15 +123,16 @@ class Vocabulary:
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"#vocab v1 {len(self.surfaces)}\n")
             for s, c in zip(self.surfaces, self.counts):
                 fh.write(f"{s}\t{c}\n")
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
+        """Read a ``save`` file: ``#vocab v1 <n>``, then exactly n lines
+        ``surface<TAB>count`` in id order."""
         surfaces, counts = [], []
-        for lineno, line in enumerate(read_text(path).splitlines(), 1):
-            if not line:
-                continue
+        for lineno, line in enumerate(_counted_lines(path, "#vocab v1"), 2):
             surface, tab, count = line.partition("\t")
             if not (surface.split() == [surface] and tab and count.isascii() and count.isdigit()):
                 raise ValueError(f"line {lineno} of {path} is not 'surface<TAB>count' with a "
@@ -142,13 +166,18 @@ def count_words(corpus: str | Iterable[str]) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class MergeTable:
-    """Ordered byte-pair merges; application order equals list order."""
+    """Ordered byte-pair merges; application order equals list order.
+
+    ``ranks`` maps each pair to its position in ``merges``.
+    """
 
     merges: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        if len(set(self.merges)) != len(self.merges):
+        ranks = {pair: rank for rank, pair in enumerate(self.merges)}
+        if len(ranks) != len(self.merges):
             raise ValueError("duplicate pair in merge table")
+        object.__setattr__(self, "ranks", ranks)
 
     def __len__(self) -> int:
         return len(self.merges)
@@ -162,20 +191,12 @@ class MergeTable:
     @classmethod
     def load(cls, path: str) -> "MergeTable":
         """Read a ``save`` file: ``#bpe v1 <n>``, then exactly n lines
-        ``left right``.  A last line without its newline was cut short."""
-        text = read_text(path)
-        lines = text.splitlines()
-        magic, _, n = lines[0].rpartition(" ") if lines else ("", "", "")
-        if magic != "#bpe v1" or not (n.isascii() and n.isdigit()):
-            raise ValueError(f"not a merges file (no '#bpe v1 <n>' header): {path}")
-        if not text.endswith("\n"):
-            raise ValueError(f"{path} is cut short: its last line has no newline")
-        if len(lines) - 1 != int(n):
-            raise ValueError(f"{path} holds {len(lines) - 1} merge lines, header says {n}")
-        merges = tuple(tuple(line.split(" ")) for line in lines[1:])
-        for lineno, pair in enumerate(merges, 2):
+        ``left right``."""
+        lines = _counted_lines(path, "#bpe v1")
+        merges = tuple(tuple(line.split(" ")) for line in lines)
+        for lineno, (pair, line) in enumerate(zip(merges, lines), 2):
             if len(pair) != 2 or any(sym.split() != [sym] for sym in pair):
-                raise ValueError(f"bad merge line {lineno} in {path}: {lines[lineno - 1]!r}")
+                raise ValueError(f"bad merge line {lineno} in {path}: {line!r}")
         return cls(merges)
 
 
@@ -204,26 +225,60 @@ def learn_bpe(word_counts: dict[str, int], num_merges: int) -> MergeTable:
 
     At each step the pair with the highest weighted count is merged;
     count ties break lexicographically ascending on (left, right).  Stops
-    early when no adjacent pair remains.
+    early when no adjacent pair remains.  Counts must be positive
+    integers; the empty word is ignored.
+
+    The weighted pair counts and an index from each pair to the words
+    holding it are built once.  A merge re-segments only the indexed words
+    and moves their old pairs' weight to their new pairs; a pair whose
+    count reaches 0 leaves the table.  The best pair comes from a heap of
+    ``(-count, pair)`` entries, so the heap order is the tie-break; an
+    entry whose count is no longer the pair's count is stale and skipped.
     """
     if num_merges < 1:
         raise ValueError("num_merges must be >= 1")
     words = {w: c for w, c in word_counts.items() if w}
     if not words:
         raise ValueError("empty word counts")
-    pieces = {w: _word_symbols(w) for w in words}
+    for w, c in words.items():
+        if not (isinstance(c, int) and c > 0):
+            raise ValueError(f"count of word {w!r} is not a positive integer: {c!r}")
+    pieces = [_word_symbols(w) for w in words]
+    weights = list(words.values())
+    counts: Counter[tuple[str, str]] = Counter()
+    holders: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
+    for i, syms in enumerate(pieces):
+        for pair in zip(syms, syms[1:]):
+            counts[pair] += weights[i]
+            holders[pair].add(i)
+    heap = [(-c, pair) for pair, c in counts.items()]
+    heapq.heapify(heap)
     merges: list[tuple[str, str]] = []
-    for _ in range(num_merges):
-        pairs: Counter[tuple[str, str]] = Counter()
-        for w, syms in pieces.items():
-            c = words[w]
-            for a, b in zip(syms, syms[1:]):
-                pairs[(a, b)] += c
-        if not pairs:
-            break
-        best = min(pairs.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+    while heap and len(merges) < num_merges:
+        neg, best = heapq.heappop(heap)
+        if counts.get(best) != -neg:
+            continue
         merges.append(best)
-        pieces = {w: _merge_once(syms, best) for w, syms in pieces.items()}
+        touched = set()
+        for i in holders.pop(best):
+            old = pieces[i]
+            new = _merge_once(old, best)
+            if len(new) == len(old):
+                continue  # the word lost the pair to an earlier merge
+            pieces[i] = new
+            for pair in zip(old, old[1:]):
+                counts[pair] -= weights[i]
+                touched.add(pair)
+            for pair in zip(new, new[1:]):
+                counts[pair] += weights[i]
+                holders[pair].add(i)
+                touched.add(pair)
+        for pair in touched:
+            if counts[pair]:
+                heapq.heappush(heap, (-counts[pair], pair))
+            else:
+                del counts[pair]
+                holders.pop(pair, None)
     return MergeTable(tuple(merges))
 
 
@@ -236,23 +291,40 @@ def _render_subwords(syms: list[str]) -> list[str]:
     return out
 
 
+def _segment(word: str, merges: MergeTable) -> list[str]:
+    """The symbols of *word* after every merge, applied in list order."""
+    syms = _word_symbols(word)
+    last = -1
+    while len(syms) > 1:
+        ranks = [merges.ranks.get(pair, -1) for pair in zip(syms, syms[1:])]
+        last = min((r for r in ranks if r > last), default=None)
+        if last is None:
+            break
+        syms = _merge_once(syms, merges.merges[last])
+    return syms
+
+
 def apply_bpe(sentence_text: str, merges: MergeTable, _cache: dict | None = None) -> list[str]:
     """Segment each whitespace word of *sentence_text* into subword strings.
 
     Non-final subwords carry the ``@@`` continuation marker; joining the
     output with spaces and deleting ``@@ `` restores the input exactly.
+
+    The segmentation is that of running every merge once, in list order.
+    Only a merge whose pair is present changes the symbols, so after
+    applying rank r the next merge that acts is the lowest-ranked present
+    pair ranked above r; each word jumps from one such merge to the next
+    and stops when none is left.  Taking the lowest-ranked present pair of
+    any rank, as subword-nmt does, is not the same: when two merges build
+    one string (``a+bc``, then ``abc+d``, then ``ab+c``), the last can
+    create a pair whose rank has already passed, here ``abc+d``.
     """
     subwords: list[str] = []
     for word in sentence_text.split():
         if _cache is not None and word in _cache:
             subwords.extend(_cache[word])
             continue
-        syms = _word_symbols(word)
-        for pair in merges.merges:
-            if len(syms) == 1:
-                break
-            syms = _merge_once(syms, pair)
-        rendered = _render_subwords(syms)
+        rendered = _render_subwords(_segment(word, merges))
         if _cache is not None:
             _cache[word] = rendered
         subwords.extend(rendered)

@@ -12,18 +12,19 @@ every history yields a proper distribution over the full vocabulary.
 
 Sentences are padded with n-1 BOS symbols and terminated by a predicted
 EOS.  Models are immutable once built and queries are pure.  ``next_dist``
-(and ``sample``/``logprob`` through it) evaluates the dense distribution on
-every call and keeps nothing: at a wide vocabulary its histories rarely
-repeat, and a stored |V|-vector per history costs far more memory than it
-saves time.  ``top_k`` is sparse and keeps the model's one cache, because
-its histories do repeat (all-BOS, with its large support, starts every
-sentence).  Outside the union S of the present history levels' supports,
-P(w | h) is Lam(h) * P0(w) with Lam(h) the product of the present levels'
-lam, so the k most probable tokens lie in S plus the first k + |S| tokens
-in P0 order.  Only such candidates are evaluated, with the dense path's
-operations in the dense path's order, so the probabilities are
-bit-identical to ``next_dist``; the cost per history grows with |S| and k,
-not with |V|.
+(and ``sample`` through it) evaluates the dense distribution on every call
+and keeps nothing: at a wide vocabulary its histories rarely repeat, and a
+stored |V|-vector per history costs far more memory than it saves time.
+``logprob`` performs the same operations on its one id, so it builds no
+|V|-vector and returns the same bits.  ``top_k`` is sparse and keeps the
+model's one cache, because its histories do repeat (all-BOS, with its
+large support, starts every sentence).  Outside the union S of the present
+history levels' supports, P(w | h) is Lam(h) * P0(w) with Lam(h) the
+product of the present levels' lam, so the k most probable tokens lie in S
+plus the first k + |S| tokens in P0 order.  Only such candidates are
+evaluated, with the dense path's operations in the dense path's order, so
+the probabilities are bit-identical to ``next_dist``; the cost per history
+grows with |S| and k, not with |V|.
 
 Serialization is a text file of the integer counts that define the model
 (see ``dump_lm``): a header line, the vocabulary in id order, then every
@@ -202,7 +203,14 @@ class NGramLM:
     def logprob(self, prefix: Sequence[int], token: int) -> float:
         if not 0 <= token < len(self.vocab):
             raise ValueError(f"id out of range: {token}")
-        return float(np.log(self.next_dist(prefix)[token]))
+        # next_dist's operations on one id, in its order: the same bits.
+        p = self._p0[token]
+        for ids, add, lam in self._levels(self.pad_prefix(prefix)):
+            p *= lam
+            at = ids.searchsorted(token)
+            if at < len(ids) and ids[at] == token:
+                p += add[at]
+        return float(np.log(p))
 
     def sample(self, prefix: Sequence[int], rng: SplitMix64) -> int:
         """Inverse-CDF draw in id order; BOS/UNK/BLANK are never emitted."""

@@ -1,10 +1,17 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run and prints a
+# reproduction blob for any failure; unset, the default profile applies.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 import softaug as sa
 from softaug.rng import SplitMix64, derive

@@ -106,38 +106,50 @@ def sgd_step_oracle(sentence, label, emb, w, b, lr):
     return -math.log(probs[label]), new_emb, new_w, new_b
 
 
-def replay_bpe_choices(word_counts: dict[str, int], merges) -> bool:
-    """Re-simulate greedy merge selection and verify each recorded choice
-    was maximal-count with lexicographic tie-break."""
-    pieces = {}
-    for w, c in word_counts.items():
-        if not w:
-            continue
-        syms = list(w)
-        syms[-1] += "</w>"
-        pieces[w] = syms
-    for chosen in merges:
+def _end_marked(word: str) -> list[str]:
+    syms = list(word)
+    syms[-1] += "</w>"
+    return syms
+
+
+def _merge_pair(syms: list[str], pair: tuple) -> list[str]:
+    out = []
+    i = 0
+    while i < len(syms):
+        if i + 1 < len(syms) and (syms[i], syms[i + 1]) == pair:
+            out.append(syms[i] + syms[i + 1])
+            i += 2
+        else:
+            out.append(syms[i])
+            i += 1
+    return out
+
+
+def learn_bpe_quadratic(word_counts: dict[str, int], num_merges: int) -> tuple:
+    """Greedy BPE learning that recounts every pair of every word for each
+    merge: the highest weighted count wins, ties lexicographically
+    ascending on (left, right)."""
+    pieces = {w: _end_marked(w) for w in word_counts if w}
+    merges = []
+    for _ in range(num_merges):
         counts: dict[tuple, int] = {}
         for w, syms in pieces.items():
-            for a, b in zip(syms, syms[1:]):
-                counts[(a, b)] = counts.get((a, b), 0) + word_counts[w]
+            for pair in zip(syms, syms[1:]):
+                counts[pair] = counts.get(pair, 0) + word_counts[w]
         if not counts:
-            return False
+            break
         best = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
-        if best != chosen:
-            return False
-        for w, syms in pieces.items():
-            out = []
-            i = 0
-            while i < len(syms):
-                if i + 1 < len(syms) and (syms[i], syms[i + 1]) == chosen:
-                    out.append(syms[i] + syms[i + 1])
-                    i += 2
-                else:
-                    out.append(syms[i])
-                    i += 1
-            pieces[w] = out
-    return True
+        merges.append(best)
+        pieces = {w: _merge_pair(syms, best) for w, syms in pieces.items()}
+    return tuple(merges)
+
+
+def apply_bpe_in_order(word: str, merges) -> list[str]:
+    """The symbols of *word* after running every merge once, in list order."""
+    syms = _end_marked(word)
+    for pair in merges:
+        syms = _merge_pair(syms, pair)
+    return syms
 
 
 def task_label(surfaces: list[str], marker_classes) -> int:

@@ -89,7 +89,7 @@ class TestLanguageModelCommands:
     def test_ppl_on_training_data_beats_uniform(self, workdir):
         proc = run_cli("ppl", "--lm", workdir / "model.arpa", "--input", workdir / "sub.txt")
         ppl = float(proc.stdout.strip())
-        vocab_size = sum(1 for _ in open(workdir / "vocab.tsv"))
+        vocab_size = sum(1 for _ in open(workdir / "vocab.tsv")) - 1  # less the header
         assert 1.0 <= ppl <= vocab_size
 
     def test_reload_matches_in_memory_perplexity(self, workdir):

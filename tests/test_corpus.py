@@ -5,12 +5,38 @@ from hypothesis import strategies as st
 from softaug import corpus as cp
 from softaug.rng import SplitMix64
 
-from oracles import replay_bpe_choices
+from oracles import apply_bpe_in_order, learn_bpe_quadratic
 
 # A whitespace-free, non-empty symbol: what a surface or a BPE symbol may be.
 symbols = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6).filter(
     lambda s: s.split() == [s]
 )
+
+# Words over a two-letter alphabet with counts in 1..3, so pair-count ties
+# are common and the tie-break decides many merges.
+tiny_word_counts = st.dictionaries(st.text("ab", min_size=1, max_size=6), st.integers(1, 3),
+                                   min_size=1, max_size=12)
+
+
+@st.composite
+def tiny_merge_tables(draw):
+    """Merges over "ab" whose symbols are characters or earlier merges'
+    results, so most merges can act and one string is often built by two
+    merges; shuffled half the time, so a pair may precede its parts."""
+    pool = ["a", "b", "a</w>", "b</w>"]
+    merges = []
+    for _ in range(draw(st.integers(0, 16))):
+        pair = (draw(st.sampled_from([s for s in pool if not s.endswith("</w>")])),
+                draw(st.sampled_from(pool)))
+        if pair not in merges:
+            merges.append(pair)
+            if "".join(pair) not in pool:
+                pool.append("".join(pair))
+    return cp.MergeTable(tuple(draw(st.permutations(merges)) if draw(st.booleans()) else merges))
+
+
+def rendered(syms: list[str]) -> list[str]:
+    return [s + cp.CONT_MARKER for s in syms[:-1]] + [syms[-1].removesuffix(cp.WORD_END)]
 
 
 class TestBuildVocab:
@@ -77,6 +103,12 @@ class TestLearnBpe:
         with pytest.raises(ValueError):
             cp.learn_bpe({}, 3)
 
+    @pytest.mark.parametrize("counts", [{"ab": 1, "cd": 0}, {"ab": 0, "cd": 0},
+                                        {"ab": 1, "cd": -5}, {"ab": 1.0}, {"ab": 2, "cd": 1.5}])
+    def test_counts_must_be_positive_integers(self, counts):
+        with pytest.raises(ValueError, match="positive integer"):
+            cp.learn_bpe(counts, 3)
+
     def test_greedy_choice_replayable(self):
         rng = SplitMix64(3)
         words = {}
@@ -85,7 +117,14 @@ class TestLearnBpe:
             word = "".join("abcd"[rng.randint(4)] for _ in range(length))
             words[word] = words.get(word, 0) + 1 + rng.randint(5)
         table = cp.learn_bpe(words, 25)
-        assert replay_bpe_choices(words, table.merges)
+        assert table.merges == learn_bpe_quadratic(words, 25)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tiny_word_counts, st.integers(1, 40))
+    def test_same_table_as_recounting_learner(self, words, num_merges):
+        # 40 merges exceed what 12 words of at most 6 letters can hold, so
+        # many examples also cover the early stop.
+        assert cp.learn_bpe(words, num_merges).merges == learn_bpe_quadratic(words, num_merges)
 
     def test_merges_file_round_trip(self, tmp_path):
         table = cp.learn_bpe({"low": 5, "lower": 2, "newest": 6, "widest": 3}, 10)
@@ -139,6 +178,10 @@ class TestMergesFile:
 SPECIALS = ["<s>\t0", "</s>\t0", "<unk>\t0", "<blank>\t0"]
 
 
+def vocab_text(lines: list[str]) -> str:
+    return "\n".join([f"#vocab v1 {len(lines)}"] + lines) + "\n"
+
+
 class TestVocabularyFile:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(symbols.filter(lambda s: s not in cp.SPECIAL_TOKENS), max_size=8, unique=True),
@@ -150,19 +193,50 @@ class TestVocabularyFile:
         again = cp.Vocabulary.load(scratch_file)
         assert (again.surfaces, again.counts) == (vocab.surfaces, vocab.counts)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(symbols.filter(lambda s: s not in cp.SPECIAL_TOKENS), max_size=6, unique=True),
+           st.data())
+    def test_every_truncation_raises_value_error(self, scratch_file, words, data):
+        cp.Vocabulary(list(cp.SPECIAL_TOKENS) + words, [0] * 4 + [1] * len(words)).save(scratch_file)
+        text = scratch_file.read_bytes()
+        scratch_file.write_bytes(text[: data.draw(st.integers(0, len(text) - 1))])
+        with pytest.raises(ValueError):
+            cp.Vocabulary.load(scratch_file)
+
+    def test_file_starts_with_entry_count(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        cp.build_vocab("a a b").save(path)
+        assert path.read_text() == vocab_text(SPECIALS + ["a\t2", "b\t1"])
+
     @pytest.mark.parametrize("line", [
         "\t3", "a b\t3", "a\u00a0b\t3", "a 3", "a", "a\t", "a\tx", "a\t-1", "a\t+1", "a\t3\t4",
         "a\t\u0663", "<unk>\t1",
     ])
     def test_corrupt_line_raises_value_error(self, tmp_path, line):
         path = tmp_path / "vocab.tsv"
-        path.write_text("\n".join(SPECIALS + [line]) + "\n")
+        path.write_text(vocab_text(SPECIALS + [line]))
         with pytest.raises(ValueError):
             cp.Vocabulary.load(path)
 
     def test_missing_specials_raise_value_error(self, tmp_path):
         path = tmp_path / "vocab.tsv"
-        path.write_text("\n".join(SPECIALS[1:] + ["a\t3"]) + "\n")
+        path.write_text(vocab_text(SPECIALS[1:] + ["a\t3"]))
+        with pytest.raises(ValueError):
+            cp.Vocabulary.load(path)
+
+    @pytest.mark.parametrize("text", [
+        "\n".join(SPECIALS) + "\n",
+        "#vocab v1 5\n" + "\n".join(SPECIALS) + "\n",
+        "#vocab v1 3\n" + "\n".join(SPECIALS) + "\n",
+        "#vocab v1 4\n" + "\n".join(SPECIALS),
+        "#vocab v1 5\n" + "\n".join(SPECIALS) + "\n\n",
+        "#vocab v1 5\n" + "\n".join(SPECIALS[:2] + [""] + SPECIALS[2:]) + "\n",
+        "#vocab v2 4\n" + "\n".join(SPECIALS) + "\n",
+        "#vocab v1 four\n" + "\n".join(SPECIALS) + "\n",
+    ])
+    def test_corrupt_header_or_count_raises_value_error(self, tmp_path, text):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(text)
         with pytest.raises(ValueError):
             cp.Vocabulary.load(path)
 
@@ -179,6 +253,22 @@ class TestApplyBpe:
     def test_unknown_characters_pass_through(self):
         table = cp.learn_bpe({"ab": 3}, 2)
         assert cp.apply_bpe("xéz", table) == ["x@@", "é@@", "z"]
+
+    def test_two_merges_building_one_string(self):
+        # "abc" is built by a+bc (rank 2) and by ab+c (rank 4).  In list
+        # order, ab+c acts last, after (abc, d</w>) at rank 3 has passed,
+        # so "abcd" stays in two pieces.  Merging the lowest-ranked present
+        # pair of any rank would then apply rank 3 and give one piece.
+        table = cp.MergeTable((("a", "b"), ("b", "c"), ("a", "bc"), ("abc", "d</w>"), ("ab", "c")))
+        assert apply_bpe_in_order("abcd", table.merges) == ["abc", "d</w>"]
+        assert cp.apply_bpe("abcd", table) == ["abc@@", "d"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(tiny_merge_tables(), st.lists(st.text("ab", min_size=1, max_size=8), min_size=1,
+                                         max_size=6))
+    def test_same_segmentation_as_in_order_merges(self, table, words):
+        expected = [s for w in words for s in rendered(apply_bpe_in_order(w, table.merges))]
+        assert cp.apply_bpe(" ".join(words), table) == expected
 
     def test_round_trip_random_sentences(self):
         rng = SplitMix64(17)
