@@ -7,6 +7,8 @@ so every history yields a proper distribution over the full vocabulary.
 import os
 import tempfile
 
+import numpy as np
+
 import softaug as sa
 from softaug import lm as lmm
 from softaug.rng import SplitMix64
@@ -50,4 +52,9 @@ with tempfile.TemporaryDirectory() as tmp:
     size = os.path.getsize(path)
     again = lmm.load_lm(path)
     print(f"saved {size} bytes; reloaded perplexity {lmm.perplexity(again, sentences):.10f}")
-    print("count tables identical after reload:", again.counts == model.counts)
+    same = all(
+        level.keys() == ref.keys()
+        and all(np.array_equal(a, b) for hist in ref for a, b in zip(level[hist], ref[hist]))
+        for level, ref in zip(again.counts, model.counts)
+    )
+    print("count tables identical after reload:", same)

@@ -25,7 +25,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .corpus import BLANK, BOS, EOS, NUM_SPECIALS, Sentence
+from .corpus import BLANK, BOS, EOS, NUM_SPECIALS, Sentence, read_text
 from .lm import NGramLM
 from .parallel import fork_map
 from .rng import SplitMix64, derive
@@ -364,6 +364,4 @@ def parse_soft_line(line: str) -> SoftSentence:
 
 
 def read_soft_corpus(path: str) -> list[SoftSentence]:
-    from .corpus import read_text
-
     return [parse_soft_line(line) for line in read_text(path).splitlines() if line]

@@ -26,13 +26,11 @@ evaluated, with the dense path's operations in the dense path's order, so
 the probabilities are bit-identical to ``next_dist``; the cost per history
 grows with |S| and k, not with |V|.
 
-Serialization is a text file of the integer counts that define the model
-(see ``dump_lm``): a header line, the vocabulary in id order, then every
-order-n gram with its count.  The lower history levels are not stored:
-every event counts toward all of its history suffixes, so each lower
-table is a marginal of the top one and is rebuilt by the same routine
-that training uses.  A reloaded model is therefore bit-identical, at any
-corpus size.
+A model is built from order-n grams and their counts alone: ``train_lm``
+passes each padded window of its corpus once, ``load_lm`` the counted
+grams of a file (see ``dump_lm``), so a reload is bit-identical.  An event
+counts toward each suffix of its history: the table for history length k
+is the marginal of the gram counts over their last k + 1 ids.
 """
 
 from __future__ import annotations
@@ -56,39 +54,36 @@ _CACHE_LIMIT = 4096
 # estimate anyway.
 MAX_ORDER = 16
 
-# History -> {token: count} tables, indexed by history length.
-CountTables = list[dict[tuple, dict[int, int]]]
-
 _MAGIC = "#ngram-counts v1"
 _END = "\\end\\"
 
 
 class NGramLM:
-    """Immutable next-token model over a fixed vocabulary."""
+    """Immutable next-token model over a fixed vocabulary, built from the
+    (G, order) int array of order-n *grams* and their G *counts* (summed)."""
 
-    def __init__(
-        self,
-        order: int,
-        discount: float,
-        alpha: float,
-        vocab: Vocabulary,
-        counts: CountTables,
-    ):
+    def __init__(self, order: int, discount: float, alpha: float, vocab: Vocabulary,
+                 grams: np.ndarray, counts: np.ndarray):
         check_params(order, discount, alpha)
-        if len(counts) != order:
-            raise ValueError("count tables must cover history lengths 0..order-1")
+        grams, counts = np.asarray(grams, dtype=np.int64), np.asarray(counts, dtype=np.int64)
+        if counts.ndim != 1 or grams.shape != (len(counts), order) or (counts < 1).any():
+            raise ValueError(f"grams must be a (G, {order}) array with one count >= 1 each")
+        outside = grams[(grams < 0) | (grams >= len(vocab))]
+        if len(outside):
+            raise ValueError(f"id out of range: {outside[0]}")
         self.order = order
         self.discount = discount
         self.alpha = alpha
         self.vocab = vocab
-        self.counts = counts
+        # Per history length k: history -> (next ids ascending, their counts).
+        self.counts = [_level_counts(grams[:, order - 1 - k :], counts) for k in range(order)]
         self._freeze()
 
     def _freeze(self) -> None:
         size = len(self.vocab)
         c1 = np.zeros(size, dtype=np.float64)
-        for w, c in self.counts[0].get((), {}).items():
-            c1[w] = c
+        for ids, cnts in self.counts[0].values():
+            c1[ids] = cnts
         self.total_events = int(c1.sum())
         denom = self.total_events + self.alpha * size
         if denom <= 0.0:
@@ -100,14 +95,12 @@ class NGramLM:
         self._neg_p0_sorted = -self._p0[self._p0_order]
         # Per history: (ids, (count - D) / c(h), lam(h)).
         self._tables: list[dict[tuple, tuple[np.ndarray, np.ndarray, float]]] = [{}]
-        for k in range(1, self.order):
-            level = {}
-            for hist, table in self.counts[k].items():
-                ids = np.array(sorted(table), dtype=np.int64)
-                cnts = np.array([table[int(i)] for i in ids], dtype=np.float64)
+        for level in self.counts[1:]:
+            tables = {}
+            for hist, (ids, cnts) in level.items():
                 total = float(cnts.sum())
-                level[hist] = (ids, (cnts - self.discount) / total, self.discount * len(ids) / total)
-            self._tables.append(level)
+                tables[hist] = (ids, (cnts - self.discount) / total, self.discount * len(ids) / total)
+            self._tables.append(tables)
         self._top_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def __getstate__(self):
@@ -261,23 +254,21 @@ def check_params(order: int, discount: float, alpha: float) -> None:
         raise ValueError(f"alpha must be finite and >= 0, not {alpha}")
 
 
-def _count_tables(grams: Iterable[tuple[tuple, int]], order: int) -> CountTables:
-    """Count tables for history lengths 0..order-1 from (order-n gram, count) pairs.
-
-    A gram's count adds to each suffix of its history, so every lower
-    table is the marginal of the top one.
-    """
-    counts: CountTables = [dict() for _ in range(order)]
-    top = order - 1
-    for gram, c in grams:
-        w = gram[-1]
-        for k, level in enumerate(counts):
-            hist = gram[top - k : top]
-            table = level.get(hist)
-            if table is None:
-                table = level[hist] = {}
-            table[w] = table.get(w, 0) + c
-    return counts
+def _level_counts(rows: np.ndarray, counts: np.ndarray) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
+    """History -> (next ids ascending, their summed counts) for the
+    (history..., next id) *rows* of one history length and their counts."""
+    if not len(rows):
+        return {}
+    by_row = np.lexsort(rows.T[::-1])
+    rows, counts = rows[by_row], counts[by_row]
+    firsts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    rows, counts = rows[firsts], np.add.reduceat(counts, firsts)
+    # A copy, so that every history's ids are a contiguous slice.
+    ids = rows[:, -1].copy()
+    heads = np.flatnonzero((rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)) + 1
+    cuts = [0, *heads.tolist(), len(rows)]
+    hists = map(tuple, rows[cuts[:-1], :-1].tolist())
+    return {hist: (ids[a:b], counts[a:b]) for hist, a, b in zip(hists, cuts, cuts[1:])}
 
 
 def train_lm(
@@ -292,14 +283,21 @@ def train_lm(
     if not sentences:
         raise ValueError("empty corpus")
     check_params(order, discount, alpha)
+    grams = _windows(sentences, order)
+    # Each window is one event; the constructor adds up repeated grams.
+    return NGramLM(order, discount, alpha, vocab, grams, np.ones(len(grams), dtype=np.int64))
 
-    def events():
-        for sent in sentences:
-            padded = (BOS,) * (order - 1) + tuple(sent) + (EOS,)
-            for t in range(order, len(padded) + 1):
-                yield padded[t - order : t], 1
 
-    return NGramLM(order, discount, alpha, vocab, _count_tables(events(), order))
+def _windows(sentences: list[Sentence], order: int) -> np.ndarray:
+    """Every window of *order* ids in the BOS-padded, EOS-ended sentences."""
+    pad = (BOS,) * (order - 1)
+    tokens = np.fromiter(itertools.chain.from_iterable(pad + tuple(s) + (EOS,) for s in sentences),
+                         dtype=np.int64)
+    # Back to back, sentence i holds len + 1 windows, and its first starts
+    # (order - 1) * i ids past the windows of the sentences before it.
+    windows = np.array([len(s) + 1 for s in sentences])
+    starts = np.arange(windows.sum()) + (order - 1) * np.repeat(np.arange(len(windows)), windows)
+    return np.lib.stride_tricks.sliding_window_view(tokens, order)[starts]
 
 
 def perplexity(lm: NGramLM, sentences: Iterable[Sentence]) -> float:
@@ -328,12 +326,10 @@ def _dump_lines(lm: NGramLM) -> Iterable[str]:
         if surface.split() != [surface]:
             raise ValueError(f"surface {surface!r} is empty or holds whitespace")
         yield f"{count}\t{surface}\n"
-    top = lm.counts[lm.order - 1]
-    for hist in sorted(top):
+    for hist, (ids, cnts) in lm.counts[lm.order - 1].items():
         prefix = "".join(surfaces[t] + " " for t in hist)
-        table = top[hist]
-        for w in sorted(table):
-            yield f"{table[w]}\t{prefix}{surfaces[w]}\n"
+        for w, c in zip(ids.tolist(), cnts.tolist()):
+            yield f"{c}\t{prefix}{surfaces[w]}\n"
     yield _END + "\n"
 
 
@@ -344,9 +340,7 @@ def dump_lm(lm: NGramLM) -> str:
     vocab=V``; then V lines ``count<TAB>surface`` (the vocabulary and its
     counts, in id order); then one ``count<TAB>w1 ... wN`` line per order-N
     gram, in ascending id order; then ``\\end\\``.  Every data line starts
-    with its count, so no surface can be taken for the end marker.  Lower
-    levels are rebuilt on load; a hand-built model whose lower tables are
-    not marginals of its top table does not survive the trip.
+    with its count, so no surface can be taken for the end marker.
     """
     return "".join(_dump_lines(lm))
 
@@ -367,6 +361,8 @@ def _parse_lines(lines: Iterable[str], path: str) -> NGramLM:
         fields = dict(field.split("=", 1) for field in head[2:])
         order, events, size = (int(fields[key]) for key in ("order", "events", "vocab"))
         discount, alpha = float(fields["discount"]), float(fields["alpha"])
+        if events >= 2**63:
+            raise ValueError("counts above int64")
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad header in {path}: {first!r}") from exc
     check_params(order, discount, alpha)
@@ -384,7 +380,9 @@ def _parse_lines(lines: Iterable[str], path: str) -> NGramLM:
     vocab = Vocabulary([s for _, s in entries], [c for c, _ in entries])
     index = {s: i for i, s in enumerate(vocab.surfaces)}
 
-    def grams():
+    counts: list[int] = []
+
+    def gram_ids():
         prev: tuple = ()
         for lineno, line in numbered:
             if line == _END:
@@ -398,13 +396,14 @@ def _parse_lines(lines: Iterable[str], path: str) -> NGramLM:
                 raise ValueError(f"line {lineno} of {path} is not an order-{order} gram "
                                  f"in ascending id order: {line!r}")
             prev = gram
-            yield gram, count
+            counts.append(count)
+            yield from gram
         raise ValueError(f"{path} has no {_END} line")
 
-    model = NGramLM(order, discount, alpha, vocab, _count_tables(grams(), order))
-    if model.total_events != events:
-        raise ValueError(f"gram counts sum to {model.total_events}, not {events}, in {path}")
-    return model
+    grams = np.fromiter(gram_ids(), dtype=np.int64).reshape(-1, order)
+    if sum(counts) != events:
+        raise ValueError(f"gram counts sum to {sum(counts)}, not {events}, in {path}")
+    return NGramLM(order, discount, alpha, vocab, grams, np.array(counts, dtype=np.int64))
 
 
 def parse_lm(text: str, path: str = "<string>") -> NGramLM:

@@ -30,14 +30,20 @@ def random_corpus(seed, n_sentences, vocab_size, max_len=12):
 
 
 @st.composite
-def corpus_models(draw, max_size=8, max_sentences=12):
-    """A model of order 1-4, alpha 0 or 0.1, trained on a drawn corpus."""
+def corpora(draw, max_size=8, max_sentences=12):
+    """(sentences, vocabulary, order 1-4, alpha 0 or 0.1) for a drawn corpus;
+    sentences may be empty."""
     size = draw(st.integers(1, max_size))
     sents = draw(st.lists(st.lists(st.integers(4, 3 + size), max_size=8),
                           min_size=1, max_size=max_sentences))
     vocab = sa.build_vocab(" ".join(f"w{i}" for i in range(size)))
-    order = draw(st.integers(1, 4))
-    return sa.train_lm(sents, vocab, order=order, alpha=draw(st.sampled_from([0.0, 0.1])))
+    return sents, vocab, draw(st.integers(1, 4)), draw(st.sampled_from([0.0, 0.1]))
+
+
+def corpus_models(max_size=8, max_sentences=12):
+    """A model trained on a drawn corpus (see ``corpora``)."""
+    return corpora(max_size, max_sentences).map(
+        lambda c: sa.train_lm(c[0], c[1], order=c[2], alpha=c[3]))
 
 
 @pytest.fixture(scope="session")

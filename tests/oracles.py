@@ -58,6 +58,20 @@ class BruteNGram:
         return [self.prob(hist, w) for w in range(self.vocab_size)]
 
 
+def count_tables(grams, order: int) -> list[dict[tuple, dict[int, int]]]:
+    """History -> {next id: count} dicts for history lengths 0..order-1,
+    from (order-n gram, count) pairs, one gram at a time: a gram's count
+    adds to each suffix of its history."""
+    counts: list[dict[tuple, dict[int, int]]] = [dict() for _ in range(order)]
+    top = order - 1
+    for gram, c in grams:
+        w = gram[-1]
+        for k, level in enumerate(counts):
+            table = level.setdefault(tuple(gram[top - k : top]), {})
+            table[w] = table.get(w, 0) + c
+    return counts
+
+
 def top_k(dense: np.ndarray, k: int) -> Dist:
     """The k most probable entries of a dense vector (ties id-ascending),
     renormalized: the dense reference for top-k soft words."""

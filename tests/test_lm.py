@@ -13,26 +13,47 @@ from softaug import lm as lmm
 from softaug.corpus import BOS, EOS, SPECIAL_TOKENS, UNK
 from softaug.rng import SplitMix64
 
-from conftest import corpus_models, random_corpus
-from oracles import BruteNGram, top_k
+from conftest import corpora, corpus_models, random_corpus
+from oracles import BruteNGram, count_tables, top_k
 
 
 def toy_vocab(words):
     return sa.build_vocab(" ".join(words))
 
 
+def no_grams(order):
+    """The gram and count arrays of a model that has seen nothing."""
+    return np.empty((0, order), dtype=np.int64), np.empty(0, dtype=np.int64)
+
+
+def level_lists(level):
+    """One history level as {history: (ids list, counts list)}."""
+    return {hist: (ids.tolist(), cnts.tolist()) for hist, (ids, cnts) in level.items()}
+
+
+def assert_same_levels(got, want):
+    """Every level holds the same histories, in the same order, with equal
+    id and count arrays of equal dtype."""
+    assert len(got.counts) == len(want.counts) == want.order
+    for mine, theirs in zip(got.counts, want.counts):
+        assert list(mine) == list(theirs)
+        for hist, arrays in theirs.items():
+            for a, b in zip(mine[hist], arrays):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 class TestTraining:
     def test_unigram_counts_include_eos(self):
         vocab = toy_vocab(["a"])
         model = sa.train_lm([[vocab.id_of("a")]], vocab, order=1)
-        assert model.counts[0][()] == {vocab.id_of("a"): 1, EOS: 1}
+        assert level_lists(model.counts[0]) == {(): ([EOS, vocab.id_of("a")], [1, 1])}
 
     def test_bigram_counts(self):
         vocab = toy_vocab(["a", "b", "c"])
         a, b, c = (vocab.id_of(x) for x in "abc")
         model = sa.train_lm([[a, b], [a, c]], vocab, order=2)
-        assert model.counts[1][(a,)] == {b: 1, c: 1}
-        assert sum(model.counts[1][(a,)].values()) == 2
+        assert level_lists(model.counts[1])[(a,)] == (sorted([b, c]), [1, 1])
+        assert model.counts[1][(a,)][1].sum() == 2
 
     def test_discount_bounds(self):
         vocab = toy_vocab(["a"])
@@ -51,9 +72,49 @@ class TestTraining:
         small = sa.train_lm([[a, b]], vocab, order=2)
         grown = sa.train_lm([[a, b], [a, b, c]], vocab, order=2)
         for k in range(2):
-            for hist, table in small.counts[k].items():
-                for w, cnt in table.items():
-                    assert grown.counts[k][hist][w] >= cnt
+            grown_level = level_lists(grown.counts[k])
+            for hist, (ids, cnts) in level_lists(small.counts[k]).items():
+                table = dict(zip(*grown_level[hist]))
+                for w, cnt in zip(ids, cnts):
+                    assert table[w] >= cnt
+
+    @pytest.mark.parametrize("bad", [-1, 7])
+    def test_id_outside_vocabulary_is_refused(self, bad):
+        vocab = sa.build_vocab("a b c")
+        assert len(vocab) == 7
+        with pytest.raises(ValueError, match=f"id out of range: {bad}"):
+            sa.train_lm([[4, bad]], vocab, order=2)
+        with pytest.raises(ValueError, match=f"id out of range: {bad}"):
+            lmm.NGramLM(1, 0.5, 0.1, vocab, [[bad]], [1])
+
+    @pytest.mark.parametrize("grams, counts", [
+        ([4], [1]), ([[4, 5]], [1]), ([[4]], [1, 1]), ([[4]], [0]), ([[4]], [-1]),
+    ], ids=["flat", "wrong-order", "count-per-gram", "zero-count", "negative-count"])
+    def test_malformed_gram_arrays_are_refused(self, grams, counts):
+        with pytest.raises(ValueError, match="array with one count >= 1 each"):
+            lmm.NGramLM(1, 0.5, 0.1, toy_vocab(["a", "b"]), grams, counts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpora())
+    def test_levels_match_dict_reference(self, corpus):
+        sents, vocab, order, alpha = corpus
+        windows = []
+        for sent in sents:
+            padded = [BOS] * (order - 1) + sent + [EOS]
+            windows += [tuple(padded[t - order : t]) for t in range(order, len(padded) + 1)]
+        reference = count_tables(((w, 1) for w in windows), order)
+        # Training counts each window once; handed to the constructor in
+        # corpus order, with repeats, the windows add up to the same model.
+        grams = np.array(windows, dtype=np.int64).reshape(len(windows), order)
+        trained = sa.train_lm(sents, vocab, order=order, alpha=alpha)
+        direct = lmm.NGramLM(order, 0.75, alpha, vocab, grams, np.ones(len(windows), dtype=np.int64))
+        assert_same_levels(direct, trained)
+        for level, table in zip(trained.counts, reference):
+            assert level_lists(level) == {
+                hist: (sorted(nexts), [nexts[w] for w in sorted(nexts)]) for hist, nexts in table.items()
+            }
+            for ids, cnts in level.values():
+                assert ids.flags.c_contiguous and cnts.flags.c_contiguous
 
 
 class TestNextDist:
@@ -99,7 +160,7 @@ class TestNextDist:
 class TestScoring:
     def test_floor_only_model_is_uniform(self):
         vocab = toy_vocab(["a", "b", "c", "d"])
-        model = lmm.NGramLM(2, 0.75, 0.1, vocab, [dict(), dict()])
+        model = lmm.NGramLM(2, 0.75, 0.1, vocab, *no_grams(2))
         m = len(vocab)
         sents = [[vocab.id_of("a"), vocab.id_of("b")]]
         assert lmm.perplexity(model, sents) == pytest.approx(m, rel=1e-12)
@@ -136,7 +197,7 @@ class TestSample:
     def test_point_mass_always_returned(self):
         vocab = toy_vocab(["a", "b"])
         a = vocab.id_of("a")
-        model = lmm.NGramLM(1, 0.5, 0.0, vocab, [{(): {a: 5}}])
+        model = lmm.NGramLM(1, 0.5, 0.0, vocab, [[a]], [5])
         rng = SplitMix64(0)
         assert all(model.sample([], rng) == a for _ in range(200))
 
@@ -170,7 +231,7 @@ class TestSerialization:
     def test_round_trip_is_bit_exact(self, tiny_lm):
         model, sents, _ = tiny_lm
         again = lmm.parse_lm(lmm.dump_lm(model))
-        assert again.counts == model.counts
+        assert_same_levels(again, model)
         assert again.vocab.surfaces == model.vocab.surfaces
         for prefix in ([], [5], [6, 7]):
             assert np.array_equal(again.next_dist(prefix), model.next_dist(prefix))
@@ -188,7 +249,7 @@ class TestSerialization:
         sents, vocab = random_corpus(7, 60, 8)
         model = sa.train_lm(sents, vocab, order=3)
         again = lmm.parse_lm(lmm.dump_lm(model))
-        assert again.counts == model.counts
+        assert_same_levels(again, model)
 
     def test_dump_is_deterministic(self, tiny_lm):
         model, _, _ = tiny_lm
@@ -200,13 +261,13 @@ class TestSerialization:
         assert model.total_events > 200_000
         text = lmm.dump_lm(model)
         again = lmm.parse_lm(text)
-        assert again.counts == model.counts
+        assert_same_levels(again, model)
         assert lmm.dump_lm(again) == text
         path = tmp_path / "model.arpa"
         lmm.save_lm(model, path)
         assert path.read_text(encoding="utf-8") == text
         loaded = lmm.load_lm(path)
-        assert loaded.counts == model.counts
+        assert_same_levels(loaded, model)
         rng = SplitMix64(13)
         for _ in range(200):
             sent = sents[rng.randint(len(sents))]
@@ -226,7 +287,7 @@ class TestSerialization:
 
     def test_surface_with_whitespace_is_not_written(self):
         vocab = sa.Vocabulary(list(SPECIAL_TOKENS) + ["a b"], [0, 0, 0, 0, 1])
-        model = lmm.NGramLM(1, 0.5, 0.1, vocab, [{(): {4: 1}}])
+        model = lmm.NGramLM(1, 0.5, 0.1, vocab, [[4]], [1])
         with pytest.raises(ValueError, match="whitespace"):
             lmm.dump_lm(model)
 
@@ -309,7 +370,7 @@ class TestModelFileProperties:
     def test_round_trip_is_bit_exact(self, model, data):
         text = lmm.dump_lm(model)
         again = lmm.parse_lm(text)
-        assert again.counts == model.counts
+        assert_same_levels(again, model)
         assert again.vocab.surfaces == model.vocab.surfaces
         assert again.vocab.counts == model.vocab.counts
         assert lmm.dump_lm(again) == text
@@ -331,6 +392,17 @@ class TestModelFileProperties:
         cut = data.draw(st.integers(0, len(text) - 2))
         with pytest.raises(ValueError):
             lmm.parse_lm(text[:cut])
+
+    @pytest.mark.parametrize("events, grams", [
+        (2**63, [(2**63, "a")]),
+        (2**63, [(2**62, "</s>"), (2**62, "a")]),
+    ], ids=["one-count", "sum"])
+    def test_counts_past_int64_are_refused(self, events, grams):
+        text = (f"#ngram-counts v1 order=1 discount=0.5 alpha=0.1 events={events} vocab=5\n"
+                "0\t<s>\n0\t</s>\n0\t<unk>\n0\t<blank>\n1\ta\n"
+                + "".join(f"{c}\t{w}\n" for c, w in grams) + "\\end\\\n")
+        with pytest.raises(ValueError, match="bad header"):
+            lmm.parse_lm(text)
 
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "model.arpa"
@@ -449,26 +521,27 @@ class TestTopK:
         monkeypatch.setattr(lmm, "_select", spy)
         return widened
 
-    # Ids 0-3 are specials, 4-8 words.  Alpha near 2**52 puts the P0 of
-    # count-1 ids one ulp above that of count-0 ids; after the history's
-    # lam both round to one value, so a count-0 id ties with a count-1
-    # candidate and wins on id.  In the first case the k-th candidate (7)
-    # has a larger id than the first id left out (0); in the second the
-    # k-th candidate (5) precedes the first id left out (8, same P0
-    # block), but the lower block merged into that value.
-    @pytest.mark.parametrize("unigram, support, alpha, tie", [
-        ({6: 1, 7: 1, 8: 1}, {6: 1}, 2.0**52 + 1, (7, 0)),
-        ({5: 1, 6: 1, 7: 1, 8: 1}, {4: 1}, 2.0**52 - 7, (5, 0)),
+    # Ids 0-3 are specials, 4-8 words; each gram has count 1 and history
+    # (4,) supports one id.  Alpha near 2**52 puts the P0 of count-1 ids
+    # one ulp above that of count-0 ids; after the history's lam both
+    # round to one value, so a count-0 id ties with a count-1 candidate
+    # and wins on id.  In the first case the k-th candidate (7) has a
+    # larger id than the first id left out (0); in the second the k-th
+    # candidate (5) precedes the first id left out (7, same P0 block),
+    # but the lower block merged into that value.
+    @pytest.mark.parametrize("grams, discount, alpha, tie", [
+        ([(4, 6), (0, 7), (0, 8)], 0.1, 2.0**52 + 1, (7, 0)),
+        ([(4, 4), (0, 5), (0, 6), (0, 7), (0, 8)], 0.7, 2.0**52 - 33, (5, 0)),
     ], ids=["candidate-above-first-left-out", "lower-block-merged"])
-    def test_rounding_tie_across_p0_blocks_is_widened(self, monkeypatch, unigram, support, alpha, tie):
+    def test_rounding_tie_across_p0_blocks_is_widened(self, monkeypatch, grams, discount, alpha, tie):
         vocab = sa.Vocabulary(list(SPECIAL_TOKENS) + ["a", "b", "c", "d", "e"], [0] * 4 + [1] * 5)
-        model = lmm.NGramLM(2, 0.1, alpha, vocab, [{(): unigram}, {(4,): support}])
+        model = lmm.NGramLM(2, discount, alpha, vocab, grams, [1] * len(grams))
         dense = model.next_dist([4])
         above, below = tie
         assert model._p0[above] > model._p0[below] and dense[above] == dense[below]
         widened = self._spy_widening(monkeypatch)
         ids, _ = model.top_k([4], 2)
-        assert ids.tolist() == [*support, 0]
+        assert ids.tolist() == [grams[0][1], 0]
         assert widened == [2]
         assert_top_k_exact(model, [4], 2)
 
@@ -507,10 +580,10 @@ class TestParamCheck:
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "-0.5"])
     def test_bad_header_alpha_is_refused_before_any_table(self, monkeypatch, alpha):
-        def no_tables(grams, order):
+        def no_tables(rows, counts):
             raise AssertionError("count tables built before alpha was checked")
 
-        monkeypatch.setattr(lmm, "_count_tables", no_tables)
+        monkeypatch.setattr(lmm, "_level_counts", no_tables)
         text = self.HEADER.format(alpha) + "0\t<s>\n0\t</s>\n0\t<unk>\n0\t<blank>\n\\end\\\n"
         with pytest.raises(ValueError, match="alpha must be finite"):
             lmm.parse_lm(text)
@@ -521,7 +594,7 @@ class TestParamCheck:
         with pytest.raises(ValueError, match="alpha must be finite"):
             sa.train_lm([[4]], vocab, order=1, alpha=alpha)
         with pytest.raises(ValueError, match="alpha must be finite"):
-            lmm.NGramLM(1, 0.5, alpha, vocab, [{(): {4: 1}}])
+            lmm.NGramLM(1, 0.5, alpha, vocab, [[4]], [1])
 
     @pytest.mark.parametrize("discount", [0.0, 1.0, math.nan])
     def test_discount_outside_open_unit_interval_rejected(self, discount):
@@ -533,10 +606,10 @@ class TestOrderBound:
     HEADER = "#ngram-counts v1 order={} discount=0.75 alpha=0.1 events=0 vocab=4\n"
 
     def test_huge_header_order_is_refused_before_any_table(self, monkeypatch):
-        def no_tables(grams, order):
+        def no_tables(rows, counts):
             raise AssertionError("count tables built before the order was checked")
 
-        monkeypatch.setattr(lmm, "_count_tables", no_tables)
+        monkeypatch.setattr(lmm, "_level_counts", no_tables)
         text = self.HEADER.format(2_000_000) + "0\t<s>\n0\t</s>\n0\t<unk>\n0\t<blank>\n\\end\\\n"
         with pytest.raises(ValueError, match="order must lie in"):
             lmm.parse_lm(text)
@@ -545,8 +618,8 @@ class TestOrderBound:
         vocab = toy_vocab(["a"])
         sa.train_lm([[4]], vocab, order=lmm.MAX_ORDER)
         with pytest.raises(ValueError, match="order must lie in"):
-            lmm.NGramLM(lmm.MAX_ORDER + 1, 0.5, 0.1, vocab, [{}] * (lmm.MAX_ORDER + 1))
-        monkeypatch.setattr(lmm, "_count_tables", None)
+            lmm.NGramLM(lmm.MAX_ORDER + 1, 0.5, 0.1, vocab, *no_grams(lmm.MAX_ORDER + 1))
+        monkeypatch.setattr(lmm, "_level_counts", None)
         for order in (0, lmm.MAX_ORDER + 1, 10**9):
             with pytest.raises(ValueError, match="order must lie in"):
                 sa.train_lm([[4]], vocab, order=order)

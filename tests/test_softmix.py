@@ -384,6 +384,22 @@ class TestEmbeddingFileProperties:
         assert again.shape == emb.shape and again.tobytes() == emb.tobytes()
 
     @settings(max_examples=100, deadline=None)
+    @given(embeddings(), st.data())
+    def test_every_truncation_raises_value_error(self, scratch_file, emb, data):
+        sa.save_embedding(scratch_file, emb)
+        text = scratch_file.read_bytes()
+        scratch_file.write_bytes(text[: data.draw(st.integers(0, len(text) - 1))])
+        with pytest.raises(ValueError):
+            sa.load_embedding(scratch_file)
+
+    def test_cut_inside_last_value_is_refused(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        sa.save_embedding(path, np.array([[0.123456789, -0.5], [0.25, 0.987654321]]))
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(ValueError, match="cut short"):
+            sa.load_embedding(path)
+
+    @settings(max_examples=100, deadline=None)
     @given(embeddings(min_rows=1), st.sampled_from(sorted(EMBEDDING_CORRUPTIONS)))
     def test_corrupt_file_raises_value_error(self, scratch_file, emb, kind):
         sa.save_embedding(scratch_file, emb)
