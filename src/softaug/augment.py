@@ -18,6 +18,7 @@ uniform per position before any replacement draws.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import partial
@@ -57,11 +58,11 @@ class Dist:
     def validate(self, tol: float = 1e-9) -> None:
         if len(self.ids) != len(self.probs):
             raise ValueError(f"{len(self.ids)} ids but {len(self.probs)} probabilities")
-        if not np.all(np.isfinite(self.probs)):
+        if not np.isfinite(self.probs).all():
             raise ValueError("non-finite probability")
-        if np.any(self.probs < 0):
+        if (self.probs < 0).any():
             raise ValueError("negative probability")
-        if np.any(self.ids < 0):
+        if (self.ids < 0).any():
             raise ValueError("negative id in distribution")
         if abs(float(self.probs.sum()) - 1.0) > tol:
             raise ValueError("probabilities do not sum to 1")
@@ -189,18 +190,18 @@ def _soft_at(lm: NGramLM, topk: int, sentence: Sentence, pos: int, rng: SplitMix
 
 
 def augment_blank(sentence: Sentence, gamma: float, rng: SplitMix64) -> Sentence:
-    return _replace_selected(sentence, gamma, rng, _blank_at)[0]
+    return _replace_selected(sentence, gamma, rng, _replacement("blank"))[0]
 
 
 def augment_smooth(sentence: Sentence, gamma: float, unigram: np.ndarray, rng: SplitMix64) -> Sentence:
     """Replace selected tokens by draws from the unigram distribution."""
-    return _replace_selected(sentence, gamma, rng, partial(_unigram_at, np.cumsum(unigram)))[0]
+    return _replace_selected(sentence, gamma, rng, _replacement("smooth", unigram=unigram))[0]
 
 
 def augment_lm_sample(sentence: Sentence, gamma: float, lm: NGramLM, rng: SplitMix64) -> Sentence:
     """Replace selected tokens by samples from the model's next-token
     distribution; prefixes are the original tokens."""
-    return _replace_selected(sentence, gamma, rng, partial(_lm_sample_at, lm))[0]
+    return _replace_selected(sentence, gamma, rng, _replacement("lm_sample", lm))[0]
 
 
 def augment_soft(
@@ -215,20 +216,20 @@ def augment_soft(
     |V|; topk = 0 keeps every token, not renormalized, at O(|V|) per
     position.
     """
-    return _replace_selected(sentence, gamma, rng, partial(_soft_at, lm, topk))[0]
+    return _replace_selected(sentence, gamma, rng, _replacement("soft", lm, topk=topk))[0]
 
 
-def _replacement(config: AugmentConfig, lm: NGramLM | None, unigram: np.ndarray | None):
+def _replacement(strategy: str, lm: NGramLM | None = None, unigram: np.ndarray | None = None,
+                 topk: int = 0):
     """The per-position replacement of a masked strategy, or None."""
-    s = config.strategy
-    if s == "blank":
+    if strategy == "blank":
         return _blank_at
-    if s == "smooth":
+    if strategy == "smooth":
         return partial(_unigram_at, np.cumsum(unigram))
-    if s == "lm_sample":
+    if strategy == "lm_sample":
         return partial(_lm_sample_at, lm)
-    if s == "soft":
-        return partial(_soft_at, lm, config.topk)
+    if strategy == "soft":
+        return partial(_soft_at, lm, topk)
     return None
 
 
@@ -272,7 +273,7 @@ def augment_corpus(
         if vocab_size is None:
             vocab_size = max((max(s) for s in sentences if s), default=NUM_SPECIALS - 1) + 1
         unigram = unigram_dist(sentences, vocab_size)
-    replace = _replacement(config, lm, unigram)
+    replace = _replacement(config.strategy, lm, unigram, config.topk)
 
     results = fork_map(
         lambda i: _augment_one(sentences[i], i, config, replace),
@@ -292,22 +293,47 @@ def augment_corpus(
 # -- soft corpus serialization (JSON Lines) --------------------------------
 
 
+# The least positive normal float64.  From it up to (not including) 1, the
+# shortest repr of float(f"{p:.12g}") is f"{p:.12g}" itself, except where
+# the rounding reaches 1 and repr writes "1.0"; below it a subnormal may
+# hold fewer digits than 12, and repr would write fewer.
+_LEAST_NORMAL = 2.2250738585072014e-308
+
+
+def _probs_text(dist: Dist) -> str:
+    """The JSON ``[[id, p], ...]`` of *dist*, each p the shortest repr of
+    its 12-significant-digit rounding."""
+    ids, probs = dist.ids.tolist(), dist.probs.tolist()
+    # numpy's min and max propagate NaN, which then fails the range test.
+    if probs and _LEAST_NORMAL <= dist.probs.min() and dist.probs.max() < 1.0:
+        # One format call for the word; a field that rounds to 1 would
+        # need its ".0", and sends the word down the general path.
+        flat = tuple(itertools.chain.from_iterable(zip(ids, probs)))
+        text = "[%d,%.12g]," * (len(flat) // 2) % flat
+        if ",1]" not in text:
+            return f"[{text[:-1]}]"
+    return json.dumps([[int(i), float(f"{p:.12g}")] for i, p in zip(ids, probs)],
+                      separators=(",", ":"))
+
+
 def _soft_line(sentence: SoftSentence) -> str:
     toks = []
-    soft: dict[str, dict] = {}
+    soft = []
     for pos, item in enumerate(sentence):
         if isinstance(item, SoftWord):
             toks.append(item.original_id)
-            soft[str(pos)] = {
-                "orig": item.original_id,
-                "p": [[i, float(f"{p:.12g}")] for i, p in item.dist.entries()],
-            }
+            soft.append(f'"{pos}":{{"orig":{json.dumps(item.original_id)},'
+                        f'"p":{_probs_text(item.dist)}}}')
         else:
             toks.append(int(item))
-    return json.dumps({"toks": toks, "soft": soft}, separators=(",", ":"))
+    return f'{{"toks":{json.dumps(toks, separators=(",", ":"))},"soft":{{{",".join(soft)}}}}}'
 
 
 def write_soft_corpus(path: str, sentences: Iterable[SoftSentence]) -> None:
+    """One JSON object per line (see ``parse_soft_line``), written as each
+    sentence comes.  Probabilities are written at 12 significant digits,
+    as the shortest repr of that rounding, so write -> read -> write gives
+    the same bytes."""
     with open(path, "w", encoding="utf-8") as fh:
         for s in sentences:
             fh.write(_soft_line(s) + "\n")
@@ -324,6 +350,19 @@ def _number(value) -> float:
     if type(value) not in (int, float):
         raise ValueError(f"{value!r} is not a number")
     return float(value)
+
+
+def _integers(values) -> list[int]:
+    """*values* as a list, checked per array; ``_integer`` names the culprit."""
+    if not set(map(type, values)) <= {int}:
+        [_integer(v) for v in values]
+    return list(values)
+
+
+def _numbers(values) -> list:
+    if not set(map(type, values)) <= {int, float}:
+        [_number(v) for v in values]
+    return list(values)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -344,7 +383,7 @@ def parse_soft_line(line: str) -> SoftSentence:
     """
     try:
         obj = json.loads(line, object_pairs_hook=_unique_keys)
-        out: SoftSentence = [_integer(t) for t in obj["toks"]]
+        out: SoftSentence = _integers(obj["toks"])
         for pos_text, entry in obj.get("soft", {}).items():
             pos, orig = int(pos_text), _integer(entry["orig"])
             if pos_text != str(pos) or not 0 <= pos < len(out):
@@ -353,9 +392,15 @@ def parse_soft_line(line: str) -> SoftSentence:
                 )
             if out[pos] != orig:
                 raise ValueError(f"soft position {pos}: orig {orig} is not its token {out[pos]}")
-            ids = np.array([_integer(i) for i, _ in entry["p"]], dtype=np.int64)
-            probs = np.array([_number(p) for _, p in entry["p"]], dtype=np.float64)
-            dist = Dist(probs, ids)
+            pairs = entry["p"]
+            # zip(*) would drop or regroup the items of entries not of length
+            # 2.  One of length 2 that is not a list is a string or an
+            # object, whose items are strings, so the id check refuses it.
+            if not set(map(len, pairs)) <= {2}:
+                raise ValueError(f"soft position {pos}: an entry is not an [id, p] pair")
+            ids, probs = zip(*pairs) if pairs else ((), ())
+            dist = Dist(np.array(_numbers(probs), dtype=np.float64),
+                        np.array(_integers(ids), dtype=np.int64))
             dist.validate()
             out[pos] = SoftWord(dist, orig)
     except (KeyError, TypeError, IndexError, AttributeError, OverflowError) as exc:

@@ -16,9 +16,10 @@ EOS.  Models are immutable once built and queries are pure.  ``next_dist``
 and keeps nothing: at a wide vocabulary its histories rarely repeat, and a
 stored |V|-vector per history costs far more memory than it saves time.
 ``logprob`` performs the same operations on its one id, so it builds no
-|V|-vector and returns the same bits.  ``top_k`` is sparse and keeps the
-model's one cache, because its histories do repeat (all-BOS, with its
-large support, starts every sentence).  Outside the union S of the present
+|V|-vector and returns the same bits; ``perplexity`` performs them on a
+block of tokens at once, as array operations.  ``top_k`` is sparse and
+keeps the model's one cache, because its histories do repeat (all-BOS,
+with its large support, starts every sentence).  Outside the union S of the present
 history levels' supports, P(w | h) is Lam(h) * P0(w) with Lam(h) the
 product of the present levels' lam, so the k most probable tokens lie in S
 plus the first k + |S| tokens in P0 order.  Only such candidates are
@@ -283,16 +284,25 @@ def train_lm(
     if not sentences:
         raise ValueError("empty corpus")
     check_params(order, discount, alpha)
-    grams = _windows(sentences, order)
+    grams = _windows(sentences, order, len(vocab))
     # Each window is one event; the constructor adds up repeated grams.
     return NGramLM(order, discount, alpha, vocab, grams, np.ones(len(grams), dtype=np.int64))
 
 
-def _windows(sentences: list[Sentence], order: int) -> np.ndarray:
-    """Every window of *order* ids in the BOS-padded, EOS-ended sentences."""
+def _windows(sentences: list[Sentence], order: int, size: int) -> np.ndarray:
+    """Every window of *order* ids in the BOS-padded, EOS-ended sentences.
+
+    The first id outside [0, *size*) raises ValueError, also one that no
+    int64 holds."""
     pad = (BOS,) * (order - 1)
-    tokens = np.fromiter(itertools.chain.from_iterable(pad + tuple(s) + (EOS,) for s in sentences),
-                         dtype=np.int64)
+    try:
+        tokens = np.fromiter(itertools.chain.from_iterable(pad + tuple(s) + (EOS,) for s in sentences),
+                             dtype=np.int64)
+    except OverflowError:
+        tokens = None
+    if tokens is None or ((tokens < 0) | (tokens >= size)).any():
+        bad = next(t for s in sentences for t in s if not 0 <= t < size)
+        raise ValueError(f"id out of range: {bad}")
     # Back to back, sentence i holds len + 1 windows, and its first starts
     # (order - 1) * i ids past the windows of the sentences before it.
     windows = np.array([len(s) + 1 for s in sentences])
@@ -300,19 +310,79 @@ def _windows(sentences: list[Sentence], order: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(tokens, order)[starts]
 
 
+# Tokens per block of ``perplexity``: its memory stays bounded at any
+# corpus size.
+_BLOCK_TOKENS = 1 << 16
+
+
 def perplexity(lm: NGramLM, sentences: Iterable[Sentence]) -> float:
-    """exp of mean negative log-likelihood per token, EOS included."""
+    """exp of mean negative log-likelihood per token, EOS included.
+
+    Scores a bounded block of sentences at a time and adds the
+    log-probabilities one by one in token order, so the result equals
+    that of adding up ``lm.logprob`` per token, bit for bit."""
     total = 0.0
     n = 0
-    for sent in sentences:
-        prefix: list[int] = []
-        for token in list(sent) + [EOS]:
-            total += lm.logprob(prefix, token)
-            prefix.append(token)
-            n += 1
+    for block in _blocks(sentences, _BLOCK_TOKENS):
+        logs = _logprobs(lm, block)
+        for x in logs.tolist():
+            total += x
+        n += len(logs)
     if n == 0:
         raise ValueError("empty corpus")
     return math.exp(-total / n)
+
+
+def _blocks(sentences: Iterable[Sentence], budget: int) -> Iterable[list[Sentence]]:
+    """Consecutive runs of *sentences*, each closed once its tokens and
+    EOSes reach *budget*."""
+    block: list[Sentence] = []
+    tokens = 0
+    for sent in sentences:
+        block.append(sent)
+        tokens += len(sent) + 1
+        if tokens >= budget:
+            yield block
+            block, tokens = [], 0
+    if block:
+        yield block
+
+
+def _logprobs(lm: NGramLM, sentences: list[Sentence]) -> np.ndarray:
+    """``lm.logprob`` of every token of *sentences* and of each one's EOS,
+    in order, bitwise: per history length, shortest first, each token's
+    P0 takes ``*= lam`` and, inside the support, ``+= add``, as arrays."""
+    size = len(lm._p0)
+    windows = _windows(sentences, lm.order, size)
+    tokens = windows[:, -1]
+    p = lm._p0[tokens]
+    # row: each token's history of length k, numbered densely; the history
+    # one id longer is numbered by (that id, row).
+    row = np.zeros(len(tokens), dtype=np.int64)
+    for k in range(1, lm.order):
+        column = windows[:, lm.order - 1 - k]
+        _, first, row = np.unique(column * (row.max() + 1) + row, return_index=True,
+                                  return_inverse=True)
+        hists = windows[first, lm.order - 1 - k : -1]
+        entries = [lm._tables[k].get(h) for h in map(tuple, hists.tolist())]
+        present = [j for j, e in enumerate(entries) if e is not None]
+        if not present:
+            continue
+        # slot[row]: the token's history among the present ones, or -1.
+        slot = np.full(len(entries), -1)
+        slot[present] = np.arange(len(present))
+        at = slot[row]
+        hit = np.flatnonzero(at >= 0)
+        at = at[hit]
+        p[hit] *= np.array([entries[j][2] for j in present])[at]
+        # Each present history's support as keys slot * size + id, ascending.
+        ids = [entries[j][0] for j in present]
+        keys = np.repeat(np.arange(len(present)) * size, list(map(len, ids))) + np.concatenate(ids)
+        want = at * size + tokens[hit]
+        found = np.minimum(keys.searchsorted(want), len(keys) - 1)
+        inside = keys[found] == want
+        p[hit[inside]] += np.concatenate([entries[j][1] for j in present])[found[inside]]
+    return np.log(p)
 
 
 # -- count-file serialization ----------------------------------------------

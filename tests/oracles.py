@@ -7,11 +7,12 @@ shares no code with the package internals it checks.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
-from softaug.augment import Dist
+from softaug.augment import Dist, SoftWord
 
 BOS_ID, EOS_ID = 0, 1
 
@@ -173,3 +174,77 @@ def task_label(surfaces: list[str], marker_classes) -> int:
         if cls in marker_classes:
             return 1
     return 0
+
+
+def perplexity(lm, sentences) -> float:
+    """Perplexity from one ``lm.logprob`` call per token, EOS included,
+    added up in token order."""
+    total = 0.0
+    n = 0
+    for sent in sentences:
+        prefix: list[int] = []
+        for token in list(sent) + [EOS_ID]:
+            total += lm.logprob(prefix, token)
+            prefix.append(token)
+            n += 1
+    if n == 0:
+        raise ValueError("empty corpus")
+    return math.exp(-total / n)
+
+
+def soft_line(sentence) -> str:
+    """One soft-corpus JSON line through ``json.dumps``, every probability
+    rounded to 12 significant digits entry by entry."""
+    toks = []
+    soft: dict[str, dict] = {}
+    for pos, item in enumerate(sentence):
+        if isinstance(item, SoftWord):
+            toks.append(item.original_id)
+            soft[str(pos)] = {
+                "orig": item.original_id,
+                "p": [[i, float(f"{p:.12g}")] for i, p in item.dist.entries()],
+            }
+        else:
+            toks.append(int(item))
+    return json.dumps({"toks": toks, "soft": soft}, separators=(",", ":"))
+
+
+def _integer(value) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _number(value) -> float:
+    if type(value) not in (int, float):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _unique_keys(pairs):
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("repeated JSON key")
+    return obj
+
+
+def parse_soft_line(line: str) -> list:
+    """One soft-corpus line, each token, id and probability type-checked
+    one at a time; anything malformed raises ValueError."""
+    try:
+        obj = json.loads(line, object_pairs_hook=_unique_keys)
+        out = [_integer(t) for t in obj["toks"]]
+        for pos_text, entry in obj.get("soft", {}).items():
+            pos, orig = int(pos_text), _integer(entry["orig"])
+            if pos_text != str(pos) or not 0 <= pos < len(out):
+                raise ValueError(f"soft position {pos_text!r} out of range")
+            if out[pos] != orig:
+                raise ValueError(f"soft position {pos}: orig {orig} is not {out[pos]}")
+            ids = np.array([_integer(i) for i, _ in entry["p"]], dtype=np.int64)
+            probs = np.array([_number(p) for _, p in entry["p"]], dtype=np.float64)
+            dist = Dist(probs, ids)
+            dist.validate()
+            out[pos] = SoftWord(dist, orig)
+    except (KeyError, TypeError, IndexError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed soft corpus line ({type(exc).__name__}: {exc})") from exc
+    return out

@@ -13,6 +13,7 @@ from softaug.corpus import BLANK
 from softaug.rng import SplitMix64, derive
 
 from conftest import corpus_models
+import oracles
 from oracles import top_k
 
 
@@ -393,15 +394,20 @@ class TestSoftSerialization:
 
 
 @st.composite
-def soft_lines(draw, gamma=None):
-    """A soft corpus line written from a drawn model, top-k or dense."""
+def soft_sentences(draw, gamma=None):
+    """A sentence augmented by ``soft`` under a drawn model, top-k or dense."""
     model = draw(corpus_models())
     sent = draw(st.lists(st.integers(0, len(model.vocab) - 1), max_size=10))
     if gamma is None:
         gamma = draw(st.sampled_from([0.0, 0.5, 1.0]))
     topk = draw(st.sampled_from([0, 1, 3, 32]))
     rng = SplitMix64(draw(st.integers(0, 2**64 - 1)))
-    return ag._soft_line(sa.augment_soft(sent, gamma, model, topk, rng))
+    return sa.augment_soft(sent, gamma, model, topk, rng)
+
+
+def soft_lines(gamma=None):
+    """A soft corpus line written from a drawn model, top-k or dense."""
+    return soft_sentences(gamma).map(ag._soft_line)
 
 
 def _corrupt_soft(kind, obj, draw):
@@ -437,6 +443,63 @@ SOFT_CORRUPTIONS = [
 ]
 
 
+def _outcome(parse, line):
+    """What *parse* returns for *line*, or ValueError if it refuses it."""
+    try:
+        return parse(line)
+    except ValueError:
+        return ValueError
+
+
+# Floats at the edges of the writer's one-format path: 0, 1, a value that
+# rounds to 1 at 12 digits, the least subnormal and normal floats, a value
+# that %g writes in exponent form, and the non-finite ones.
+EDGE_PROBABILITIES = [0.0, 1.0, 0.99999999999995, 5e-324, 2.2250738585072014e-308,
+                      999999999999.5, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def soft_words(draw):
+    """A SoftWord with drawn ids and probabilities, edge floats included;
+    not necessarily a valid distribution."""
+    n = draw(st.integers(0, 5))
+    ids = draw(st.lists(st.integers(-2**40, 2**40), min_size=n, max_size=n))
+    probs = draw(st.lists(st.one_of(
+        st.sampled_from(EDGE_PROBABILITIES), st.floats(0.0, 1.0), st.floats(0.9999999999990, 1.0),
+        st.floats(0.0, 1e-300), st.floats()), min_size=n, max_size=n))
+    return sa.SoftWord(sa.Dist(np.array(probs, dtype=np.float64), np.array(ids, dtype=np.int64)),
+                       draw(st.integers(0, 2**40)))
+
+
+TOKS_RESHAPES = ["object toks", "string toks", "empty string toks", "empty object toks"]
+SOFT_RESHAPES = TOKS_RESHAPES + [
+    "entry of length 1", "entry of length 3", "empty entry", "string entry", "object entry",
+    "number entry", "null entry", "boolean probability", "object p", "string p", "empty p",
+    "number p", "p of one object",
+]
+
+
+def _reshape_soft(kind, obj, draw):
+    """Replace one JSON value of a parsed soft line by one of another shape."""
+    if kind in TOKS_RESHAPES:
+        obj["toks"] = {"object toks": {"5": 6}, "string toks": "56", "empty string toks": "",
+                       "empty object toks": {}}[kind]
+        return
+    entry = obj["soft"][draw(st.sampled_from(sorted(obj["soft"])))]
+    pairs = entry["p"]
+    at = draw(st.integers(0, len(pairs) - 1))
+    i, p = pairs[at]
+    if kind in ("object p", "string p", "empty p", "number p", "p of one object"):
+        entry["p"] = {"object p": {str(i): p}, "string p": "ab", "empty p": {}, "number p": 7,
+                      "p of one object": [{str(i): p, "x": 1}]}[kind]
+        return
+    pairs[at] = {
+        "entry of length 1": [i], "entry of length 3": [i, p, 0], "empty entry": [],
+        "string entry": "ab", "object entry": {str(i): p, "x": 1}, "number entry": i,
+        "null entry": None, "boolean probability": [i, True],
+    }[kind]
+
+
 class TestSoftLineProperties:
     @settings(max_examples=200, deadline=None)
     @given(soft_lines())
@@ -458,3 +521,59 @@ class TestSoftLineProperties:
         for cut in range(len(line)):
             with pytest.raises(ValueError):
                 ag.parse_soft_line(line[:cut])
+
+    @settings(max_examples=100, deadline=None)
+    @given(soft_lines())
+    def test_every_truncation_is_refused_as_the_oracle_refuses_it(self, line):
+        for cut in range(len(line) + 1):
+            assert _outcome(ag.parse_soft_line, line[:cut]) == _outcome(
+                oracles.parse_soft_line, line[:cut])
+
+    @settings(max_examples=200, deadline=None)
+    @given(soft_lines())
+    def test_reader_returns_what_the_oracle_returns(self, line):
+        assert _outcome(ag.parse_soft_line, line) == _outcome(oracles.parse_soft_line, line)
+
+    @pytest.mark.parametrize("kind", SOFT_CORRUPTIONS + SOFT_RESHAPES)
+    @settings(max_examples=25, deadline=None)
+    @given(line=soft_lines(gamma=1.0), data=st.data())
+    def test_reader_raises_where_the_oracle_raises(self, line, kind, data):
+        obj = json.loads(line)
+        assume(obj["soft"] or kind in TOKS_RESHAPES)
+        if kind in SOFT_CORRUPTIONS:
+            _corrupt_soft(kind, obj, data.draw)
+        else:
+            _reshape_soft(kind, obj, data.draw)
+        corrupted = json.dumps(obj)
+        expected = _outcome(oracles.parse_soft_line, corrupted)
+        assert _outcome(ag.parse_soft_line, corrupted) == expected
+        if kind in SOFT_CORRUPTIONS:
+            assert expected is ValueError
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 2**40), soft_words()), max_size=6))
+    def test_writer_bytes_equal_the_oracle(self, sentence):
+        assert ag._soft_line(sentence) == oracles.soft_line(sentence)
+
+    @settings(max_examples=100, deadline=None)
+    @given(soft_sentences())
+    def test_writer_bytes_equal_the_oracle_on_model_output(self, sentence):
+        assert ag._soft_line(sentence) == oracles.soft_line(sentence)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.lists(st.one_of(st.integers(0, 99), soft_words()), max_size=4), max_size=4))
+    def test_written_file_is_the_oracle_lines(self, scratch_file, sentences):
+        sa.write_soft_corpus(scratch_file, sentences)
+        expected = "".join(oracles.soft_line(s) + "\n" for s in sentences)
+        assert scratch_file.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("p, text", [
+        (0.5, "0.5"), (0.99999999999995, "1.0"), (5e-324, "5e-324"),
+        (2.2250738585072014e-308, "2.22507385851e-308"), (1e-05, "1e-05"),
+        (0.1 + 0.2, "0.3"), (0.0, "0.0"),
+    ])
+    def test_probability_text(self, p, text):
+        word = sa.SoftWord(sa.Dist(np.array([p]), np.array([6])), 6)
+        assert ag._soft_line([5, word]) == (
+            '{"toks":[5,6],"soft":{"1":{"orig":6,"p":[[6,%s]]}}}' % text)
+

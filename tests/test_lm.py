@@ -14,6 +14,7 @@ from softaug.corpus import BOS, EOS, SPECIAL_TOKENS, UNK
 from softaug.rng import SplitMix64
 
 from conftest import corpora, corpus_models, random_corpus
+import oracles
 from oracles import BruteNGram, count_tables, top_k
 
 
@@ -86,6 +87,11 @@ class TestTraining:
             sa.train_lm([[4, bad]], vocab, order=2)
         with pytest.raises(ValueError, match=f"id out of range: {bad}"):
             lmm.NGramLM(1, 0.5, 0.1, vocab, [[bad]], [1])
+
+    @pytest.mark.parametrize("bad", [2**70, -2**70, 2**63])
+    def test_id_past_int64_is_refused(self, bad):
+        with pytest.raises(ValueError, match=f"id out of range: {bad}"):
+            sa.train_lm([[bad]], sa.build_vocab("a b c"), order=2)
 
     @pytest.mark.parametrize("grams, counts", [
         ([4], [1]), ([[4, 5]], [1]), ([[4]], [1, 1]), ([[4]], [0]), ([[4]], [-1]),
@@ -164,6 +170,51 @@ class TestScoring:
         m = len(vocab)
         sents = [[vocab.id_of("a"), vocab.id_of("b")]]
         assert lmm.perplexity(model, sents) == pytest.approx(m, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpus_models(), st.data())
+    def test_perplexity_equals_per_token_oracle(self, model, data):
+        ids = st.integers(0, len(model.vocab) - 1)
+        sents = data.draw(st.lists(st.lists(ids, max_size=8), min_size=1, max_size=6))
+        with np.errstate(divide="ignore"):  # alpha 0 leaves unseen tokens at p = 0
+            assert lmm.perplexity(model, sents) == oracles.perplexity(model, sents)
+            logs = lmm._logprobs(model, sents)
+            assert logs.tolist() == [model.logprob(s[:i], (s + [EOS])[i])
+                                     for s in sents for i in range(len(s) + 1)]
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_perplexity_across_blocks_equals_oracle(self, tiny_lm, order, monkeypatch):
+        _, sents, vocab = tiny_lm
+        model = sa.train_lm(sents[:60], vocab, order=order)
+        # Unseen ids make histories that no level holds.
+        held_out = sents[60:] + [[], [9, 9, 9, 9], []]
+        expected = oracles.perplexity(model, held_out)
+        for budget in (1, 7, 1 << 16):
+            monkeypatch.setattr(lmm, "_BLOCK_TOKENS", budget)
+            assert lmm.perplexity(model, held_out) == expected
+
+    def test_perplexity_of_floor_only_model_equals_oracle(self):
+        vocab = toy_vocab(["a", "b", "c", "d"])
+        model = lmm.NGramLM(3, 0.75, 0.1, vocab, *no_grams(3))
+        sents = [[4, 5, 6], [], [7, 7]]
+        assert lmm.perplexity(model, sents) == oracles.perplexity(model, sents)
+
+    @pytest.mark.parametrize("sents, bad", [
+        ([[4, -1]], -1), ([[4], [8]], 8), ([[2**70]], 2**70), ([[4, -1], [2**70]], -1),
+        ([[-2**70, 5]], -2**70),
+    ])
+    def test_perplexity_refuses_ids_outside_the_vocabulary(self, sents, bad):
+        vocab = toy_vocab(["a", "b", "c", "d"])
+        model = sa.train_lm([[4, 5, 6, 7]], vocab, order=2)
+        for score in (lmm.perplexity, oracles.perplexity):
+            with pytest.raises(ValueError, match=f"^id out of range: {bad}$"):
+                score(model, sents)
+
+    def test_perplexity_of_no_sentences_is_refused(self, tiny_lm):
+        model = tiny_lm[0]
+        for score in (lmm.perplexity, oracles.perplexity):
+            with pytest.raises(ValueError, match="empty corpus"):
+                score(model, [])
 
     def test_training_perplexity_beats_uniform(self, tiny_lm):
         model, sents, vocab = tiny_lm
