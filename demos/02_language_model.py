@@ -52,9 +52,13 @@ with tempfile.TemporaryDirectory() as tmp:
     size = os.path.getsize(path)
     again = lmm.load_lm(path)
     print(f"saved {size} bytes; reloaded perplexity {lmm.perplexity(again, sentences):.10f}")
+    # Each history length is one level of flat arrays: its histories in
+    # ascending order, their next ids, counts, discounted mass and lam.
     same = all(
-        level.keys() == ref.keys()
-        and all(np.array_equal(a, b) for hist in ref for a, b in zip(level[hist], ref[hist]))
+        level.rows == ref.rows
+        and all(np.array_equal(getattr(level, name), getattr(ref, name))
+                for name in ("hists", "starts", "ids", "counts", "add", "lam"))
         for level, ref in zip(again.counts, model.counts)
     )
-    print("count tables identical after reload:", same)
+    print("history levels:", ", ".join(f"k={k}: {len(level)}" for k, level in enumerate(model.counts)))
+    print("level arrays identical after reload:", same)

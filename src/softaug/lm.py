@@ -30,14 +30,18 @@ grows with |S| and k, not with |V|.
 A model is built from order-n grams and their counts alone: ``train_lm``
 passes each padded window of its corpus once, ``load_lm`` the counted
 grams of a file (see ``dump_lm``), so a reload is bit-identical.  An event
-counts toward each suffix of its history: the table for history length k
-is the marginal of the gram counts over their last k + 1 ids.
+counts toward each suffix of its history: the level for history length k
+holds the marginal of the gram counts over their last k + 1 ids.  Each
+level is one set of flat arrays (see ``Level``), its histories in
+ascending order, with one dict from history tuple to row; no object is
+held per history beyond that dict entry.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,14 +53,37 @@ from .rng import SplitMix64
 _CACHE_LIMIT = 4096
 
 # Upper bound on the model order.  Each event counts toward every history
-# length, so a model stores `order` tables and up to `order` history
-# tuples per event; ``check_params`` refuses a file or flag asking for
-# more before any table is allocated.  Orders past ~6 have no data to
+# length, so a model stores `order` levels and up to `order` history
+# rows per event; ``check_params`` refuses a file or flag asking for
+# more before any level is built.  Orders past ~6 have no data to
 # estimate anyway.
 MAX_ORDER = 16
 
 _MAGIC = "#ngram-counts v1"
 _END = "\\end\\"
+
+
+@dataclass(frozen=True, eq=False)
+class Level:
+    """The histories of one length k, CSR-style.
+
+    Row r is history ``hists[r]`` (rows ascending); its next ids are
+    ``ids[starts[r]:starts[r + 1]]``, ascending, with their summed
+    ``counts`` and ``add`` = (count - D) / c(h); ``lam[r]`` is
+    D * N1plus(h) / c(h).  ``rows`` maps a history tuple to its row, and
+    ``len()`` is the number of histories.
+    """
+
+    hists: np.ndarray
+    starts: np.ndarray
+    ids: np.ndarray
+    counts: np.ndarray
+    add: np.ndarray
+    lam: np.ndarray
+    rows: dict[tuple, int]
+
+    def __len__(self) -> int:
+        return len(self.lam)
 
 
 class NGramLM:
@@ -76,15 +103,11 @@ class NGramLM:
         self.discount = discount
         self.alpha = alpha
         self.vocab = vocab
-        # Per history length k: history -> (next ids ascending, their counts).
-        self.counts = [_level_counts(grams[:, order - 1 - k :], counts) for k in range(order)]
-        self._freeze()
-
-    def _freeze(self) -> None:
-        size = len(self.vocab)
+        # The level of each history length k = 0..order-1.
+        self.counts = _count_levels(grams, counts, discount)
+        size = len(vocab)
         c1 = np.zeros(size, dtype=np.float64)
-        for ids, cnts in self.counts[0].values():
-            c1[ids] = cnts
+        c1[self.counts[0].ids] = self.counts[0].counts
         self.total_events = int(c1.sum())
         denom = self.total_events + self.alpha * size
         if denom <= 0.0:
@@ -94,14 +117,6 @@ class NGramLM:
         # tokens outside every support rank after any history.
         self._p0_order = np.lexsort((np.arange(size), -self._p0))
         self._neg_p0_sorted = -self._p0[self._p0_order]
-        # Per history: (ids, (count - D) / c(h), lam(h)).
-        self._tables: list[dict[tuple, tuple[np.ndarray, np.ndarray, float]]] = [{}]
-        for level in self.counts[1:]:
-            tables = {}
-            for hist, (ids, cnts) in level.items():
-                total = float(cnts.sum())
-                tables[hist] = (ids, (cnts - self.discount) / total, self.discount * len(ids) / total)
-            self._tables.append(tables)
         self._top_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def __getstate__(self):
@@ -118,12 +133,15 @@ class NGramLM:
         return padded[len(padded) - n :] if n else ()
 
     def _levels(self, hist: tuple) -> list[tuple[np.ndarray, np.ndarray, float]]:
-        """The present history levels of *hist*, shortest history first."""
+        """(ids, add, lam) of each present history level of *hist*, the
+        shortest history first; ids and add are slices of the level."""
         levels = []
         for k in range(1, len(hist) + 1):
-            entry = self._tables[k].get(hist[len(hist) - k :])
-            if entry is not None:
-                levels.append(entry)
+            level = self.counts[k]
+            row = level.rows.get(hist[len(hist) - k :])
+            if row is not None:
+                a, b = level.starts[row], level.starts[row + 1]
+                levels.append((level.ids[a:b], level.add[a:b], level.lam[row]))
         return levels
 
     def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
@@ -255,21 +273,47 @@ def check_params(order: int, discount: float, alpha: float) -> None:
         raise ValueError(f"alpha must be finite and >= 0, not {alpha}")
 
 
-def _level_counts(rows: np.ndarray, counts: np.ndarray) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
-    """History -> (next ids ascending, their summed counts) for the
-    (history..., next id) *rows* of one history length and their counts."""
-    if not len(rows):
-        return {}
-    by_row = np.lexsort(rows.T[::-1])
-    rows, counts = rows[by_row], counts[by_row]
-    firsts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
-    rows, counts = rows[firsts], np.add.reduceat(counts, firsts)
-    # A copy, so that every history's ids are a contiguous slice.
-    ids = rows[:, -1].copy()
-    heads = np.flatnonzero((rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)) + 1
-    cuts = [0, *heads.tolist(), len(rows)]
-    hists = map(tuple, rows[cuts[:-1], :-1].tolist())
-    return {hist: (ids[a:b], counts[a:b]) for hist, a, b in zip(hists, cuts, cuts[1:])}
+def _count_levels(grams: np.ndarray, counts: np.ndarray, discount: float) -> list[Level]:
+    """The levels of history lengths 0..order-1 of the (G, order) *grams*
+    and their *counts*.
+
+    The rows (history..., next id) of length k are the last k + 1 ids of
+    the grams.  One sort of (oldest id, number of the row one id shorter)
+    numbers them in ascending order, and the counts of equal rows add up.
+    """
+    order = grams.shape[1]
+    levels = []
+    number, width = np.zeros(len(grams), dtype=np.int64), 1
+    for k in range(order):
+        key = grams[:, order - 1 - k] * width + number
+        by = np.argsort(key)
+        new_row = _changes(key[by, None])
+        number = np.empty_like(number)
+        number[by] = np.cumsum(new_row) - 1
+        firsts = np.flatnonzero(new_row)
+        width = len(firsts)
+        rows = grams[by[firsts], order - 1 - k :]
+        row_counts = np.add.reduceat(counts[by], firsts)
+        heads = np.flatnonzero(_changes(rows[:, :-1]))
+        starts = np.append(heads, len(rows))
+        hists = rows[heads, :-1]
+        # c(h), summed exactly and then converted once, as float(sum).
+        total = np.add.reduceat(row_counts, heads).astype(np.float64)
+        sizes = np.diff(starts)
+        levels.append(Level(
+            hists=hists, starts=starts, ids=rows[:, -1].copy(), counts=row_counts,
+            add=(row_counts - discount) / np.repeat(total, sizes), lam=discount * sizes / total,
+            rows=dict(zip(map(tuple, hists.tolist()), range(len(hists)))),
+        ))
+    return levels
+
+
+def _changes(rows: np.ndarray) -> np.ndarray:
+    """For each of the sorted *rows*: does it differ from the one before?
+    The first row does."""
+    changed = np.ones(len(rows), dtype=bool)
+    changed[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return changed
 
 
 def train_lm(
@@ -364,24 +408,20 @@ def _logprobs(lm: NGramLM, sentences: list[Sentence]) -> np.ndarray:
         _, first, row = np.unique(column * (row.max() + 1) + row, return_index=True,
                                   return_inverse=True)
         hists = windows[first, lm.order - 1 - k : -1]
-        entries = [lm._tables[k].get(h) for h in map(tuple, hists.tolist())]
-        present = [j for j, e in enumerate(entries) if e is not None]
-        if not present:
-            continue
-        # slot[row]: the token's history among the present ones, or -1.
-        slot = np.full(len(entries), -1)
-        slot[present] = np.arange(len(present))
-        at = slot[row]
+        level = lm.counts[k]
+        # at: each token's history row in the level, or -1.
+        at = np.array([level.rows.get(h, -1) for h in map(tuple, hists.tolist())], dtype=np.int64)[row]
         hit = np.flatnonzero(at >= 0)
+        if not len(hit):
+            continue
         at = at[hit]
-        p[hit] *= np.array([entries[j][2] for j in present])[at]
-        # Each present history's support as keys slot * size + id, ascending.
-        ids = [entries[j][0] for j in present]
-        keys = np.repeat(np.arange(len(present)) * size, list(map(len, ids))) + np.concatenate(ids)
+        p[hit] *= level.lam[at]
+        # The level's supports as keys row * size + id, ascending.
+        keys = np.repeat(np.arange(len(level)) * size, np.diff(level.starts)) + level.ids
         want = at * size + tokens[hit]
         found = np.minimum(keys.searchsorted(want), len(keys) - 1)
         inside = keys[found] == want
-        p[hit[inside]] += np.concatenate([entries[j][1] for j in present])[found[inside]]
+        p[hit[inside]] += level.add[found[inside]]
     return np.log(p)
 
 
@@ -396,9 +436,11 @@ def _dump_lines(lm: NGramLM) -> Iterable[str]:
         if surface.split() != [surface]:
             raise ValueError(f"surface {surface!r} is empty or holds whitespace")
         yield f"{count}\t{surface}\n"
-    for hist, (ids, cnts) in lm.counts[lm.order - 1].items():
+    top = lm.counts[lm.order - 1]
+    starts, ids, counts = top.starts.tolist(), top.ids.tolist(), top.counts.tolist()
+    for hist, a, b in zip(top.hists.tolist(), starts, starts[1:]):
         prefix = "".join(surfaces[t] + " " for t in hist)
-        for w, c in zip(ids.tolist(), cnts.tolist()):
+        for w, c in zip(ids[a:b], counts[a:b]):
             yield f"{c}\t{prefix}{surfaces[w]}\n"
     yield _END + "\n"
 
@@ -420,15 +462,24 @@ def save_lm(lm: NGramLM, path: str) -> None:
         fh.writelines(_dump_lines(lm))
 
 
+# Gram lines per block of the model reader: its memory stays bounded at
+# any model size.
+_BLOCK_LINES = 1 << 13
+
+
 def _parse_lines(lines: Iterable[str], path: str) -> NGramLM:
-    """Build the model from count-file lines, consuming them one at a time."""
-    numbered = enumerate((line.rstrip("\n") for line in lines), 1)
-    first = next(numbered, (1, ""))[1]
+    """Build the model from count-file lines, reading the gram lines in
+    blocks of ``_BLOCK_LINES``."""
+    lines = iter(lines)
+    first = next(lines, "").rstrip("\n")
     head = first.split()
     if head[:2] != _MAGIC.split():
         raise ValueError(f"{path} is not an n-gram count file (no {_MAGIC!r} header)")
     try:
-        fields = dict(field.split("=", 1) for field in head[2:])
+        pairs = [field.split("=", 1) for field in head[2:]]
+        fields = dict(pairs)
+        if len(fields) != len(pairs):
+            raise ValueError("repeated field")
         order, events, size = (int(fields[key]) for key in ("order", "events", "vocab"))
         discount, alpha = float(fields["discount"]), float(fields["alpha"])
         if events >= 2**63:
@@ -437,43 +488,104 @@ def _parse_lines(lines: Iterable[str], path: str) -> NGramLM:
         raise ValueError(f"bad header in {path}: {first!r}") from exc
     check_params(order, discount, alpha)
 
-    def data(lineno: int, line: str, least: int) -> tuple[int, str]:
-        count, tab, text = line.partition("\t")
-        if not (tab and count.isascii() and count.isdigit() and int(count) >= least):
-            raise ValueError(f"line {lineno} of {path} is not 'count<TAB>text' "
-                             f"with an integer count >= {least}: {line!r}")
-        return int(count), text
-
-    entries = [data(lineno, line, 0) for lineno, line in itertools.islice(numbered, size)]
+    entries = [_data_line(lineno, line.rstrip("\n"), 0, path)
+               for lineno, line in enumerate(itertools.islice(lines, size), 2)]
     if len(entries) != size:
         raise ValueError(f"{path} ends inside its vocabulary")
     vocab = Vocabulary([s for _, s in entries], [c for c, _ in entries])
     index = {s: i for i, s in enumerate(vocab.surfaces)}
+    # The line break that joins a block's surfaces; no surface holds one.
+    index["\n"] = -1
 
-    counts: list[int] = []
+    grams, counts = [], []
+    total, prev = 0, ()
+    lineno = 1 + size  # the last line read
+    while True:
+        block = [line.rstrip("\n") for line in itertools.islice(lines, _BLOCK_LINES)]
+        if not block:
+            raise ValueError(f"{path} has no {_END} line")
+        end = block.index(_END) if _END in block else len(block)
+        parsed = _block_grams(block[:end], prev, order, index)
+        if parsed is None:
+            parsed = _line_grams(block[:end], lineno + 1, prev, order, index, path)
+        block_grams, block_counts = parsed
+        if block_counts:
+            prev = tuple(block_grams[-1].tolist())
+        total += sum(block_counts)
+        # Past the header's events, the sum check refuses the file, and a
+        # count may not fit an int64.
+        if total <= events:
+            grams.append(block_grams)
+            counts.append(np.array(block_counts, dtype=np.int64))
+        if end < len(block):
+            after = block[end + 1 :] or [line.rstrip("\n") for line in itertools.islice(lines, 1)]
+            if after:
+                raise ValueError(f"line {lineno + end + 2} of {path} follows the {_END} line: "
+                                 f"{after[0]!r}")
+            break
+        lineno += len(block)
+    if total != events:
+        raise ValueError(f"gram counts sum to {total}, not {events}, in {path}")
+    return NGramLM(order, discount, alpha, vocab, np.concatenate(grams), np.concatenate(counts))
 
-    def gram_ids():
-        prev: tuple = ()
-        for lineno, line in numbered:
-            if line == _END:
-                return
-            count, text = data(lineno, line, 1)
-            try:
-                gram = tuple(index[s] for s in text.split(" "))
-            except KeyError as exc:
-                raise ValueError(f"unknown surface {exc} on line {lineno} of {path}") from None
-            if len(gram) != order or gram <= prev:
-                raise ValueError(f"line {lineno} of {path} is not an order-{order} gram "
-                                 f"in ascending id order: {line!r}")
-            prev = gram
-            counts.append(count)
-            yield from gram
-        raise ValueError(f"{path} has no {_END} line")
 
-    grams = np.fromiter(gram_ids(), dtype=np.int64).reshape(-1, order)
-    if sum(counts) != events:
-        raise ValueError(f"gram counts sum to {sum(counts)}, not {events}, in {path}")
-    return NGramLM(order, discount, alpha, vocab, grams, np.array(counts, dtype=np.int64))
+def _data_line(lineno: int, line: str, least: int, path: str) -> tuple[int, str]:
+    """(count, text) of a ``count<TAB>text`` line whose count is >= *least*."""
+    count, tab, text = line.partition("\t")
+    if not (tab and count.isascii() and count.isdigit() and int(count) >= least):
+        raise ValueError(f"line {lineno} of {path} is not 'count<TAB>text' "
+                         f"with an integer count >= {least}: {line!r}")
+    return int(count), text
+
+
+def _block_grams(block: list[str], prev: tuple, order: int,
+                 index: dict[str, int]) -> tuple[np.ndarray, list[int]] | None:
+    """(grams, counts) of the gram lines *block*, which follow gram *prev*,
+    parsed as a whole; None if any line is malformed."""
+    if not block:
+        return np.empty((0, order), dtype=np.int64), []
+    fields = [line.partition("\t") for line in block]
+    counts, tabs, texts = ([f[i] for f in fields] for i in range(3))
+    digits = "".join(counts)
+    if "" in tabs or "" in counts or not (digits.isascii() and digits.isdigit()):
+        return None
+    surfaces = " \n ".join(texts).split(" ")
+    if len(surfaces) != len(block) * (order + 1) - 1:
+        return None
+    try:
+        cnts = list(map(int, counts))
+        ids = np.fromiter(map(index.__getitem__, surfaces), dtype=np.int64, count=len(surfaces))
+    except (KeyError, ValueError):
+        return None
+    # Each line's order ids, then its line break (-1).
+    ids = np.append(ids, -1).reshape(len(block), order + 1)
+    grams = ids[:, :order]
+    # Each gram above the one before it: its first differing id is larger.
+    steps = np.diff(np.concatenate([np.array(prev, dtype=np.int64).reshape(-1, order), grams]), axis=0)
+    first = (steps != 0).argmax(axis=1)
+    if min(cnts) < 1 or (ids[:, order] != -1).any() or (steps[np.arange(len(steps)), first] <= 0).any():
+        return None
+    return grams, cnts
+
+
+def _line_grams(block: list[str], lineno: int, prev: tuple, order: int, index: dict[str, int],
+                path: str) -> tuple[np.ndarray, list[int]]:
+    """``_block_grams`` line by line, from line number *lineno*: the first
+    malformed line raises its ValueError."""
+    grams, counts = [], []
+    for lineno, line in enumerate(block, lineno):
+        count, text = _data_line(lineno, line, 1, path)
+        try:
+            gram = tuple(index[s] for s in text.split(" "))
+        except KeyError as exc:
+            raise ValueError(f"unknown surface {exc} on line {lineno} of {path}") from None
+        if len(gram) != order or gram <= prev:
+            raise ValueError(f"line {lineno} of {path} is not an order-{order} gram "
+                             f"in ascending id order: {line!r}")
+        prev = gram
+        grams.append(gram)
+        counts.append(count)
+    return np.array(grams, dtype=np.int64).reshape(-1, order), counts
 
 
 def parse_lm(text: str, path: str = "<string>") -> NGramLM:
@@ -482,7 +594,7 @@ def parse_lm(text: str, path: str = "<string>") -> NGramLM:
 
 
 def load_lm(path: str) -> NGramLM:
-    """Read a count file line by line (see ``dump_lm``)."""
+    """Read a count file in bounded blocks of lines (see ``dump_lm``)."""
     with open(path, encoding="utf-8") as fh:
         try:
             return _parse_lines(fh, path)

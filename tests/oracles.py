@@ -7,6 +7,7 @@ shares no code with the package internals it checks.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -71,6 +72,82 @@ def count_tables(grams, order: int) -> list[dict[tuple, dict[int, int]]]:
             table = level.setdefault(tuple(gram[top - k : top]), {})
             table[w] = table.get(w, 0) + c
     return counts
+
+
+def level_tables(grams: np.ndarray, counts: np.ndarray, discount: float) -> list[dict]:
+    """Per history length k: history -> (next ids ascending, their summed
+    counts, (count - D) / c(h), D * N1plus(h) / c(h)), one dict entry and
+    one set of arrays per history, from one lexsort of each length's rows."""
+    order = grams.shape[1]
+    levels = []
+    for k in range(order):
+        rows = grams[:, order - 1 - k :]
+        level = {}
+        if len(rows):
+            by_row = np.lexsort(rows.T[::-1])
+            rows, cnts = rows[by_row], counts[by_row]
+            firsts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+            rows, cnts = rows[firsts], np.add.reduceat(cnts, firsts)
+            heads = np.flatnonzero((rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)) + 1
+            cuts = [0, *heads.tolist(), len(rows)]
+            for a, b in zip(cuts, cuts[1:]):
+                ids, c = rows[a:b, -1].copy(), cnts[a:b]
+                total = float(c.sum())
+                level[tuple(rows[a, :-1].tolist())] = (ids, c, (c - discount) / total,
+                                                        discount * len(ids) / total)
+        levels.append(level)
+    return levels
+
+
+def read_count_file(text: str, path: str = "<string>"):
+    """A count file read one line at a time: (order, discount, alpha,
+    vocabulary entries, grams, counts), or the ValueError of its first
+    malformed line (the text after the end marker is not read)."""
+    numbered = enumerate(text.splitlines(), 1)
+    first = next(numbered, (1, ""))[1]
+    head = first.split()
+    if head[:2] != ["#ngram-counts", "v1"]:
+        raise ValueError(f"{path} is not an n-gram count file (no '#ngram-counts v1' header)")
+    try:
+        fields = dict(field.split("=", 1) for field in head[2:])
+        order, events, size = (int(fields[key]) for key in ("order", "events", "vocab"))
+        discount, alpha = float(fields["discount"]), float(fields["alpha"])
+        if events >= 2**63:
+            raise ValueError("counts above int64")
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"bad header in {path}: {first!r}") from exc
+
+    def data(lineno, line, least):
+        count, tab, rest = line.partition("\t")
+        if not (tab and count.isascii() and count.isdigit() and int(count) >= least):
+            raise ValueError(f"line {lineno} of {path} is not 'count<TAB>text' "
+                             f"with an integer count >= {least}: {line!r}")
+        return int(count), rest
+
+    entries = [data(lineno, line, 0) for lineno, line in itertools.islice(numbered, size)]
+    if len(entries) != size:
+        raise ValueError(f"{path} ends inside its vocabulary")
+    index = {s: i for i, (_, s) in enumerate(entries)}
+    grams, counts, prev = [], [], ()
+    for lineno, line in numbered:
+        if line == "\\end\\":
+            break
+        count, rest = data(lineno, line, 1)
+        try:
+            gram = tuple(index[s] for s in rest.split(" "))
+        except KeyError as exc:
+            raise ValueError(f"unknown surface {exc} on line {lineno} of {path}") from None
+        if len(gram) != order or gram <= prev:
+            raise ValueError(f"line {lineno} of {path} is not an order-{order} gram "
+                             f"in ascending id order: {line!r}")
+        prev = gram
+        grams.append(gram)
+        counts.append(count)
+    else:
+        raise ValueError(f"{path} has no \\end\\ line")
+    if sum(counts) != events:
+        raise ValueError(f"gram counts sum to {sum(counts)}, not {events}, in {path}")
+    return order, discount, alpha, entries, grams, counts
 
 
 def top_k(dense: np.ndarray, k: int) -> Dist:

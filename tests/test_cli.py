@@ -165,6 +165,24 @@ class TestModelFileErrors:
             assert "Traceback" not in proc.stderr, name
             assert any(line.startswith("error: ") for line in proc.stderr.splitlines()), name
 
+    @pytest.mark.parametrize("edit", ["trailing", "blank-line", "repeated-order", "other-order"])
+    def test_model_file_with_extra_content_is_data_error(self, workdir, tmp_path, edit):
+        text = (workdir / "model.arpa").read_text(encoding="utf-8")
+        header = text.splitlines()[0]
+        assert header.startswith("#ngram-counts v1 order=2 ")
+        body = {
+            "trailing": text + "trailing\n",
+            "blank-line": text + "\n",
+            "repeated-order": text.replace(header, header + " order=2", 1),
+            "other-order": text.replace(header, header + " order=3", 1),
+        }[edit]
+        (tmp_path / "m.arpa").write_text(body, encoding="utf-8")
+        proc = run_cli("ppl", "--lm", tmp_path / "m.arpa", "--input", workdir / "sub.txt", expect=1)
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        expected = "follows the \\end\\ line" if edit in ("trailing", "blank-line") else "bad header"
+        assert any(line.startswith("error: ") and expected in line for line in lines), proc.stderr
+
     def test_corpus_above_2e5_events(self, tmp_path):
         rng = SplitMix64(21)
         words = [f"w{i}" for i in range(30)]

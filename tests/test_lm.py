@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -27,20 +28,25 @@ def no_grams(order):
     return np.empty((0, order), dtype=np.int64), np.empty(0, dtype=np.int64)
 
 
+LEVEL_ARRAYS = ("hists", "starts", "ids", "counts", "add", "lam")
+
+
 def level_lists(level):
     """One history level as {history: (ids list, counts list)}."""
-    return {hist: (ids.tolist(), cnts.tolist()) for hist, (ids, cnts) in level.items()}
+    starts = level.starts.tolist()
+    return {tuple(hist): (level.ids[a:b].tolist(), level.counts[a:b].tolist())
+            for hist, a, b in zip(level.hists.tolist(), starts, starts[1:])}
 
 
 def assert_same_levels(got, want):
-    """Every level holds the same histories, in the same order, with equal
-    id and count arrays of equal dtype."""
+    """Every level holds the same histories, in the same order, with
+    bitwise equal arrays of equal dtype and shape."""
     assert len(got.counts) == len(want.counts) == want.order
     for mine, theirs in zip(got.counts, want.counts):
-        assert list(mine) == list(theirs)
-        for hist, arrays in theirs.items():
-            for a, b in zip(mine[hist], arrays):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert list(mine.rows.items()) == list(theirs.rows.items())
+        for name in LEVEL_ARRAYS:
+            a, b = getattr(mine, name), getattr(theirs, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestTraining:
@@ -54,7 +60,7 @@ class TestTraining:
         a, b, c = (vocab.id_of(x) for x in "abc")
         model = sa.train_lm([[a, b], [a, c]], vocab, order=2)
         assert level_lists(model.counts[1])[(a,)] == (sorted([b, c]), [1, 1])
-        assert model.counts[1][(a,)][1].sum() == 2
+        assert sum(level_lists(model.counts[1])[(a,)][1]) == 2
 
     def test_discount_bounds(self):
         vocab = toy_vocab(["a"])
@@ -119,8 +125,31 @@ class TestTraining:
             assert level_lists(level) == {
                 hist: (sorted(nexts), [nexts[w] for w in sorted(nexts)]) for hist, nexts in table.items()
             }
-            for ids, cnts in level.values():
-                assert ids.flags.c_contiguous and cnts.flags.c_contiguous
+            for name in LEVEL_ARRAYS:
+                assert getattr(level, name).flags.c_contiguous
+        # Row by row, bitwise, against one dict entry and arrays per history.
+        oracle = oracles.level_tables(grams, np.ones(len(windows), dtype=np.int64), 0.75)
+        for k, (level, table) in enumerate(zip(trained.counts, oracle)):
+            assert len(level) == len(table) and list(level.rows) == list(table)
+            assert level.hists.shape == (len(table), k)
+            assert level.starts[0] == 0 and level.starts[-1] == len(level.ids)
+            for hist, (ids, cnts, add, lam) in table.items():
+                row = level.rows[hist]
+                a, b = level.starts[row], level.starts[row + 1]
+                assert tuple(level.hists[row].tolist()) == hist
+                assert level.ids[a:b].tobytes() == ids.tobytes()
+                assert level.counts[a:b].tobytes() == cnts.tobytes()
+                assert level.add[a:b].tobytes() == add.tobytes()
+                assert level.lam[row] == lam
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_model_without_grams_has_empty_levels(self, order):
+        model = lmm.NGramLM(order, 0.75, 0.1, toy_vocab(["a", "b"]), *no_grams(order))
+        assert [len(level) for level in model.counts] == [0] * order
+        for k, level in enumerate(model.counts):
+            assert level.hists.shape == (0, k) and level.starts.tolist() == [0] and level.rows == {}
+            assert all(len(getattr(level, name)) == 0 for name in ("ids", "counts", "add", "lam"))
+        assert oracles.level_tables(*no_grams(order), 0.75) == [{}] * order
 
 
 class TestNextDist:
@@ -302,6 +331,24 @@ class TestSerialization:
         again = lmm.parse_lm(lmm.dump_lm(model))
         assert_same_levels(again, model)
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_pickle_round_trip_is_bit_exact(self, order):
+        sents, vocab = random_corpus(17, 80, 12)
+        model = sa.train_lm(sents, vocab, order=order)
+        for prefix in ([], [5], [6, 7]):
+            model.top_k(prefix, 3)
+        assert model._top_cache
+        again = pickle.loads(pickle.dumps(model))
+        assert again._top_cache == {}
+        assert_same_levels(again, model)
+        for prefix in ([], [5], [6, 7], [7, 7, 5], [UNK]):
+            assert again.next_dist(prefix).tobytes() == model.next_dist(prefix).tobytes()
+            for k in (1, 3, len(vocab)):
+                for mine, theirs in zip(again.top_k(prefix, k), model.top_k(prefix, k)):
+                    assert mine.tobytes() == theirs.tobytes()
+            for token in (EOS, 4, 9):
+                assert again.logprob(prefix, token) == model.logprob(prefix, token)
+
     def test_dump_is_deterministic(self, tiny_lm):
         model, _, _ = tiny_lm
         assert lmm.dump_lm(model) == lmm.dump_lm(model)
@@ -371,33 +418,36 @@ ngram 2=3
 """
 
 
-def _gram_line(lines, draw):
-    """Index of a gram line (every model has at least one event)."""
+def _gram_line(lines, draw, skip=0):
+    """Index of a gram line past the first *skip* (every model has at
+    least one event)."""
     start = 1 + int(lines[0].rsplit("vocab=", 1)[1])
-    return draw(st.integers(start, len(lines) - 2))
+    return draw(st.integers(min(start + skip, len(lines) - 2), len(lines) - 2))
 
 
 def _set_count(lines, i, count):
     lines[i] = count + "\t" + lines[i].split("\t", 1)[1]
 
 
-def _corrupt(kind, lines, draw):
+def _corrupt(kind, lines, draw, skip=0):
+    """*lines* with one corruption of *kind*; a corrupted gram line is one
+    past the first *skip*."""
     if kind == "unknown surface":
-        i = _gram_line(lines, draw)
+        i = _gram_line(lines, draw, skip)
         lines[i] = lines[i] + "zz"
     elif kind in ("non-integer count", "zero count", "negative count"):
         value = {"non-integer count": "1.5", "zero count": "0", "negative count": "-2"}[kind]
-        _set_count(lines, _gram_line(lines, draw), value)
+        _set_count(lines, _gram_line(lines, draw, skip), value)
     elif kind == "non-integer vocabulary count":
         _set_count(lines, draw(st.integers(1, int(lines[0].rsplit("vocab=", 1)[1]))), "x")
     elif kind == "short gram":
-        i = _gram_line(lines, draw)
+        i = _gram_line(lines, draw, skip)
         lines[i] = lines[i].rsplit(" ", 1)[0] if " " in lines[i] else lines[i].split("\t")[0] + "\t"
     elif kind == "long gram":
-        i = _gram_line(lines, draw)
+        i = _gram_line(lines, draw, skip)
         lines[i] = lines[i] + " " + SPECIAL_TOKENS[0]
     elif kind == "duplicate gram":
-        i = _gram_line(lines, draw)
+        i = _gram_line(lines, draw, skip)
         lines.insert(i, lines[i])
     elif kind == "missing end marker":
         lines.pop()
@@ -413,6 +463,29 @@ CORRUPTIONS = [
     "non-integer vocabulary count", "short gram", "long gram", "duplicate gram",
     "missing end marker", "events mismatch",
 ]
+
+# Gram lines per block of the model reader: one, a few, the default.
+BLOCK_SIZES = [1, 7, lmm._BLOCK_LINES]
+
+
+def assert_message_of_line_reader(text):
+    """At every block size, ``parse_lm`` refuses *text* with the message
+    of the line-at-a-time reference reader."""
+    with pytest.raises(ValueError) as want:
+        oracles.read_count_file(text)
+    for size in BLOCK_SIZES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lmm, "_BLOCK_LINES", size)
+            with pytest.raises(ValueError) as got:
+                lmm.parse_lm(text)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.fixture(scope="module")
+def block_model():
+    """A trigram model with a few hundred gram lines."""
+    sents, vocab = random_corpus(7, 60, 8)
+    return sa.train_lm(sents, vocab, order=3)
 
 
 class TestModelFileProperties:
@@ -454,6 +527,60 @@ class TestModelFileProperties:
                 + "".join(f"{c}\t{w}\n" for c, w in grams) + "\\end\\\n")
         with pytest.raises(ValueError, match="bad header"):
             lmm.parse_lm(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpus_models(), st.data())
+    def test_every_block_size_reads_the_same_model(self, scratch_file, model, data):
+        text = lmm.dump_lm(model)
+        scratch_file.write_text(text, encoding="utf-8")
+        ids = st.integers(0, len(model.vocab) - 1)
+        prefixes = data.draw(st.lists(st.lists(ids, max_size=4), max_size=3)) + [[]]
+        for size in BLOCK_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lmm, "_BLOCK_LINES", size)
+                for again in (lmm.parse_lm(text), lmm.load_lm(scratch_file)):
+                    assert_same_levels(again, model)
+                    for prefix in prefixes:
+                        assert again.next_dist(prefix).tobytes() == model.next_dist(prefix).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(CORRUPTIONS), st.data())
+    def test_corruption_in_a_later_block_keeps_its_message(self, block_model, kind, data):
+        # Gram lines past the 16th lie beyond the first block at sizes 1 and 7.
+        lines = _corrupt(kind, lmm.dump_lm(block_model).splitlines(), data.draw, skip=16)
+        assert_message_of_line_reader("\n".join(lines) + "\n")
+
+    def test_short_and_long_gram_in_one_block_keep_their_message(self, block_model):
+        # Together the two lines hold as many surfaces as two good ones.  Line
+        # i starts a new history, so its first ids rise above the line before.
+        lines = lmm.dump_lm(block_model).splitlines()
+        history = [line.partition("\t")[2].rsplit(" ", 1)[0] for line in lines]
+        i = next(i for i in range(len(block_model.vocab) + 20, len(lines)) if history[i] != history[i - 1])
+        lines[i] = lines[i].rsplit(" ", 1)[0]
+        lines[i + 1] += " " + SPECIAL_TOKENS[0]
+        assert_message_of_line_reader("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("after", ["trailing\n", "\n", "\\end\\\n", "0\t<s>\n"],
+                             ids=["word", "blank-line", "second-end", "data-line"])
+    def test_text_after_the_end_marker_is_refused(self, block_model, after, monkeypatch):
+        text = lmm.dump_lm(block_model)
+        lineno = text.count("\n") + 1
+        # At block size 1 the line after the end marker comes in the next
+        # block; at the default size it shares the end marker's block.
+        for size in BLOCK_SIZES:
+            monkeypatch.setattr(lmm, "_BLOCK_LINES", size)
+            with pytest.raises(ValueError, match=f"^line {lineno} of <string> follows the \\\\end\\\\ line"):
+                lmm.parse_lm(text + after)
+        assert lmm.parse_lm(text.rstrip("\n")).total_events == block_model.total_events
+
+    @pytest.mark.parametrize("extra", ["order=2", "order=3", "alpha=0.1"])
+    def test_repeated_header_field_is_refused(self, extra):
+        text = "\n".join(["#ngram-counts v1 order=2 discount=0.75 alpha=0.1 events=3 vocab=6",
+                          "0\t<s>", "0\t</s>", "0\t<unk>", "0\t<blank>", "2\tb", "1\ta",
+                          "1\t<s> a", "1\tb </s>", "1\ta b", "\\end\\"]) + "\n"
+        assert lmm.parse_lm(text).order == 2
+        with pytest.raises(ValueError, match="^bad header in <string>"):
+            lmm.parse_lm(text.replace("vocab=6", f"vocab=6 {extra}", 1))
 
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "model.arpa"
@@ -631,10 +758,10 @@ class TestParamCheck:
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "-0.5"])
     def test_bad_header_alpha_is_refused_before_any_table(self, monkeypatch, alpha):
-        def no_tables(rows, counts):
+        def no_tables(grams, counts, discount):
             raise AssertionError("count tables built before alpha was checked")
 
-        monkeypatch.setattr(lmm, "_level_counts", no_tables)
+        monkeypatch.setattr(lmm, "_count_levels", no_tables)
         text = self.HEADER.format(alpha) + "0\t<s>\n0\t</s>\n0\t<unk>\n0\t<blank>\n\\end\\\n"
         with pytest.raises(ValueError, match="alpha must be finite"):
             lmm.parse_lm(text)
@@ -657,10 +784,10 @@ class TestOrderBound:
     HEADER = "#ngram-counts v1 order={} discount=0.75 alpha=0.1 events=0 vocab=4\n"
 
     def test_huge_header_order_is_refused_before_any_table(self, monkeypatch):
-        def no_tables(rows, counts):
+        def no_tables(grams, counts, discount):
             raise AssertionError("count tables built before the order was checked")
 
-        monkeypatch.setattr(lmm, "_level_counts", no_tables)
+        monkeypatch.setattr(lmm, "_count_levels", no_tables)
         text = self.HEADER.format(2_000_000) + "0\t<s>\n0\t</s>\n0\t<unk>\n0\t<blank>\n\\end\\\n"
         with pytest.raises(ValueError, match="order must lie in"):
             lmm.parse_lm(text)
@@ -670,7 +797,7 @@ class TestOrderBound:
         sa.train_lm([[4]], vocab, order=lmm.MAX_ORDER)
         with pytest.raises(ValueError, match="order must lie in"):
             lmm.NGramLM(lmm.MAX_ORDER + 1, 0.5, 0.1, vocab, *no_grams(lmm.MAX_ORDER + 1))
-        monkeypatch.setattr(lmm, "_level_counts", None)
+        monkeypatch.setattr(lmm, "_count_levels", None)
         for order in (0, lmm.MAX_ORDER + 1, 10**9):
             with pytest.raises(ValueError, match="order must lie in"):
                 sa.train_lm([[4]], vocab, order=order)
