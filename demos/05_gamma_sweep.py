@@ -31,7 +31,8 @@ print(f"sweep LM: order {spec.lm_order}, {lm.total_events} events")
 
 start = time.perf_counter()
 result = sa.run_sweep(spec, task, lm)
-print(f"{len(result.rows)} cells in {time.perf_counter() - start:.1f}s\n")
+print(f"{len(result.rows)} cells in {time.perf_counter() - start:.1f}s")
+print(f"trained {result.trainings} models for {len(result.rows)} cells\n")
 
 header = "strategy  " + "".join(f"g={g:<8g}" for g in result.gammas)
 print(header)
@@ -43,4 +44,5 @@ for strategy in result.strategies:
 
 print("\nnote: gamma=0 rows coincide by construction (identical seeds,")
 print("identity augmentation), and swap equals base under a mean-pool")
-print("consumer because permutations do not change the pooled input.")
+print("consumer because permutations do not change the pooled input;")
+print("the sweep trains each such shared computation once.")

@@ -244,6 +244,7 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     sweep_path, pivot_path = harness.emit_report(result, args.outdir)
     print(f"wrote {sweep_path} and {pivot_path}", file=sys.stderr)
+    print(f"trained {result.trainings} models for {len(result.rows)} cells", file=sys.stderr)
     for strategy in result.strategies:
         cells = ", ".join(
             f"{g:g}: {result.mean_sd(strategy, g)[0]:.4f}+/-{result.mean_sd(strategy, g)[1]:.4f}"

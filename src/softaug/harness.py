@@ -8,10 +8,13 @@ so a next-token model spreads probability mass across members of the
 locally likely classes.  The binary label is whether any marker-class
 token occurs, which a mean-pool linear classifier can separate.
 
-The sweep trains one model per (strategy, gamma, repetition) cell on the
-augmented training split and reports clean-test accuracy.  Cell seeds
-derive from (base seed, gamma, repetition) only, so at gamma = 0 every
-strategy runs the exact same computation, and any cell can be recomputed
+The sweep reports, per (strategy, gamma, repetition) cell, the clean-test
+accuracy of a model trained on the augmented training split.  Cell seeds
+derive from (base seed, gamma, repetition) only, so the cells of one
+(gamma, repetition) share the initial model and the SGD draws, and two
+strategies whose augmented splits pack to the same bags (every strategy
+at gamma = 0, ``swap`` and ``base`` always) run the exact same
+training.  The sweep runs it once, and any cell can still be recomputed
 in isolation.
 """
 
@@ -24,12 +27,14 @@ import os
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .augment import AugmentConfig, augment_corpus
 from .corpus import Sentence, Vocabulary, build_vocab
 from .lm import NGramLM, check_params, train_lm
 from .parallel import fork_map
 from .rng import SplitMix64, derive
-from .softmix import evaluate, init_model, train_toy
+from .softmix import Bag, evaluate_packed, init_model, pack_corpus, train_packed
 
 DEFAULT_GAMMAS = (0.0, 0.05, 0.1, 0.15, 0.2)
 MARKER_FRACTION = 0.12
@@ -129,6 +134,10 @@ class SweepSpec:
             raise ValueError("empty strategy list")
         if not self.gammas:
             raise ValueError("empty gamma list")
+        for name, values in (("strategy", self.strategies), ("gamma", self.gammas)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"repeated {name}: {repeated[0]!r}")
         for strategy in self.strategies:
             for gamma in self.gammas:
                 AugmentConfig(strategy, gamma, self.window, self.topk).validate()
@@ -157,6 +166,8 @@ class CellResult:
 @dataclass
 class SweepResult:
     rows: list[CellResult]
+    # Models trained to fill the rows; None for rows read back from a file.
+    trainings: int | None = None
 
     def accuracies(self, strategy: str, gamma: float) -> list[float]:
         return [r.accuracy for r in self.rows if r.strategy == strategy and r.gamma == gamma]
@@ -205,6 +216,55 @@ def _cell_seed(base_seed: int, gamma: float, rep: int) -> int:
     return derive(base_seed, round(gamma * 1_000_000), rep)
 
 
+def _content_key(bags: list[Bag]) -> bytes:
+    """The exact bytes of a packed corpus: equal keys, equal training."""
+    counts = [len(bag.ids) for bag in bags]
+    return b"".join([
+        np.array([len(bags), *counts, *(bag.length for bag in bags)], dtype=np.int64).tobytes(),
+        *(bag.ids.tobytes() for bag in bags),
+        *(bag.weights.tobytes() for bag in bags),
+    ])
+
+
+def _run_group(
+    spec: SweepSpec, task: SyntheticTask, lm: NGramLM, strategies, gamma: float, rep: int
+) -> tuple[list[CellResult], int]:
+    """The cells of *strategies* at one (gamma, rep), and the trainings run.
+
+    The cells share their seed, so strategies whose augmented training
+    splits pack to the same bytes share one training.  A row's seconds
+    are its own augment and pack time, plus the training and evaluation
+    when the row ran them; the first row also carries the test split's
+    packing.
+    """
+    start = time.perf_counter()
+    train_x, train_y, test_x, test_y = split_task(task, spec.test_fraction)
+    vocab_size = len(task.vocab)
+    seed = _cell_seed(spec.seed, gamma, rep)
+    test_bags = pack_corpus(test_x, vocab_size)
+    accuracy_of: dict[bytes, float] = {}
+    rows = []
+    for strategy in strategies:
+        config = AugmentConfig(
+            strategy=strategy,
+            gamma=gamma,
+            window_k=spec.window,
+            topk=spec.topk,
+            seed=derive(seed, 1),
+        )
+        augmented = augment_corpus(train_x, config, lm=lm, vocab_size=vocab_size)
+        bags = pack_corpus(augmented, vocab_size)
+        key = _content_key(bags)
+        if key not in accuracy_of:
+            model = init_model(vocab_size, spec.dim, 2, derive(seed, 2))
+            train_packed(model, bags, train_y, spec.lr, spec.steps, SplitMix64(derive(seed, 3)))
+            accuracy_of[key] = evaluate_packed(model, test_bags, test_y)
+        now = time.perf_counter()
+        rows.append(CellResult(strategy, gamma, rep, accuracy_of[key], round(now - start, 3)))
+        start = now
+    return rows, len(accuracy_of)
+
+
 def run_cell(
     spec: SweepSpec,
     task: SyntheticTask,
@@ -214,37 +274,25 @@ def run_cell(
     rep: int,
 ) -> CellResult:
     """Augment, train and evaluate one grid cell."""
-    start = time.perf_counter()
-    train_x, train_y, test_x, test_y = split_task(task, spec.test_fraction)
-    seed = _cell_seed(spec.seed, gamma, rep)
-    config = AugmentConfig(
-        strategy=strategy,
-        gamma=gamma,
-        window_k=spec.window,
-        topk=spec.topk,
-        seed=derive(seed, 1),
-    )
-    augmented = augment_corpus(train_x, config, lm=lm, vocab_size=len(task.vocab))
-    model = init_model(len(task.vocab), spec.dim, 2, derive(seed, 2))
-    train_toy(model, augmented, train_y, spec.lr, spec.steps, SplitMix64(derive(seed, 3)))
-    accuracy = evaluate(model, test_x, test_y)
-    return CellResult(strategy, gamma, rep, accuracy, round(time.perf_counter() - start, 3))
+    return _run_group(spec, task, lm, (strategy,), gamma, rep)[0][0]
 
 
 def run_sweep(spec: SweepSpec, task: SyntheticTask, lm: NGramLM, threads: int = 1) -> SweepResult:
-    """Train and evaluate every (strategy, gamma, repetition) cell."""
+    """Every (strategy, gamma, repetition) cell, in that order.
+
+    One pool job per (gamma, rep) runs all strategies' cells, so each
+    distinct packed training split is trained once.  Fewer (gamma, rep)
+    pairs than *threads* leave workers idle.
+    """
     spec.validate()
-    jobs = [
-        (strategy, gamma, rep)
-        for strategy in spec.strategies
-        for gamma in spec.gammas
-        for rep in range(spec.reps)
-    ]
-    # One cell per task: default chunks hand a run of consecutive cells
-    # (one strategy's) to a single worker, which then finishes last when
-    # that strategy's cells cost more than the others.
+    groups = [(gamma, rep) for gamma in spec.gammas for rep in range(spec.reps)]
+    done = fork_map(
+        lambda group: _run_group(spec, task, lm, spec.strategies, *group), groups, threads
+    )
+    cell = {(r.strategy, r.gamma, r.rep): r for rows, _ in done for r in rows}
     return SweepResult(
-        fork_map(lambda job: run_cell(spec, task, lm, *job), jobs, threads, chunksize=1)
+        [cell[s, g, r] for s in spec.strategies for g in spec.gammas for r in range(spec.reps)],
+        sum(trained for _, trained in done),
     )
 
 

@@ -108,7 +108,7 @@ class NGramLM:
         size = len(vocab)
         c1 = np.zeros(size, dtype=np.float64)
         c1[self.counts[0].ids] = self.counts[0].counts
-        self.total_events = int(c1.sum())
+        self.total_events = int(self.counts[0].counts.sum())
         denom = self.total_events + self.alpha * size
         if denom <= 0.0:
             raise ValueError("model has no counts and no smoothing floor")

@@ -52,6 +52,16 @@ class SplitMix64:
             raise ValueError("randint needs n >= 1")
         return int(self.random() * n)
 
+    def randint_block(self, n: int, count: int) -> np.ndarray:
+        """``[randint(n) for _ in range(count)]``, bit for bit, as one int64
+        array; the stream ends in the state those calls leave."""
+        count = max(count, 0)
+        if count and n <= 0:
+            raise ValueError("randint needs n >= 1")
+        draws = random_block(self._state, count)
+        self._state = (self._state + _GOLDEN * count) & _MASK
+        return (draws * n).astype(np.int64)
+
 
 def random_block(seed: int, n: int) -> np.ndarray:
     """The first n ``SplitMix64(seed).random()`` draws, bit for bit, as one

@@ -16,7 +16,10 @@ sentence length; the ids are unique, so the update needs no scatter-add.
 A minimal linear classifier (softmax cross-entropy) sits on the pooled
 vector.  ``_loss_grads`` is the one forward-backward routine: ``loss``,
 ``backward``, ``grad_check`` and ``train_toy`` call it, while
-``mix_embedding``, ``forward`` and ``evaluate`` read its forward half.
+``mix_embedding``, ``forward`` and ``evaluate`` run the same pooling and
+``_softmax``.  ``train_packed`` and ``evaluate_packed`` take a corpus
+that ``pack_corpus`` already packed, so one packing can serve several
+models.
 
 All arithmetic is float64.  A hard token and a point-mass soft word pack
 to the same bag, so their forward values, gradients and training runs
@@ -112,23 +115,54 @@ def _check_label(model: ToyModel, label: int) -> int:
     return label
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """``z / z.sum()`` with ``z = np.exp(logits - logits.max())``, bit for bit.
+
+    Below 8 classes numpy takes the max and the sum in sequence, so they
+    run here on Python floats; from 8 on ``ndarray.sum`` is pairwise and
+    numpy does both, as it does for NaN logits, whose max numpy propagates.
+    """
+    if len(logits) < 8:
+        z = logits - max(logits.tolist())
+        np.exp(z, out=z)
+        total = 0.0
+        for value in z.tolist():
+            total += value
+        if total == total:
+            z /= total
+            return z
+    z = np.exp(logits - logits.max())
+    return z / z.sum()
+
+
 def _forward(model: ToyModel, bag: Bag) -> tuple[np.ndarray, np.ndarray]:
     pooled = _pool(model.emb, bag)
-    logits = model.w @ pooled + model.b
-    z = np.exp(logits - logits.max())
-    return pooled, z / z.sum()
+    return pooled, _softmax(model.w @ pooled + model.b)
 
 
 def _loss_grads(
-    model: ToyModel, bag: Bag, label: int
+    w: np.ndarray, b: np.ndarray, rows: np.ndarray, weights: np.ndarray, length: float, label: int
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Loss, embedding-row gradients aligned with ``bag.ids``, dW and db."""
-    pooled, probs = _forward(model, bag)
-    value = -float(np.log(probs[label]))
-    dlogits = probs
-    dlogits[label] -= 1.0
-    dpos = (model.w.T @ dlogits) / bag.length
-    return value, bag.weights[:, None] * dpos, dlogits[:, None] * pooled, dlogits
+    """Forward-backward on one bag whose embedding rows are *rows*.
+
+    Returns the label's probability (the loss is its negative log), the
+    gradients of *rows*, dW and db, each a fresh array.
+    """
+    pooled = weights @ rows
+    pooled /= length
+    logits = w @ pooled
+    logits += b
+    dlogits = _softmax(logits)
+    picked = dlogits.item(label)
+    dlogits[label] = picked - 1.0
+    dpos = w.T @ dlogits
+    dpos /= length
+    return picked, weights[:, None] * dpos, dlogits[:, None] * pooled, dlogits
+
+
+def _bag_loss_grads(model: ToyModel, bag: Bag, label: int):
+    rows = model.emb.take(bag.ids, axis=0)
+    return _loss_grads(model.w, model.b, rows, bag.weights, float(bag.length), label)
 
 
 def forward(model: ToyModel, sentence: SoftSentence) -> np.ndarray:
@@ -138,7 +172,7 @@ def forward(model: ToyModel, sentence: SoftSentence) -> np.ndarray:
 
 def loss(model: ToyModel, sentence: SoftSentence, label: int) -> float:
     _check_label(model, label)
-    return _loss_grads(model, pack(sentence, len(model.emb)), label)[0]
+    return -float(np.log(_bag_loss_grads(model, pack(sentence, len(model.emb)), label)[0]))
 
 
 def backward(
@@ -152,7 +186,7 @@ def backward(
     """
     _check_label(model, label)
     bag = pack(sentence, len(model.emb))
-    _, rows, dw, db = _loss_grads(model, bag, label)
+    _, rows, dw, db = _bag_loss_grads(model, bag, label)
     return dict(zip(bag.ids.tolist(), rows)), dw, db
 
 
@@ -187,7 +221,7 @@ def grad_check(
     dw = np.zeros_like(model.w)
     db = np.zeros_like(model.b)
     for bag, label in bags:
-        _, rows, gw, gb = _loss_grads(model, bag, label)
+        _, rows, gw, gb = _bag_loss_grads(model, bag, label)
         demb[bag.ids] += rows
         dw += gw
         db += gb
@@ -196,7 +230,9 @@ def grad_check(
     db /= len(bags)
 
     def batch_loss() -> float:
-        return sum(_loss_grads(model, bag, label)[0] for bag, label in bags) / len(bags)
+        return sum(
+            -float(np.log(_bag_loss_grads(model, bag, label)[0])) for bag, label in bags
+        ) / len(bags)
 
     def numeric(param: np.ndarray) -> np.ndarray:
         out = np.zeros_like(param)
@@ -223,14 +259,47 @@ def grad_check(
     return GradCheckReport(errors, step, tolerance)
 
 
-def _pack_corpus(
-    model: ToyModel, corpus: list[SoftSentence], labels: list[int]
-) -> list[Bag]:
-    if len(corpus) != len(labels):
+def pack_corpus(corpus: list[SoftSentence], vocab_size: int) -> list[Bag]:
+    """``pack`` every sentence, in order."""
+    return [pack(sentence, vocab_size) for sentence in corpus]
+
+
+def _check_labels(model: ToyModel, bags: list[Bag], labels: list[int]) -> None:
+    if len(bags) != len(labels):
         raise ValueError("corpus and labels length mismatch")
     for label in labels:
         _check_label(model, label)
-    return [pack(sentence, len(model.emb)) for sentence in corpus]
+
+
+def train_packed(
+    model: ToyModel, bags: list[Bag], labels: list[int], lr: float, steps: int, rng: SplitMix64
+) -> list[float]:
+    """``train_toy`` on a corpus packed for *model*; returns the loss trace.
+
+    All sample indexes come from one block draw.  Each step gathers the
+    sample's embedding rows once, updates them and every classifier
+    parameter in place and writes the rows back; the losses are taken
+    from the picked probabilities in one pass at the end.
+    """
+    _check_labels(model, bags, labels)
+    emb, w, b = model.emb, model.w, model.b
+    samples = [
+        (bag.ids, bag.weights, float(bag.length), label) for bag, label in zip(bags, labels)
+    ]
+    picked = []
+    for i in rng.randint_block(len(samples), steps).tolist():
+        ids, weights, length, label = samples[i]
+        rows = emb.take(ids, axis=0)
+        p, grows, dw, db = _loss_grads(w, b, rows, weights, length, label)
+        picked.append(p)
+        grows *= lr
+        rows -= grows
+        emb[ids] = rows
+        dw *= lr
+        w -= dw
+        db *= lr
+        b -= db
+    return (-np.log(np.array(picked, dtype=np.float64))).tolist()
 
 
 def train_toy(
@@ -247,28 +316,23 @@ def train_toy(
     visited sample.  Every sentence and label is checked before the
     first step.
     """
-    bags = _pack_corpus(model, corpus, labels)
-    trace = []
-    for _ in range(steps):
-        i = rng.randint(len(bags))
-        bag = bags[i]
-        step_loss, rows, dw, db = _loss_grads(model, bag, labels[i])
-        trace.append(step_loss)
-        model.emb[bag.ids] -= lr * rows
-        model.w -= lr * dw
-        model.b -= lr * db
-    return model, trace
+    return model, train_packed(model, pack_corpus(corpus, len(model.emb)), labels, lr, steps, rng)
 
 
-def evaluate(model: ToyModel, corpus: list[SoftSentence], labels: list[int]) -> float:
-    """Fraction of sentences whose argmax class matches the label."""
-    bags = _pack_corpus(model, corpus, labels)
+def evaluate_packed(model: ToyModel, bags: list[Bag], labels: list[int]) -> float:
+    """``evaluate`` on a corpus packed for *model*."""
+    _check_labels(model, bags, labels)
     if not bags:
         raise ValueError("empty corpus")
     hits = sum(
         int(np.argmax(_forward(model, bag)[1])) == label for bag, label in zip(bags, labels)
     )
     return hits / len(bags)
+
+
+def evaluate(model: ToyModel, corpus: list[SoftSentence], labels: list[int]) -> float:
+    """Fraction of sentences whose argmax class matches the label."""
+    return evaluate_packed(model, pack_corpus(corpus, len(model.emb)), labels)
 
 
 def save_loss_trace(path: str, trace: list[float]) -> None:

@@ -198,6 +198,31 @@ def sgd_step_oracle(sentence, label, emb, w, b, lr):
     return -math.log(probs[label]), new_emb, new_w, new_b
 
 
+def train_per_step(model, bags, labels, lr, steps, rng):
+    """SGD as the step-at-a-time loop: a scalar ``randint`` draw, numpy's
+    softmax, fresh gradient arrays and a ``-log`` per step.
+
+    *bags* are ``softmix.pack`` results.  Updates *model* in place and
+    returns the loss trace; a lean training loop must match it bit for bit.
+    """
+    trace = []
+    for _ in range(steps):
+        i = rng.randint(len(bags))
+        bag, label = bags[i], labels[i]
+        pooled = bag.weights @ model.emb[bag.ids] / bag.length
+        logits = model.w @ pooled + model.b
+        z = np.exp(logits - logits.max())
+        probs = z / z.sum()
+        trace.append(-float(np.log(probs[label])))
+        dlogits = probs
+        dlogits[label] -= 1.0
+        dpos = (model.w.T @ dlogits) / bag.length
+        model.emb[bag.ids] -= lr * (bag.weights[:, None] * dpos)
+        model.w -= lr * (dlogits[:, None] * pooled)
+        model.b -= lr * dlogits
+    return trace
+
+
 def _end_marked(word: str) -> list[str]:
     syms = list(word)
     syms[-1] += "</w>"

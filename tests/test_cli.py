@@ -301,7 +301,9 @@ steps=250
     def test_sweep_writes_reports(self, tmp_path):
         spec = tmp_path / "spec.txt"
         spec.write_text(self.SPEC)
-        run_cli("sweep", "--spec", spec, "--outdir", tmp_path / "out")
+        proc = run_cli("sweep", "--spec", spec, "--outdir", tmp_path / "out")
+        # Per rep, base and soft share the gamma-0 training but not the gamma-0.1 one.
+        assert "trained 6 models for 8 cells" in proc.stderr.splitlines()
         sweep = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert sweep[0] == "strategy,gamma,rep,accuracy,seconds"
         assert len(sweep) == 1 + 2 * 2 * 2
@@ -315,7 +317,8 @@ steps=250
 
     @pytest.mark.parametrize("line", [
         "lr=nan", "lr=0", "steps=-5", "dim=0", "gammas=", "topk=-1", "window=0",
-        "lm_order=0", "discount=1.5", "alpha=nan", "strategies=base,bogus", *BAD_TASK_LINES,
+        "lm_order=0", "discount=1.5", "alpha=nan", "strategies=base,bogus",
+        "strategies=base,soft,base", "gammas=0.1,0.10", *BAD_TASK_LINES,
     ])
     def test_bad_recipe_is_usage_error(self, tmp_path, line):
         key, _, value = line.partition("=")
@@ -324,6 +327,7 @@ steps=250
         spec.write_text("".join(f"{k}={v}\n" for k, v in recipe.items()))
         proc = run_cli("sweep", "--spec", spec, "--outdir", tmp_path / "out", expect=2)
         assert "Traceback" not in proc.stderr
+        assert "error:" in proc.stderr
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line", BAD_TASK_LINES)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 import softaug as sa
 from softaug import harness as hn
+from softaug import softmix as sm
 from softaug.rng import SplitMix64, derive
 
 from oracles import task_label
@@ -86,6 +87,45 @@ class TestRunSweep:
             (r.strategy, r.gamma, r.rep, r.accuracy) for r in parallel.rows
         ]
 
+    # swap packs to base's bags at every gamma, and gamma 0 to one corpus.
+    SHARED = dict(strategies=("base", "swap", "soft"), gammas=(0.0, 0.15), reps=2, steps=150,
+                  test_fraction=0.25)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_every_row_equals_its_cell_alone(self, small_task, threads):
+        task, lm = small_task
+        spec = sa.SweepSpec(**self.SHARED)
+        result = sa.run_sweep(spec, task, lm, threads=threads)
+        assert [(r.strategy, r.gamma, r.rep) for r in result.rows] == [
+            (s, g, r) for s in spec.strategies for g in spec.gammas for r in range(spec.reps)
+        ]
+        for row in result.rows:
+            alone = sa.run_cell(spec, task, lm, row.strategy, row.gamma, row.rep)
+            assert (alone.strategy, alone.gamma, alone.rep) == (row.strategy, row.gamma, row.rep)
+            assert alone.accuracy == row.accuracy
+
+    def test_each_distinct_packed_split_is_trained_once(self, small_task, monkeypatch):
+        task, lm = small_task
+        spec = sa.SweepSpec(**self.SHARED)
+        trainings = []
+        real = hn.train_packed
+        monkeypatch.setattr(hn, "train_packed", lambda *args: trainings.append(1) or real(*args))
+        result = sa.run_sweep(spec, task, lm)
+
+        train_x = sa.split_task(task, spec.test_fraction)[0]
+        distinct = set()
+        for gamma in spec.gammas:
+            for rep in range(spec.reps):
+                seed = derive(hn._cell_seed(spec.seed, gamma, rep), 1)
+                for strategy in spec.strategies:
+                    config = sa.AugmentConfig(strategy, gamma, spec.window, spec.topk, seed=seed)
+                    bags = sm.pack_corpus(sa.augment_corpus(train_x, config, lm=lm), len(task.vocab))
+                    content = tuple((b.ids.tobytes(), b.weights.tobytes(), b.length) for b in bags)
+                    distinct.add((gamma, rep, content))
+        # Per rep: one training at gamma 0, base/swap and soft at gamma 0.15.
+        assert len(trainings) == len(distinct) == result.trainings == 6
+        assert sa.run_sweep(spec, task, lm, threads=2).trainings == 6
+
     def test_empty_strategies_rejected(self):
         with pytest.raises(ValueError, match="empty strategy list"):
             sa.SweepSpec(strategies=()).validate()
@@ -109,6 +149,9 @@ class TestRunSweep:
             ("lm_alpha", float("nan"), "alpha"),
             ("lm_alpha", float("inf"), "alpha"),
             ("strategies", ("base", "bogus"), "unknown strategy"),
+            ("strategies", ("base", "soft", "base"), "repeated strategy: 'base'"),
+            ("gammas", (0.1, 0.10), "repeated gamma: 0.1"),
+            ("gammas", (0.0, 0.2, -0.0), "repeated gamma: -0.0"),
         ],
     )
     def test_bad_recipe_rejected(self, field, value, message):

@@ -383,6 +383,17 @@ class TestSerialization:
             "\\end\\",
         ]
 
+    def test_events_past_float_precision_round_trip(self):
+        # 2**53 + 1 has no float64: the event total must be summed as integers.
+        vocab = toy_vocab(["a", "b"])
+        model = lmm.NGramLM(1, 0.5, 0.1, vocab, [[4], [5]], [2**53, 1])
+        assert model.total_events == 2**53 + 1
+        text = lmm.dump_lm(model)
+        assert "events=9007199254740993 " in text.splitlines()[0]
+        again = lmm.parse_lm(text)
+        assert again.total_events == model.total_events
+        assert lmm.dump_lm(again) == text
+
     def test_surface_with_whitespace_is_not_written(self):
         vocab = sa.Vocabulary(list(SPECIAL_TOKENS) + ["a b"], [0, 0, 0, 0, 1])
         model = lmm.NGramLM(1, 0.5, 0.1, vocab, [[4]], [1])

@@ -20,6 +20,28 @@ class TestRandomBlock:
         assert random_block(7, 0).shape == (0,)
 
 
+class TestRandintBlock:
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 2**40])
+    @pytest.mark.parametrize("count", [0, 1, 500])
+    def test_equals_sequential_randint_calls(self, n, count):
+        block_rng, rng = SplitMix64(2**64 - 5), SplitMix64(2**64 - 5)
+        block = block_rng.randint_block(n, count)
+        assert block.dtype == np.int64
+        assert block.tolist() == [rng.randint(n) for _ in range(count)]
+        # The stream goes on where the sequential calls leave it.
+        assert block_rng.next_u64() == rng.next_u64()
+
+    def test_no_draw_leaves_the_stream_alone(self):
+        rng = SplitMix64(3)
+        assert rng.randint_block(0, 0).shape == (0,)
+        assert rng.randint_block(5, -2).shape == (0,)
+        assert rng.next_u64() == SplitMix64(3).next_u64()
+
+    def test_empty_range_refused(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            SplitMix64(3).randint_block(0, 1)
+
+
 class TestInitModel:
     def test_embedding_equals_row_major_scalar_draws(self):
         rng = SplitMix64(9)

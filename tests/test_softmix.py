@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -11,7 +11,7 @@ from softaug import softmix as sm
 from softaug.augment import Dist, SoftWord
 from softaug.rng import SplitMix64, derive
 
-from oracles import brute_mix, sgd_step_oracle
+from oracles import brute_mix, sgd_step_oracle, train_per_step
 
 
 def random_model(seed, vocab_size=30, dim=8, classes=3, zero_classifier=False):
@@ -187,9 +187,9 @@ class TestBackward:
         batch = [(random_sentence(rng, 30, 5), 1)]
         real = sm._loss_grads
 
-        def broken(model, bag, label):
-            value, rows, dw, db = real(model, bag, label)
-            return value, rows, dw * 1.01, db
+        def broken(*args):
+            picked, rows, dw, db = real(*args)
+            return picked, rows, dw * 1.01, db
 
         def one_step(model):
             sa.train_toy(model, [s for s, _ in batch], [y for _, y in batch], 0.5, 1, SplitMix64(0))
@@ -322,6 +322,12 @@ class TestTraining:
             sa.train_toy(model, bad_corpus, bad_labels, 0.5, 0, SplitMix64(49))
         assert np.array_equal(model.emb, snapshot.emb)
 
+    def test_empty_corpus_cannot_draw_a_sample(self):
+        model = random_model(50)
+        assert sa.train_toy(model, [], [], 0.5, 0, SplitMix64(51))[1] == []
+        with pytest.raises(ValueError):
+            sa.train_toy(model, [], [], 0.5, 3, SplitMix64(51))
+
     def test_evaluate_label_out_of_range(self):
         model = random_model(36, classes=2)
         with pytest.raises(ValueError, match="label out of range"):
@@ -418,3 +424,73 @@ class TestCsvOutputs:
         assert lines[0] == "step,loss"
         assert lines[1].startswith("0,0.7")
         assert len(lines) == 4
+
+
+@st.composite
+def training_runs(draw):
+    """(model, corpus, labels, lr, steps, rng seed): hard, soft or mixed
+    sentences, 1, 2, 3 or 9 classes (9 reaches numpy's pairwise sum)."""
+    seed = draw(st.integers(0, 2**64 - 1))
+    classes = draw(st.sampled_from([1, 2, 3, 9]))
+    soft_prob = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    vocab_size = draw(st.integers(1, 12))
+    rng = SplitMix64(seed)
+    corpus = [
+        random_sentence(rng, vocab_size, 1 + rng.randint(6), soft_prob, 1 + rng.randint(vocab_size))
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    labels = [rng.randint(classes) for _ in corpus]
+    model = random_model(seed, vocab_size, draw(st.integers(1, 6)), classes)
+    steps = draw(st.one_of(st.just(0), st.integers(1, 150)))
+    return model, corpus, labels, draw(st.sampled_from([0.05, 0.5, 3.0])), steps, seed
+
+
+def assert_same_bits(a, b):
+    assert np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+class TestLeanTrainingLoop:
+    """``train_toy`` against the step-at-a-time loop, bit for bit."""
+
+    def check_against_oracle(self, model, corpus, labels, lr, steps, seed):
+        ref = model.copy()
+        rng, ref_rng = SplitMix64(seed), SplitMix64(seed)
+        # A saturated softmax puts probability 0 on the label: its loss is inf.
+        with np.errstate(all="ignore"):
+            _, trace = sa.train_toy(model, corpus, labels, lr, steps, rng)
+            bags = sm.pack_corpus(corpus, len(ref.emb))
+            want = train_per_step(ref, bags, labels, lr, steps, ref_rng)
+        assert len(trace) == steps
+        assert_same_bits(trace, want)
+        for got, ref_param in ((model.emb, ref.emb), (model.w, ref.w), (model.b, ref.b)):
+            assert_same_bits(got, ref_param)
+        assert rng.next_u64() == ref_rng.next_u64()
+
+    @settings(max_examples=150, deadline=None)
+    @given(training_runs())
+    def test_matches_per_step_loop_bitwise(self, run):
+        self.check_against_oracle(*run)
+
+    @pytest.mark.parametrize("classes", [2, 9])
+    def test_diverging_run_matches_per_step_loop_bitwise(self, classes):
+        """Overflowing logits give inf and NaN probabilities; the NaN bits
+        must still be numpy's."""
+        rng = SplitMix64(52)
+        corpus = [random_sentence(rng, 10, 5) for _ in range(6)]
+        labels = [rng.randint(classes) for _ in corpus]
+        model = random_model(53, 10, 4, classes)
+        self.check_against_oracle(model, corpus, labels, 1e200, 40, 54)
+        assert np.isnan(model.w).any()
+
+    # inf - inf makes x86's default NaN, whose sign bit differs from a
+    # NaN that numpy's max propagates.
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 10),
+                      elements=st.floats(allow_nan=True, allow_infinity=True)))
+    @example(np.array([np.inf, np.nan]))
+    @example(np.array([np.nan, -np.nan, 1.0]))
+    @example(np.array([np.inf, 2.0, np.inf]))
+    def test_softmax_has_numpys_bits(self, logits):
+        with np.errstate(all="ignore"):
+            z = np.exp(logits - logits.max())
+            assert_same_bits(sm._softmax(logits), z / z.sum())
