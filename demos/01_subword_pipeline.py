@@ -45,3 +45,4 @@ for line in corpus:
     back = sa.decode(ids, vocab)
     status = "ok" if back == line else "MISMATCH"
     print(f"  {status}: {line!r} -> {ids} -> {back!r}")
+    assert back == line, "decoding does not invert encoding"

@@ -53,12 +53,13 @@ with tempfile.TemporaryDirectory() as tmp:
     again = lmm.load_lm(path)
     print(f"saved {size} bytes; reloaded perplexity {lmm.perplexity(again, sentences):.10f}")
     # Each history length is one level of flat arrays: its histories in
-    # ascending order, their next ids, counts, discounted mass and lam.
+    # ascending order with their integer keys, their next ids, counts,
+    # discounted mass and lam.
     same = all(
-        level.rows == ref.rows
-        and all(np.array_equal(getattr(level, name), getattr(ref, name))
-                for name in ("hists", "starts", "ids", "counts", "add", "lam"))
+        np.array_equal(getattr(level, name), getattr(ref, name))
         for level, ref in zip(again.counts, model.counts)
+        for name in ("keys", "hists", "starts", "ids", "counts", "add", "lam")
     )
     print("history levels:", ", ".join(f"k={k}: {len(level)}" for k, level in enumerate(model.counts)))
     print("level arrays identical after reload:", same)
+    assert same, "the reloaded model differs from the saved one"

@@ -36,6 +36,7 @@ print("\n== finite-difference check ==")
 for block, err in sorted(report.errors.items()):
     print(f"  {block:<13} max rel err {err:.2e}")
 print("  passed:", report.passed)
+assert report.passed, "analytic and finite-difference gradients disagree"
 
 print("\n== training on a marker-token task ==")
 rng = SplitMix64(2)
@@ -62,5 +63,6 @@ with tempfile.TemporaryDirectory() as tmp:
     sa.save_embedding(emb_path, model.emb)
     head = open(trace_path).read().splitlines()[:3]
     print("  loss trace head:", head)
-    print("  embedding reload exact:",
-          np.array_equal(sa.load_embedding(emb_path), model.emb))
+    exact = np.array_equal(sa.load_embedding(emb_path), model.emb)
+    print("  embedding reload exact:", exact)
+    assert exact, "the embedding file does not reload exactly"

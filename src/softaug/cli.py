@@ -56,6 +56,7 @@ def _checked(check, *args):
 
 def cmd_vocab(args) -> int:
     _echo_config("vocab", args)
+    _checked(cp.check_max_size, args.max_size)
     # Several inputs build one joint vocabulary; run per file for separate ones.
     text = "\n".join(cp.read_text(path) for path in args.input)
     vocab = cp.build_vocab(text, max_size=args.max_size)
@@ -66,6 +67,7 @@ def cmd_vocab(args) -> int:
 
 def cmd_train_bpe(args) -> int:
     _echo_config("train-bpe", args)
+    _checked(cp.check_merges, args.merges)
     table = cp.learn_bpe(cp.count_words(cp.read_text(args.input)), args.merges)
     table.save(args.output)
     print(f"learned {len(table)} merges", file=sys.stderr)
@@ -177,6 +179,7 @@ def _render_tokens(toks, orig_ids, new_ids, vocab):
 def cmd_grad_check(args) -> int:
     seed_defaulted = _resolve_seed(args)
     _echo_config("grad-check", args, seed_defaulted)
+    _checked(softmix.check_model_dims, args.vocab_size, args.dim, args.classes)
     rng = SplitMix64(derive(args.seed, 0xC0DE))
     model = softmix.init_model(args.vocab_size, args.dim, args.classes, derive(args.seed, 1))
     # A zero classifier blocks gradient flow into the embedding, so the

@@ -88,14 +88,13 @@ class Vocabulary:
 
     @classmethod
     def from_counts(cls, counts: dict[str, int], max_size: int | None = None) -> "Vocabulary":
+        check_max_size(max_size)
         words = [
             (s, c) for s, c in counts.items() if s not in SPECIAL_TOKENS and c > 0
         ]
         words.sort(key=lambda sc: (-sc[1], sc[0]))
         if max_size is not None:
-            if max_size < 1:
-                raise ValueError("max_size must be >= 1")
-            words = words[: max(0, max_size - NUM_SPECIALS)]
+            words = words[: max_size - NUM_SPECIALS]
         surfaces = list(SPECIAL_TOKENS) + [s for s, _ in words]
         cnts = [0] * NUM_SPECIALS + [c for _, c in words]
         return cls(surfaces, cnts)
@@ -140,6 +139,12 @@ class Vocabulary:
             surfaces.append(surface)
             counts.append(int(count))
         return cls(surfaces, counts)
+
+
+def check_max_size(max_size: int | None) -> None:
+    """The range check for a vocabulary size cap: room for the specials."""
+    if max_size is not None and max_size < NUM_SPECIALS:
+        raise ValueError(f"max_size must be >= {NUM_SPECIALS}, the special tokens, not {max_size}")
 
 
 def build_vocab(corpus: str | Iterable[str], max_size: int | None = None) -> Vocabulary:
@@ -220,6 +225,12 @@ def _merge_once(syms: list[str], pair: tuple[str, str]) -> list[str]:
     return out
 
 
+def check_merges(num_merges: int) -> None:
+    """The range check for the number of merges to learn."""
+    if num_merges < 1:
+        raise ValueError(f"num_merges must be >= 1, not {num_merges}")
+
+
 def learn_bpe(word_counts: dict[str, int], num_merges: int) -> MergeTable:
     """Greedy most-frequent-pair merges over end-marked words.
 
@@ -235,8 +246,7 @@ def learn_bpe(word_counts: dict[str, int], num_merges: int) -> MergeTable:
     ``(-count, pair)`` entries, so the heap order is the tie-break; an
     entry whose count is no longer the pair's count is stale and skipped.
     """
-    if num_merges < 1:
-        raise ValueError("num_merges must be >= 1")
+    check_merges(num_merges)
     words = {w: c for w, c in word_counts.items() if w}
     if not words:
         raise ValueError("empty word counts")

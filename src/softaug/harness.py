@@ -69,14 +69,13 @@ def make_synthetic_task(
     sentences_n: int,
     length: int,
     rng: SplitMix64,
-    repeat_prob: float = CLASS_REPEAT_PROB,
 ) -> SyntheticTask:
     """Generate (corpus, labels) plus the vocabulary and class assignment.
 
     *vocab_size* counts content words (specials come on top).  Word r of
     class q has surface ``c{q}w{r}``; the label is 1 when any marker-class
     word appears.  Classes repeat the previous position with probability
-    *repeat_prob*, which is what gives a next-token model contextual
+    ``CLASS_REPEAT_PROB``, which is what gives a next-token model contextual
     evidence about the local class.
     """
     check_task_dims(vocab_size, num_synonym_classes, sentences_n, length)
@@ -92,7 +91,7 @@ def make_synthetic_task(
     for _ in range(sentences_n):
         classes = []
         for t in range(length):
-            if t > 0 and rng.random() < repeat_prob:
+            if t > 0 and rng.random() < CLASS_REPEAT_PROB:
                 classes.append(classes[-1])
             else:
                 classes.append(rng.randint(num_synonym_classes))
@@ -134,13 +133,19 @@ class SweepSpec:
             raise ValueError("empty strategy list")
         if not self.gammas:
             raise ValueError("empty gamma list")
-        for name, values in (("strategy", self.strategies), ("gamma", self.gammas)):
-            repeated = [v for i, v in enumerate(values) if v in values[:i]]
-            if repeated:
-                raise ValueError(f"repeated {name}: {repeated[0]!r}")
+        repeated = [s for i, s in enumerate(self.strategies) if s in self.strategies[:i]]
+        if repeated:
+            raise ValueError(f"repeated strategy: {repeated[0]!r}")
         for strategy in self.strategies:
             for gamma in self.gammas:
                 AugmentConfig(strategy, gamma, self.window, self.topk).validate()
+        # Gammas that share a cell seed or a report label are one gamma twice.
+        seen: set[tuple] = set()
+        for gamma in self.gammas:
+            keys = {("seed", _gamma_seed_key(gamma)), ("label", f"{gamma:g}")}
+            if keys & seen:
+                raise ValueError(f"repeated gamma: {gamma!r}")
+            seen |= keys
         check_params(self.lm_order, self.lm_discount, self.lm_alpha)
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
@@ -209,11 +214,16 @@ def split_task(task: SyntheticTask, test_fraction: float):
     )
 
 
+def _gamma_seed_key(gamma: float) -> int:
+    """The part of a cell seed that *gamma* sets: gamma in millionths."""
+    return round(gamma * 1_000_000)
+
+
 def _cell_seed(base_seed: int, gamma: float, rep: int) -> int:
     # Keyed on the gamma value itself (not its grid index) so a cell can be
     # recomputed under any grid; strategy is deliberately excluded so all
     # strategies coincide exactly at gamma = 0.
-    return derive(base_seed, round(gamma * 1_000_000), rep)
+    return derive(base_seed, _gamma_seed_key(gamma), rep)
 
 
 def _content_key(bags: list[Bag]) -> bytes:

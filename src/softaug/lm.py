@@ -33,8 +33,11 @@ grams of a file (see ``dump_lm``), so a reload is bit-identical.  An event
 counts toward each suffix of its history: the level for history length k
 holds the marginal of the gram counts over their last k + 1 ids.  Each
 level is one set of flat arrays (see ``Level``), its histories in
-ascending order, with one dict from history tuple to row; no object is
-held per history beyond that dict entry.
+ascending order.  A history of length k is found by its integer key, its
+oldest id times the number of histories of length k - 1 plus the row of
+its one-id-shorter suffix there: a query walks k = 1, 2, ... by binary
+search and stops at the first absent history, since no longer one can be
+present.  No object is held per history.
 """
 
 from __future__ import annotations
@@ -67,20 +70,22 @@ _END = "\\end\\"
 class Level:
     """The histories of one length k, CSR-style.
 
-    Row r is history ``hists[r]`` (rows ascending); its next ids are
-    ``ids[starts[r]:starts[r + 1]]``, ascending, with their summed
-    ``counts`` and ``add`` = (count - D) / c(h); ``lam[r]`` is
-    D * N1plus(h) / c(h).  ``rows`` maps a history tuple to its row, and
-    ``len()`` is the number of histories.
+    Row r is history ``hists[r]`` (rows ascending) with the int64 key
+    ``keys[r]``: for k >= 1, its oldest id times the length of level
+    k - 1 plus the row of its one-id-shorter suffix there, so the keys
+    ascend with the rows.  Its next ids are ``ids[starts[r]:starts[r + 1]]``,
+    ascending, with their summed ``counts`` and ``add`` = (count - D) / c(h);
+    ``lam[r]`` is D * N1plus(h) / c(h).  ``len()`` is the number of
+    histories.
     """
 
+    keys: np.ndarray
     hists: np.ndarray
     starts: np.ndarray
     ids: np.ndarray
     counts: np.ndarray
     add: np.ndarray
     lam: np.ndarray
-    rows: dict[tuple, int]
 
     def __len__(self) -> int:
         return len(self.lam)
@@ -104,8 +109,9 @@ class NGramLM:
         self.alpha = alpha
         self.vocab = vocab
         # The level of each history length k = 0..order-1.
-        self.counts = _count_levels(grams, counts, discount)
         size = len(vocab)
+        self.counts = _count_levels(grams, counts, discount, size)
+        self._widths = [len(level) for level in self.counts]
         c1 = np.zeros(size, dtype=np.float64)
         c1[self.counts[0].ids] = self.counts[0].counts
         self.total_events = int(self.counts[0].counts.sum())
@@ -136,12 +142,15 @@ class NGramLM:
         """(ids, add, lam) of each present history level of *hist*, the
         shortest history first; ids and add are slices of the level."""
         levels = []
+        row = 0
         for k in range(1, len(hist) + 1):
             level = self.counts[k]
-            row = level.rows.get(hist[len(hist) - k :])
-            if row is not None:
-                a, b = level.starts[row], level.starts[row + 1]
-                levels.append((level.ids[a:b], level.add[a:b], level.lam[row]))
+            key = hist[-k] * self._widths[k - 1] + row
+            row = int(level.keys.searchsorted(key))
+            if row == self._widths[k] or level.keys[row] != key:
+                break
+            a, b = level.starts[row], level.starts[row + 1]
+            levels.append((level.ids[a:b], level.add[a:b], level.lam[row]))
         return levels
 
     def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
@@ -273,47 +282,39 @@ def check_params(order: int, discount: float, alpha: float) -> None:
         raise ValueError(f"alpha must be finite and >= 0, not {alpha}")
 
 
-def _count_levels(grams: np.ndarray, counts: np.ndarray, discount: float) -> list[Level]:
+def _count_levels(grams: np.ndarray, counts: np.ndarray, discount: float,
+                  size: int) -> list[Level]:
     """The levels of history lengths 0..order-1 of the (G, order) *grams*
-    and their *counts*.
+    and their *counts*, over *size* ids.
 
-    The rows (history..., next id) of length k are the last k + 1 ids of
-    the grams.  One sort of (oldest id, number of the row one id shorter)
-    numbers them in ascending order, and the counts of equal rows add up.
+    Per length k, one ``np.unique`` of the grams' history keys (see
+    ``Level``) numbers the histories in ascending order, one sort of
+    history row * *size* + next id numbers the rows (history..., next id),
+    and the counts of equal rows add up.  Every key lies below *size* * G.
     """
     order = grams.shape[1]
     levels = []
-    number, width = np.zeros(len(grams), dtype=np.int64), 1
+    hist_row = np.zeros(len(grams), dtype=np.int64)
     for k in range(order):
-        key = grams[:, order - 1 - k] * width + number
-        by = np.argsort(key)
-        new_row = _changes(key[by, None])
-        number = np.empty_like(number)
-        number[by] = np.cumsum(new_row) - 1
-        firsts = np.flatnonzero(new_row)
-        width = len(firsts)
-        rows = grams[by[firsts], order - 1 - k :]
+        key = grams[:, order - 1 - k] * len(levels[-1]) + hist_row if k else hist_row
+        keys, hist_row = np.unique(key, return_inverse=True)
+        row_key = hist_row * size + grams[:, -1]
+        by = np.argsort(row_key)
+        # The first gram of each row; no key is -1, so the first gram starts one.
+        firsts = np.flatnonzero(np.diff(row_key[by], prepend=-1))
         row_counts = np.add.reduceat(counts[by], firsts)
-        heads = np.flatnonzero(_changes(rows[:, :-1]))
-        starts = np.append(heads, len(rows))
-        hists = rows[heads, :-1]
+        lead = by[firsts]
+        starts = hist_row[lead].searchsorted(np.arange(len(keys) + 1))
+        heads = starts[:-1]
         # c(h), summed exactly and then converted once, as float(sum).
         total = np.add.reduceat(row_counts, heads).astype(np.float64)
         sizes = np.diff(starts)
         levels.append(Level(
-            hists=hists, starts=starts, ids=rows[:, -1].copy(), counts=row_counts,
+            keys=keys, hists=grams[lead[heads], order - 1 - k : order - 1], starts=starts,
+            ids=grams[lead, -1], counts=row_counts,
             add=(row_counts - discount) / np.repeat(total, sizes), lam=discount * sizes / total,
-            rows=dict(zip(map(tuple, hists.tolist()), range(len(hists)))),
         ))
     return levels
-
-
-def _changes(rows: np.ndarray) -> np.ndarray:
-    """For each of the sorted *rows*: does it differ from the one before?
-    The first row does."""
-    changed = np.ones(len(rows), dtype=bool)
-    changed[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return changed
 
 
 def train_lm(
@@ -400,28 +401,26 @@ def _logprobs(lm: NGramLM, sentences: list[Sentence]) -> np.ndarray:
     windows = _windows(sentences, lm.order, size)
     tokens = windows[:, -1]
     p = lm._p0[tokens]
-    # row: each token's history of length k, numbered densely; the history
-    # one id longer is numbered by (that id, row).
+    # live: the tokens whose history of length k - 1 is present, and row:
+    # its row in level k - 1.  A token drops out at its first absent
+    # history, as no longer one is present.
+    live = np.arange(len(tokens))
     row = np.zeros(len(tokens), dtype=np.int64)
     for k in range(1, lm.order):
-        column = windows[:, lm.order - 1 - k]
-        _, first, row = np.unique(column * (row.max() + 1) + row, return_index=True,
-                                  return_inverse=True)
-        hists = windows[first, lm.order - 1 - k : -1]
         level = lm.counts[k]
-        # at: each token's history row in the level, or -1.
-        at = np.array([level.rows.get(h, -1) for h in map(tuple, hists.tolist())], dtype=np.int64)[row]
-        hit = np.flatnonzero(at >= 0)
-        if not len(hit):
-            continue
-        at = at[hit]
-        p[hit] *= level.lam[at]
+        if not (len(live) and len(level)):
+            break
+        want = windows[live, lm.order - 1 - k] * len(lm.counts[k - 1]) + row
+        at = np.minimum(level.keys.searchsorted(want), len(level) - 1)
+        hit = level.keys[at] == want
+        live, row = live[hit], at[hit]
+        p[live] *= level.lam[row]
         # The level's supports as keys row * size + id, ascending.
         keys = np.repeat(np.arange(len(level)) * size, np.diff(level.starts)) + level.ids
-        want = at * size + tokens[hit]
+        want = row * size + tokens[live]
         found = np.minimum(keys.searchsorted(want), len(keys) - 1)
         inside = keys[found] == want
-        p[hit[inside]] += level.add[found[inside]]
+        p[live[inside]] += level.add[found[inside]]
     return np.log(p)
 
 

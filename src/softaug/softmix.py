@@ -57,8 +57,15 @@ class ToyModel:
         return len(self.b)
 
 
+def check_model_dims(vocab_size: int, dim: int, classes: int) -> None:
+    """The range check for model dimensions, wherever they come from."""
+    if min(vocab_size, dim, classes) < 1:
+        raise ValueError(f"vocab_size, dim and classes must be >= 1, not {vocab_size}, {dim}, {classes}")
+
+
 def init_model(vocab_size: int, dim: int, classes: int, seed: int) -> ToyModel:
     """Embedding uniform in [-0.1, 0.1); classifier zero-initialized."""
+    check_model_dims(vocab_size, dim, classes)
     emb = random_block(seed, vocab_size * dim).reshape(vocab_size, dim) * 0.2 - 0.1
     return ToyModel(emb, np.zeros((classes, dim)), np.zeros(classes))
 

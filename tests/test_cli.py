@@ -272,6 +272,23 @@ class TestGradCheckCommand:
         assert "PASS" in proc.stdout
 
 
+class TestFlagRanges:
+    @pytest.mark.parametrize("command, flag, value", [
+        ("vocab", "--max-size", 0), ("vocab", "--max-size", 2), ("vocab", "--max-size", -1),
+        ("train-bpe", "--merges", 0), ("train-bpe", "--merges", -2),
+        ("grad-check", "--vocab-size", 0), ("grad-check", "--vocab-size", -3),
+        ("grad-check", "--classes", 0), ("grad-check", "--dim", 0),
+    ])
+    def test_out_of_range_flag_is_usage_error_before_any_input(self, tmp_path, command, flag, value):
+        # The input does not exist: reading it first would exit 1.
+        files = [] if command == "grad-check" else [
+            "--input", tmp_path / "missing.txt", "--output", tmp_path / "out"]
+        proc = run_cli(command, flag, value, *files, expect=2)
+        assert "Traceback" not in proc.stderr
+        assert any(line.startswith("usage: softaug") for line in proc.stderr.splitlines())
+        assert proc.stdout == "" and not (tmp_path / "out").exists()
+
+
 # Spec lines whose task cannot be built; the other keys keep their defaults.
 BAD_TASK_LINES = ["classes=0", "vocab_size=3", "sentences=0", "length=0"]
 
@@ -318,7 +335,7 @@ steps=250
     @pytest.mark.parametrize("line", [
         "lr=nan", "lr=0", "steps=-5", "dim=0", "gammas=", "topk=-1", "window=0",
         "lm_order=0", "discount=1.5", "alpha=nan", "strategies=base,bogus",
-        "strategies=base,soft,base", "gammas=0.1,0.10", *BAD_TASK_LINES,
+        "strategies=base,soft,base", "gammas=0.1,0.10", "gammas=0.1,0.1000001", *BAD_TASK_LINES,
     ])
     def test_bad_recipe_is_usage_error(self, tmp_path, line):
         key, _, value = line.partition("=")

@@ -64,6 +64,14 @@ class TestBuildVocab:
         assert vocab.surfaces[4:] == ["a", "b"]
         assert vocab.id_of("c") == cp.UNK
 
+    @pytest.mark.parametrize("max_size", [-1, 0, 1, cp.NUM_SPECIALS - 1])
+    def test_max_size_below_the_specials_is_refused(self, max_size):
+        with pytest.raises(ValueError, match=f"max_size must be >= {cp.NUM_SPECIALS}"):
+            cp.build_vocab("a b", max_size=max_size)
+
+    def test_max_size_of_the_specials_keeps_them_alone(self):
+        assert cp.build_vocab("a b", max_size=cp.NUM_SPECIALS).surfaces == list(cp.SPECIAL_TOKENS)
+
     def test_id_assignment_is_pure_function_of_corpus(self, tmp_path):
         text = "the cat sat\non the mat\n"
         p1, p2 = tmp_path / "v1", tmp_path / "v2"

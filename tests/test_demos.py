@@ -1,5 +1,6 @@
 """Every demo script, and the README's library snippet, runs to completion
-against the source tree."""
+against the source tree; a demo asserts each self-check it prints, so a
+failed one exits non-zero."""
 
 import os
 import subprocess

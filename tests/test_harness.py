@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,11 +155,25 @@ class TestRunSweep:
             ("strategies", ("base", "soft", "base"), "repeated strategy: 'base'"),
             ("gammas", (0.1, 0.10), "repeated gamma: 0.1"),
             ("gammas", (0.0, 0.2, -0.0), "repeated gamma: -0.0"),
+            # One cell seed (gamma in millionths) and one report label.
+            ("gammas", (0.1, 0.1000001), "repeated gamma: 0.1000001"),
+            # One report label (0.653259), two cell seeds.
+            ("gammas", (0.653259, 0.6532595), "repeated gamma: 0.6532595"),
+            # One cell seed (0), two report labels.
+            ("gammas", (0.0, 1e-7), "repeated gamma: 1e-07"),
         ],
     )
     def test_bad_recipe_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             sa.SweepSpec(**{"strategies": ("base",), field: value}).validate()
+
+    def test_default_and_readme_grids_validate(self):
+        sa.SweepSpec(strategies=sa.STRATEGIES).validate()
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        spec = re.search(r"Sweep spec files are `key=value` text:\n\n```\n(.*?)```", readme, re.S)
+        params = hn.parse_spec_file(spec.group(1))
+        hn.sweep_spec_from_params(params).validate()
+        hn.check_task_dims(*hn.task_dims(params))
 
     def test_zero_steps_accepted(self):
         sa.SweepSpec(strategies=("base",), steps=0).validate()

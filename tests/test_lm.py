@@ -28,7 +28,7 @@ def no_grams(order):
     return np.empty((0, order), dtype=np.int64), np.empty(0, dtype=np.int64)
 
 
-LEVEL_ARRAYS = ("hists", "starts", "ids", "counts", "add", "lam")
+LEVEL_ARRAYS = ("keys", "hists", "starts", "ids", "counts", "add", "lam")
 
 
 def level_lists(level):
@@ -38,12 +38,50 @@ def level_lists(level):
             for hist, a, b in zip(level.hists.tolist(), starts, starts[1:])}
 
 
+def history_key(model, hist):
+    """The key of history *hist* by its definition: its oldest id times the
+    length of the level one id shorter, plus the row of its suffix there,
+    found in that level's ``hists``."""
+    if not hist:
+        return 0
+    shorter = model.counts[len(hist) - 1]
+    suffix_row = shorter.hists.tolist().index(list(hist[1:]))
+    return hist[0] * len(shorter) + suffix_row
+
+
+def walk_levels(tables, hist):
+    """(ids, add, lam) of each history level of *hist* that has an entry
+    in the ``oracles.level_tables`` dicts *tables*, the shortest first;
+    every length is looked up, present or not."""
+    levels = []
+    for k in range(1, len(hist) + 1):
+        entry = tables[k].get(tuple(hist[len(hist) - k :]))
+        if entry is not None:
+            ids, _, add, lam = entry
+            levels.append((ids, add, lam))
+    return levels
+
+
+def model_grams(model):
+    """The order-n grams and counts a model holds, from its top level."""
+    top = model.counts[-1]
+    hists = np.repeat(top.hists, np.diff(top.starts), axis=0)
+    return np.column_stack([hists, top.ids]).astype(np.int64), top.counts
+
+
+def key_models():
+    """A model trained on a drawn corpus (see ``corpora``), or one without
+    grams, of order 1-4."""
+    empty = st.integers(1, 4).map(
+        lambda order: lmm.NGramLM(order, 0.75, 0.1, toy_vocab(["a", "b"]), *no_grams(order)))
+    return st.one_of(corpus_models(), empty)
+
+
 def assert_same_levels(got, want):
     """Every level holds the same histories, in the same order, with
     bitwise equal arrays of equal dtype and shape."""
     assert len(got.counts) == len(want.counts) == want.order
     for mine, theirs in zip(got.counts, want.counts):
-        assert list(mine.rows.items()) == list(theirs.rows.items())
         for name in LEVEL_ARRAYS:
             a, b = getattr(mine, name), getattr(theirs, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -127,14 +165,17 @@ class TestTraining:
             }
             for name in LEVEL_ARRAYS:
                 assert getattr(level, name).flags.c_contiguous
-        # Row by row, bitwise, against one dict entry and arrays per history.
+        # Row by row, bitwise, against one dict entry and arrays per history;
+        # each row is found by its key.
         oracle = oracles.level_tables(grams, np.ones(len(windows), dtype=np.int64), 0.75)
         for k, (level, table) in enumerate(zip(trained.counts, oracle)):
-            assert len(level) == len(table) and list(level.rows) == list(table)
+            assert len(level) == len(table) and list(map(tuple, level.hists.tolist())) == list(table)
             assert level.hists.shape == (len(table), k)
             assert level.starts[0] == 0 and level.starts[-1] == len(level.ids)
             for hist, (ids, cnts, add, lam) in table.items():
-                row = level.rows[hist]
+                key = history_key(trained, hist)
+                row = int(level.keys.searchsorted(key))
+                assert level.keys[row] == key
                 a, b = level.starts[row], level.starts[row + 1]
                 assert tuple(level.hists[row].tolist()) == hist
                 assert level.ids[a:b].tobytes() == ids.tobytes()
@@ -147,9 +188,42 @@ class TestTraining:
         model = lmm.NGramLM(order, 0.75, 0.1, toy_vocab(["a", "b"]), *no_grams(order))
         assert [len(level) for level in model.counts] == [0] * order
         for k, level in enumerate(model.counts):
-            assert level.hists.shape == (0, k) and level.starts.tolist() == [0] and level.rows == {}
+            assert level.hists.shape == (0, k) and level.starts.tolist() == [0]
+            assert level.keys.dtype == np.int64 and level.keys.shape == (0,)
             assert all(len(getattr(level, name)) == 0 for name in ("ids", "counts", "add", "lam"))
         assert oracles.level_tables(*no_grams(order), 0.75) == [{}] * order
+
+
+class TestHistoryKeys:
+    @settings(max_examples=150, deadline=None)
+    @given(key_models())
+    def test_keys_ascend_and_follow_their_definition(self, model):
+        for level in model.counts:
+            keys = level.keys
+            assert keys.dtype == np.int64 and keys.flags.c_contiguous and keys.shape == (len(level),)
+            assert (np.diff(keys) > 0).all()
+            assert keys.tolist() == [history_key(model, hist) for hist in level.hists.tolist()]
+
+    @settings(max_examples=150, deadline=None)
+    @given(key_models(), st.data())
+    def test_levels_equal_a_dict_walk(self, model, data):
+        tables = oracles.level_tables(*model_grams(model), model.discount)
+        ids = st.integers(0, len(model.vocab) - 1)
+        # Drawn ids, most of them unseen or in absent histories, and the
+        # model's own histories behind drawn older ids.
+        present = [hist for level in model.counts for hist in level.hists.tolist()]
+        prefixes = st.lists(ids, max_size=model.order + 1)
+        if present:
+            prefixes |= st.tuples(st.lists(ids, max_size=2), st.sampled_from(present)).map(
+                lambda parts: parts[0] + parts[1])
+        for prefix in data.draw(st.lists(prefixes, min_size=1, max_size=20)):
+            hist = model.pad_prefix(prefix)
+            got, want = model._levels(hist), walk_levels(tables, hist)
+            assert len(got) == len(want)
+            for (ids_a, add_a, lam_a), (ids_b, add_b, lam_b) in zip(got, want):
+                assert ids_a.dtype == ids_b.dtype and ids_a.tobytes() == ids_b.tobytes()
+                assert add_a.dtype == add_b.dtype and add_a.tobytes() == add_b.tobytes()
+                assert lam_a == lam_b
 
 
 class TestNextDist:
@@ -769,7 +843,7 @@ class TestParamCheck:
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "-0.5"])
     def test_bad_header_alpha_is_refused_before_any_table(self, monkeypatch, alpha):
-        def no_tables(grams, counts, discount):
+        def no_tables(grams, counts, discount, size):
             raise AssertionError("count tables built before alpha was checked")
 
         monkeypatch.setattr(lmm, "_count_levels", no_tables)
@@ -795,7 +869,7 @@ class TestOrderBound:
     HEADER = "#ngram-counts v1 order={} discount=0.75 alpha=0.1 events=0 vocab=4\n"
 
     def test_huge_header_order_is_refused_before_any_table(self, monkeypatch):
-        def no_tables(grams, counts, discount):
+        def no_tables(grams, counts, discount, size):
             raise AssertionError("count tables built before the order was checked")
 
         monkeypatch.setattr(lmm, "_count_levels", no_tables)

@@ -220,6 +220,11 @@ class TestTraining:
             labels.append(int(has))
         return corpus, labels
 
+    @pytest.mark.parametrize("dims", [(0, 8, 3), (-3, 8, 3), (30, 0, 3), (30, 8, 0)])
+    def test_model_dimension_below_one_is_refused(self, dims):
+        with pytest.raises(ValueError, match="vocab_size, dim and classes must be >= 1"):
+            sa.init_model(*dims, seed=1)
+
     def test_zero_steps_leaves_model_unchanged(self):
         model = random_model(24)
         snapshot = model.copy()
