@@ -209,12 +209,10 @@ def augment_soft(
 ) -> SoftSentence:
     """Replace selected tokens by their contextual distribution.
 
-    The entries come from ``lm.top_k``, which evaluates only the history
-    supports and the head of the unigram order, with probabilities
-    bitwise equal to ``next_dist``.  With topk > 0 the k most probable
-    are kept and renormalized, so a position costs about the same at any
-    |V|; topk = 0 keeps every token, not renormalized, at O(|V|) per
-    position.
+    The entries come from ``lm.top_k``, with probabilities bitwise equal
+    to ``next_dist``.  With topk > 0 the k most probable are kept and
+    renormalized; topk = 0 keeps every token, not renormalized.  Either
+    way a position evaluates the dense distribution, O(|V|).
     """
     return _replace_selected(sentence, gamma, rng, _replacement("soft", lm, topk=topk))[0]
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import augment as aug
 from . import corpus as cp
-from . import harness, lm as lmmod, softmix
+from . import harness, lm as lmmod, parallel, softmix
 from .rng import SplitMix64, derive, random_block
 
 
@@ -120,6 +120,7 @@ def cmd_augment(args) -> int:
         seed=args.seed,
     )
     _checked(config.validate)
+    _checked(parallel.check_threads, args.threads)
     if args.strategy in aug.LM_STRATEGIES and not args.lm:
         _usage_error(f"strategy {args.strategy!r} requires --lm")
     lines = _read_lines(args.input)
@@ -237,6 +238,7 @@ def cmd_make_task(args) -> int:
 
 def cmd_sweep(args) -> int:
     _echo_config("sweep", args)
+    _checked(parallel.check_threads, args.threads)
     params = _read_spec(args)
     spec = _checked(harness.sweep_spec_from_params, params)
     _checked(spec.validate)

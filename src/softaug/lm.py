@@ -11,21 +11,16 @@ Unseen histories fall through unchanged (lam = 1, no discounted mass), so
 every history yields a proper distribution over the full vocabulary.
 
 Sentences are padded with n-1 BOS symbols and terminated by a predicted
-EOS.  Models are immutable once built and queries are pure.  ``next_dist``
-(and ``sample`` through it) evaluates the dense distribution on every call
-and keeps nothing: at a wide vocabulary its histories rarely repeat, and a
-stored |V|-vector per history costs far more memory than it saves time.
-``logprob`` performs the same operations on its one id, so it builds no
-|V|-vector and returns the same bits; ``perplexity`` performs them on a
-block of tokens at once, as array operations.  ``top_k`` is sparse and
-keeps the model's one cache, because its histories do repeat (all-BOS,
-with its large support, starts every sentence).  Outside the union S of the present
-history levels' supports, P(w | h) is Lam(h) * P0(w) with Lam(h) the
-product of the present levels' lam, so the k most probable tokens lie in S
-plus the first k + |S| tokens in P0 order.  Only such candidates are
-evaluated, with the dense path's operations in the dense path's order, so
-the probabilities are bit-identical to ``next_dist``; the cost per history
-grows with |S| and k, not with |V|.
+EOS.  Models are immutable once built and queries are pure.  Every query
+evaluates P(w | h) one way: the dense |V|-vector, P0 then per present
+history level ``*= lam`` and ``+= add`` on its support.  ``next_dist``,
+``sample`` and ``logprob`` evaluate it on every call and keep nothing: at
+a wide vocabulary histories rarely repeat, and a stored |V|-vector per
+history costs far more memory than it saves time.  ``top_k`` selects from
+it with one partition and keeps the model's one cache, of 2k numbers per
+entry, because its histories do repeat (all-BOS, with its large support,
+starts every sentence).  ``perplexity`` performs the same operations on
+a block of tokens at once, as array operations, and gets the same bits.
 
 A model is built from order-n grams and their counts alone: ``train_lm``
 passes each padded window of its corpus once, ``load_lm`` the counted
@@ -119,10 +114,6 @@ class NGramLM:
         if denom <= 0.0:
             raise ValueError("model has no counts and no smoothing floor")
         self._p0 = (c1 + self.alpha) / denom
-        # Ids by P0 descending, ties by id ascending: the order in which
-        # tokens outside every support rank after any history.
-        self._p0_order = np.lexsort((np.arange(size), -self._p0))
-        self._neg_p0_sorted = -self._p0[self._p0_order]
         self._top_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def __getstate__(self):
@@ -153,24 +144,29 @@ class NGramLM:
             levels.append((level.ids[a:b], level.add[a:b], level.lam[row]))
         return levels
 
-    def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
-        """Dense distribution over the vocabulary after *prefix*, evaluated
-        into a fresh array on every call."""
+    def _dist(self, hist: tuple) -> np.ndarray:
+        """Dense distribution over the vocabulary after the padded *hist*,
+        evaluated into a fresh array."""
         p = self._p0.copy()
-        for ids, add, lam in self._levels(self.pad_prefix(prefix)):
+        for ids, add, lam in self._levels(hist):
             p *= lam
             p[ids] += add
         return p
+
+    def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
+        """Dense distribution over the vocabulary after *prefix*, evaluated
+        into a fresh array on every call."""
+        return self._dist(self.pad_prefix(prefix))
 
     def top_k(self, prefix: Sequence[int], k: int) -> tuple[np.ndarray, np.ndarray]:
         """The min(k, |V|) most probable next tokens after *prefix*.
 
         Returns (ids, probs): ids by probability descending, ties by id
         ascending, and probs equal to ``next_dist(prefix)[ids]`` bitwise.
-        Only the history supports and the head of the P0 order are
-        evaluated; a cut the candidates cannot prove exact is widened to
-        every id.  Returns fresh arrays; results are cached per (history,
-        k) for k < |V| only, since a full result holds 2|V| numbers.
+        The dense vector is evaluated and, for k < |V|, only the ids at or
+        above its k-th largest value are sorted.  Returns fresh arrays;
+        results are cached per (history, k) for k < |V| only, since a full
+        result holds 2|V| numbers.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -183,93 +179,32 @@ class NGramLM:
         return cached[0].copy(), cached[1].copy()
 
     def _top_k_for_history(self, hist: tuple, k: int) -> tuple[np.ndarray, np.ndarray]:
-        size = len(self._p0)
-        k = min(k, size)
-        levels = self._levels(hist)
-        supports = [ids for ids, _, _ in levels]
-        # The summed support sizes bound |S|, the size of their union.
-        bound = _candidate_bound(k, sum(map(len, supports)))
-        if bound < size:
-            cand = np.unique(np.concatenate([*supports, self._p0_order[:bound]]))
-            ids, probs = _select(self._p0, cand, levels, k)
-            if len(cand) == size or (
-                len(ids) == k and self._cut_is_exact(cand, bound, levels, ids[-1], probs[-1])
-            ):
-                return ids, probs
-        return _select(self._p0, np.arange(size), levels, k)
-
-    def _cut_is_exact(self, cand, bound, levels, last_id, last_p) -> bool:
-        """Does every id outside *cand* rank after (last_p, last_id)?
-
-        *cand* holds the supports and the first *bound* ids in P0 order.
-        An id outside it is outside every support, so its probability is
-        its P0 times the lams, and rounding keeps that monotone in P0:
-        none beats x0, the first of them in P0 order.  Values equal to
-        x0's come from the rest of x0's P0 block (ids above x0) or, if
-        rounding merged it in, from the next lower P0 block, whose ids may
-        be anything.
-        """
-        for x0 in self._p0_order[bound:]:
-            at = cand.searchsorted(x0)
-            if at == len(cand) or cand[at] != x0:
-                break
-        top = _backed_off(self._p0[x0], levels)
-        if last_p != top:
-            return last_p > top
-        if last_id > x0:
-            return False
-        lower = int(self._neg_p0_sorted.searchsorted(-self._p0[x0], side="right"))
-        return lower == len(self._p0) or _backed_off(-self._neg_p0_sorted[lower], levels) < top
+        p = self._dist(hist)
+        cut = len(p) - k
+        if cut > 0:
+            # No id below the k-th largest value ranks before one at or above it.
+            cand = np.flatnonzero(p >= np.partition(p, cut)[cut])
+        else:
+            cand = np.arange(len(p))
+        top = cand[np.lexsort((cand, -p[cand]))[:k]]
+        return top, p[top]
 
     def logprob(self, prefix: Sequence[int], token: int) -> float:
+        """log P(*token* | *prefix*), from the dense vector: O(|V|)."""
         if not 0 <= token < len(self.vocab):
             raise ValueError(f"id out of range: {token}")
-        # next_dist's operations on one id, in its order: the same bits.
-        p = self._p0[token]
-        for ids, add, lam in self._levels(self.pad_prefix(prefix)):
-            p *= lam
-            at = ids.searchsorted(token)
-            if at < len(ids) and ids[at] == token:
-                p += add[at]
-        return float(np.log(p))
+        return float(np.log(self._dist(self.pad_prefix(prefix))[token]))
 
     def sample(self, prefix: Sequence[int], rng: SplitMix64) -> int:
         """Inverse-CDF draw in id order; BOS/UNK/BLANK are never emitted."""
+        # Through the public next_dist, so that a per-instance wrapper of it
+        # (the benchmark's trace) counts lm_sample's queries.
         p = self.next_dist(prefix)
         p[[BOS, UNK, BLANK]] = 0.0
         cum = np.cumsum(p)
         u = rng.random() * cum[-1]
         idx = int(np.searchsorted(cum, u, side="right"))
         return min(idx, len(p) - 1)
-
-
-def _candidate_bound(k: int, support_bound: int) -> int:
-    """How many ids of the P0 order join the supports as top-k candidates.
-
-    With support_bound >= |S|, at least k of the first k + support_bound
-    lie outside the supports, so the k-th best candidate is at least as
-    probable as any id left out.
-    """
-    return k + support_bound
-
-
-def _select(p0: np.ndarray, cand: np.ndarray, levels, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top k of the sorted candidate ids, evaluated as ``NGramLM.next_dist``
-    evaluates them: P0, then per present level ``*= lam`` and ``+= add``."""
-    p = p0[cand]
-    for ids, add, lam in levels:
-        p *= lam
-        p[cand.searchsorted(ids)] += add
-    top = np.lexsort((cand, -p))[:k]
-    return cand[top], p[top]
-
-
-def _backed_off(p0: float, levels) -> float:
-    """Probability of an id outside every present level's support."""
-    p = float(p0)
-    for _, _, lam in levels:
-        p *= lam
-    return p
 
 
 def check_params(order: int, discount: float, alpha: float) -> None:

@@ -11,6 +11,11 @@ from __future__ import annotations
 import multiprocessing
 from typing import Callable, Iterable
 
+# Upper bound on the worker count.  Each worker is a forked process, so
+# ``check_threads`` refuses a flag asking for more before any starts;
+# past the machine's cores more workers only add forks.
+MAX_THREADS = 64
+
 # The mapped function; set by the pool initializer, in workers only.
 _FN: Callable | None = None
 
@@ -22,6 +27,12 @@ def _init(fn: Callable) -> None:
 
 def _call(item):
     return _FN(item)
+
+
+def check_threads(threads: int) -> None:
+    """The range check for a worker count given as a flag."""
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must lie in [1, {MAX_THREADS}], not {threads}")
 
 
 def fork_map(fn: Callable, items: Iterable, threads: int, chunksize: int = 1) -> list:

@@ -185,16 +185,6 @@ class TestSoft:
                 if isinstance(word, sa.SoftWord):
                     assert word.dist == top_k(model.next_dist(sent[:pos]), topk)
 
-    def test_topk_never_builds_a_dense_distribution(self, tiny_lm, monkeypatch):
-        model, sents, _ = tiny_lm
-
-        def dense(prefix):
-            raise AssertionError("next_dist called for a top-k soft word")
-
-        monkeypatch.setattr(model, "next_dist", dense)
-        out = sa.augment_soft(list(sents[0]), 1.0, model, 4, SplitMix64(25))
-        assert all(isinstance(word, sa.SoftWord) for word in out)
-
 
 class TestSelection:
     def test_positions_independent(self):

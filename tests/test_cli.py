@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import softaug as sa
-from softaug import lm as lmm
+from softaug import augment as aug, cli, harness, lm as lmm, parallel
 from softaug.rng import SplitMix64
 
 
@@ -287,6 +287,29 @@ class TestFlagRanges:
         assert "Traceback" not in proc.stderr
         assert any(line.startswith("usage: softaug") for line in proc.stderr.splitlines())
         assert proc.stdout == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["augment", "sweep"])
+    @pytest.mark.parametrize("threads", [0, -1, parallel.MAX_THREADS + 1, 10**9])
+    def test_threads_outside_range_is_usage_error_before_any_input(
+            self, monkeypatch, capsys, tmp_path, command, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("fork_map called")
+
+        # In process, so that a check that lets the value through starts no worker.
+        for module in (parallel, aug, harness):
+            monkeypatch.setattr(module, "fork_map", no_pool)
+        # The input does not exist: reading it first would exit 1.
+        missing, out = tmp_path / "missing.txt", tmp_path / "out"
+        argv = {
+            "augment": ["--input", missing, "--strategy", "swap", "--gamma", 0.5, "--output", out],
+            "sweep": ["--spec", missing, "--outdir", out],
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, *map(str, argv), "--threads", str(threads)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"threads must lie in [1, {parallel.MAX_THREADS}], not {threads}" in err
+        assert not out.exists()
 
 
 # Spec lines whose task cannot be built; the other keys keep their defaults.
