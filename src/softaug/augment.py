@@ -26,7 +26,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .corpus import BLANK, BOS, EOS, NUM_SPECIALS, Sentence, read_text
+from .corpus import BLANK, BOS, EOS, NUM_SPECIALS, Sentence, read_text, split_lines
 from .lm import NGramLM
 from .parallel import fork_map
 from .rng import SplitMix64, derive
@@ -407,4 +407,14 @@ def parse_soft_line(line: str) -> SoftSentence:
 
 
 def read_soft_corpus(path: str) -> list[SoftSentence]:
-    return [parse_soft_line(line) for line in read_text(path).splitlines() if line]
+    """One soft sentence per line.  A blank line is refused: dropping it
+    would shift every later sentence one place off its label."""
+    out = []
+    for lineno, line in enumerate(split_lines(read_text(path)), 1):
+        try:
+            if not line:
+                raise ValueError("blank line")
+            out.append(parse_soft_line(line))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno} of {path}: {exc}") from exc
+    return out

@@ -28,10 +28,6 @@ def _echo_config(command: str, args: argparse.Namespace, seed_defaulted: bool = 
         print("seed not given on the command line; defaulting to 0", file=sys.stderr)
 
 
-def _read_lines(path: str) -> list[str]:
-    return cp.read_text(path).splitlines()
-
-
 def _resolve_seed(args: argparse.Namespace) -> bool:
     defaulted = args.seed is None
     if defaulted:
@@ -58,8 +54,8 @@ def cmd_vocab(args) -> int:
     _echo_config("vocab", args)
     _checked(cp.check_max_size, args.max_size)
     # Several inputs build one joint vocabulary; run per file for separate ones.
-    text = "\n".join(cp.read_text(path) for path in args.input)
-    vocab = cp.build_vocab(text, max_size=args.max_size)
+    lines = [line for path in args.input for line in cp.split_lines(cp.read_text(path))]
+    vocab = cp.build_vocab(lines, max_size=args.max_size)
     vocab.save(args.output)
     print(f"wrote {len(vocab)} entries to {args.output}", file=sys.stderr)
     return 0
@@ -79,7 +75,7 @@ def cmd_apply_bpe(args) -> int:
     table = cp.MergeTable.load(args.codes)
     cache: dict = {}
     with open(args.output, "w", encoding="utf-8") as fh:
-        for line in _read_lines(args.input):
+        for line in cp.split_lines(cp.read_text(args.input)):
             fh.write(" ".join(cp.apply_bpe(line, table, cache)) + "\n")
     return 0
 
@@ -87,7 +83,7 @@ def cmd_apply_bpe(args) -> int:
 def cmd_train_lm(args) -> int:
     _echo_config("train-lm", args)
     _checked(lmmod.check_params, args.order, args.discount, args.alpha)
-    lines = _read_lines(args.input)
+    lines = cp.split_lines(cp.read_text(args.input))
     vocab = cp.build_vocab(lines)
     sentences = [vocab.encode_tokens(line.split()) for line in lines]
     model = lmmod.train_lm(sentences, vocab, args.order, args.discount, args.alpha)
@@ -102,9 +98,8 @@ def cmd_train_lm(args) -> int:
 def cmd_ppl(args) -> int:
     _echo_config("ppl", args)
     model = lmmod.load_lm(args.lm)
-    sentences = [
-        model.vocab.encode_tokens(line.split()) for line in _read_lines(args.input)
-    ]
+    lines = cp.split_lines(cp.read_text(args.input))
+    sentences = [model.vocab.encode_tokens(line.split()) for line in lines]
     print(f"{lmmod.perplexity(model, sentences):.4f}")
     return 0
 
@@ -123,22 +118,10 @@ def cmd_augment(args) -> int:
     _checked(parallel.check_threads, args.threads)
     if args.strategy in aug.LM_STRATEGIES and not args.lm:
         _usage_error(f"strategy {args.strategy!r} requires --lm")
-    lines = _read_lines(args.input)
-
-    if args.strategy == "base":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-        print("replacement rate: 0.0000 (0/0)", file=sys.stderr)
-        return 0
-
-    if args.strategy in aug.LM_STRATEGIES:
-        model = lmmod.load_lm(args.lm)
-        vocab = model.vocab
-    else:
-        model = None
-        vocab = cp.build_vocab(lines) if lines else None
-
+    lines = cp.split_lines(cp.read_text(args.input))
+    model = lmmod.load_lm(args.lm) if args.strategy in aug.LM_STRATEGIES else None
+    # The model's vocabulary, or the input's own; an empty input has none.
+    vocab = model.vocab if model else cp.build_vocab(lines) if lines else None
     token_lines = [line.split() for line in lines]
     sentences = [vocab.encode_tokens(toks) for toks in token_lines] if vocab else []
     out, (replaced, eligible) = aug.augment_corpus(
@@ -165,9 +148,10 @@ def cmd_augment(args) -> int:
 def _render_tokens(toks, orig_ids, new_ids, vocab):
     """Original surfaces where ids are unchanged, vocab surfaces elsewhere.
 
-    Keeping the original text at untouched positions makes gamma = 0 a
-    byte-exact identity even when the model's vocabulary maps rare input
-    tokens to UNK.  Length changes (dropout) fall back to vocab surfaces.
+    Keeping the original text at untouched positions makes gamma = 0 and
+    ``base`` token-exact (not byte-exact: the caller joins tokens by single
+    spaces) even when the model's vocabulary maps rare input tokens to UNK.
+    Length changes (dropout) fall back to vocab surfaces.
     """
     if len(new_ids) != len(orig_ids):
         return [vocab.surface(t) for t in new_ids]

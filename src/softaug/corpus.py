@@ -44,25 +44,30 @@ def read_text(path: str) -> str:
         raise ValueError(f"malformed UTF-8 at byte {exc.start} in {path}") from exc
 
 
+def split_lines(text: str) -> list[str]:
+    """*text*'s lines as text-mode file iteration gives them: a line ends at
+    ``\\n``, ``\\r\\n`` or ``\\r`` only, and a final one opens no empty line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def _counted_lines(path: str, magic: str) -> list[str]:
     """The body of a file headed ``<magic> <n>``: exactly n lines, the last
-    one ending in a newline, so a file cut short anywhere is refused."""
+    one ending in a line break, so a file cut short anywhere is refused."""
     text = read_text(path)
-    lines = text.splitlines()
+    lines = split_lines(text)
     head, _, n = lines[0].rpartition(" ") if lines else ("", "", "")
     if head != magic or not (n.isascii() and n.isdigit()):
         raise ValueError(f"no '{magic} <n>' header in {path}")
-    if not text.endswith("\n"):
-        raise ValueError(f"{path} is cut short: its last line has no newline")
+    if not text.endswith(("\n", "\r")):
+        raise ValueError(f"{path} is cut short: its last line has no line break")
     if len(lines) - 1 != int(n):
         raise ValueError(f"{path} holds {len(lines) - 1} lines after its header, header says {n}")
     return lines[1:]
-
-
-def _as_lines(corpus: str | Iterable[str]) -> list[str]:
-    if isinstance(corpus, str):
-        return corpus.splitlines()
-    return [line.rstrip("\n") for line in corpus]
 
 
 class Vocabulary:
@@ -160,7 +165,7 @@ def build_vocab(corpus: str | Iterable[str], max_size: int | None = None) -> Voc
 
 def count_words(corpus: str | Iterable[str]) -> dict[str, int]:
     """Whitespace word counts over a corpus, for BPE learning."""
-    lines = _as_lines(corpus)
+    lines = split_lines(corpus) if isinstance(corpus, str) else list(corpus)
     if not lines:
         raise ValueError("empty corpus")
     counts: Counter[str] = Counter()

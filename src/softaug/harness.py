@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import AugmentConfig, augment_corpus
-from .corpus import Sentence, Vocabulary, build_vocab
+from .corpus import Sentence, Vocabulary, build_vocab, split_lines
 from .lm import NGramLM, check_params, train_lm
 from .parallel import fork_map
 from .rng import SplitMix64, derive
@@ -382,7 +382,7 @@ _LM_RENAMES = {"discount": "lm_discount", "alpha": "lm_alpha"}
 def parse_spec_file(text: str) -> dict:
     """Parse a key=value sweep spec; '#' starts a comment line."""
     out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(split_lines(text), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import BLANK, BOS, EOS, UNK, Sentence, Vocabulary
+from .corpus import BLANK, BOS, EOS, UNK, Sentence, Vocabulary, split_lines
 from .rng import SplitMix64
 
 # Entries in the top-k cache.  An entry holds 2k numbers, never 2|V|.
@@ -524,7 +524,7 @@ def _line_grams(block: list[str], lineno: int, prev: tuple, order: int, index: d
 
 def parse_lm(text: str, path: str = "<string>") -> NGramLM:
     """Rebuild the exact model from count-file text (see ``dump_lm``)."""
-    return _parse_lines(text.splitlines(), path)
+    return _parse_lines(split_lines(text), path)
 
 
 def load_lm(path: str) -> NGramLM:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import SoftSentence, SoftWord
-from .corpus import read_text
+from .corpus import read_text, split_lines
 from .rng import SplitMix64, random_block
 
 GRAD_TOLERANCE = 1e-4
@@ -361,11 +361,11 @@ def save_embedding(path: str, emb: np.ndarray) -> None:
 def load_embedding(path: str) -> np.ndarray:
     """Read a ``save_embedding`` file; one cut short anywhere is refused."""
     text = read_text(path)
-    lines = text.splitlines()
+    lines = split_lines(text)
     if not lines:
         raise ValueError(f"empty embedding file: {path}")
-    if not text.endswith("\n"):
-        raise ValueError(f"{path} is cut short: its last line has no newline")
+    if not text.endswith(("\n", "\r")):
+        raise ValueError(f"{path} is cut short: its last line has no line break")
     header = lines[0].split()
     if len(header) != 2 or not all(x.isdigit() for x in header):
         raise ValueError(f"bad embedding header in {path}: {lines[0]!r}")

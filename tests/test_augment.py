@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -366,6 +367,20 @@ class TestSoftSerialization:
     def test_malformed_line_raises_value_error(self, line):
         with pytest.raises(ValueError):
             ag.parse_soft_line(line)
+
+    def test_malformed_record_names_its_line(self, tmp_path):
+        path = tmp_path / "soft.jsonl"
+        path.write_text('{"toks":[5],"soft":{}}\n{"toks":[5],"soft":{"1":{"orig":5,"p":[]}}}\n')
+        where = re.escape(f"line 2 of {path}: ")
+        with pytest.raises(ValueError, match=f"^{where}soft position '1' is not an index"):
+            sa.read_soft_corpus(path)
+
+    def test_blank_line_is_refused(self, tmp_path):
+        # Skipping it would pair every later sentence with the wrong label.
+        path = tmp_path / "soft.jsonl"
+        path.write_text('{"toks":[5],"soft":{}}\n\n{"toks":[6],"soft":{}}\n')
+        with pytest.raises(ValueError, match=f"^{re.escape(f'line 2 of {path}: ')}blank line$"):
+            sa.read_soft_corpus(path)
 
     def test_jsonl_format_fields(self, tiny_lm):
         model, _, _ = tiny_lm

@@ -266,6 +266,90 @@ class TestAugmentCommand:
         assert config["seed"] == 5 and config["window"] == 3 and config["topk"] == 32
 
 
+# Four sentences, one per line as file iteration reads them: str.splitlines
+# would also break at each separator inside them.  Line 2 ends in CRLF.
+LINE_RULE_CORPUS = (
+    "alpha beta\u2028gamma delta\u2029beta\n"
+    "gamma\x85alpha\x0bdelta beta\r\n"
+    "delta\x0cgamma\x1calpha gamma\n"
+    "beta\x1dalpha delta\x1ebeta\n"
+)
+
+
+def file_lines(path):
+    """The lines of *path* as text-mode file iteration gives them."""
+    with open(path, encoding="utf-8") as fh:
+        return [line.rstrip("\n") for line in fh]
+
+
+def run_main(*argv):
+    """``softaug *argv`` in process; it must exit 0."""
+    assert cli.main(list(map(str, argv))) == 0
+
+
+@pytest.fixture(scope="module")
+def line_rule_dir(tmp_path_factory):
+    """The four-line corpus, merges learned on it and a model trained on it."""
+    root = tmp_path_factory.mktemp("lines")
+    (root / "raw.txt").write_bytes(LINE_RULE_CORPUS.encode("utf-8"))
+    run_main("train-bpe", "--input", root / "raw.txt", "--merges", 8, "--output", root / "codes.bpe")
+    run_main("train-lm", "--input", root / "raw.txt", "--output", root / "model.arpa")
+    return root
+
+
+class TestLineRule:
+    def test_apply_bpe_keeps_the_lines(self, line_rule_dir, tmp_path):
+        raw = file_lines(line_rule_dir / "raw.txt")
+        assert len(raw) == 4 and len(LINE_RULE_CORPUS.splitlines()) == 4 + 8
+        run_main("apply-bpe", "--input", line_rule_dir / "raw.txt", "--codes",
+                 line_rule_dir / "codes.bpe", "--output", tmp_path / "sub.txt")
+        sub = file_lines(tmp_path / "sub.txt")
+        assert [line.replace("@@ ", "") for line in sub] == [" ".join(line.split()) for line in raw]
+
+    @pytest.mark.parametrize("strategy", aug.STRATEGIES)
+    def test_augment_keeps_the_lines(self, line_rule_dir, tmp_path, strategy):
+        out = tmp_path / "out"
+        args = ["augment", "--input", line_rule_dir / "raw.txt", "--strategy", strategy,
+                "--gamma", 0.5, "--seed", 2, "--output", out]
+        run_main(*args, *(["--lm", line_rule_dir / "model.arpa"]
+                          if strategy in aug.LM_STRATEGIES else []))
+        assert len(file_lines(out)) == 4
+        if strategy == "soft":
+            assert len(sa.read_soft_corpus(out)) == 4
+
+    def test_train_lm_counts_one_eos_per_line(self, line_rule_dir, tmp_path, capsys):
+        run_main("train-lm", "--input", line_rule_dir / "raw.txt", "--output", tmp_path / "m")
+        tokens = sum(len(line.split()) for line in file_lines(line_rule_dir / "raw.txt"))
+        assert f", events={tokens + 4}\n" in capsys.readouterr().err
+
+    def test_ppl_scores_the_file_lines(self, line_rule_dir, capsys):
+        run_main("ppl", "--lm", line_rule_dir / "model.arpa", "--input", line_rule_dir / "raw.txt")
+        model = lmm.load_lm(line_rule_dir / "model.arpa")
+        sents = [model.vocab.encode_tokens(line.split())
+                 for line in file_lines(line_rule_dir / "raw.txt")]
+        assert capsys.readouterr().out == f"{lmm.perplexity(model, sents):.4f}\n"
+
+    def test_lone_carriage_return_ends_a_line(self, line_rule_dir, tmp_path):
+        raw = tmp_path / "raw.txt"
+        raw.write_bytes(b"alpha beta\rgamma\r\rdelta\n")
+        assert file_lines(raw) == ["alpha beta", "gamma", "", "delta"]
+        run_main("apply-bpe", "--input", raw, "--codes", line_rule_dir / "codes.bpe",
+                 "--output", tmp_path / "sub.txt")
+        run_main("augment", "--input", raw, "--strategy", "swap", "--gamma", 0.5,
+                 "--seed", 1, "--output", tmp_path / "swap.txt")
+        assert len(file_lines(tmp_path / "sub.txt")) == len(file_lines(tmp_path / "swap.txt")) == 4
+
+    def test_base_writes_what_blank_writes_at_gamma_zero(self, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        raw.write_text("  alpha\t beta  gamma \n\n\x0bdelta\x0c\x0cbeta\n")
+        for strategy in ("base", "blank"):
+            run_main("augment", "--input", raw, "--strategy", strategy, "--gamma", 0,
+                     "--output", tmp_path / strategy)
+            assert capsys.readouterr().err.endswith("replacement rate: 0.0000 (0/5)\n")
+        assert (tmp_path / "base").read_bytes() == (tmp_path / "blank").read_bytes() == \
+            b"alpha beta gamma\n\ndelta beta\n"
+
+
 class TestGradCheckCommand:
     def test_default_passes(self):
         proc = run_cli("grad-check", "--seed", 0)

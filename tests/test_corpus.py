@@ -1,8 +1,11 @@
+import io
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softaug import corpus as cp
+from softaug import corpus as cp, softmix
 from softaug.rng import SplitMix64
 
 from oracles import apply_bpe_in_order, learn_bpe_quadratic
@@ -37,6 +40,56 @@ def tiny_merge_tables(draw):
 
 def rendered(syms: list[str]) -> list[str]:
     return [s + cp.CONT_MARKER for s in syms[:-1]] + [syms[-1].removesuffix(cp.WORD_END)]
+
+
+# Characters at which str.splitlines breaks a line, but file iteration
+# does not; \r and \n are the only line breaks of a text-mode file.
+NON_BREAKS = "\u2028\u2029\x85\x0b\x0c\x1c\x1d\x1e"
+
+
+def iterated_lines(data: bytes) -> list[str]:
+    """The lines of UTF-8 *data* as iterating a text-mode file gives them."""
+    return [line.rstrip("\n") for line in io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")]
+
+
+class TestSplitLines:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text("a \r\n" + NON_BREAKS, max_size=16))
+    def test_same_lines_as_file_iteration(self, text):
+        assert cp.split_lines(text) == iterated_lines(text.encode("utf-8"))
+
+    @pytest.mark.parametrize("text, lines", [
+        ("", []), ("\n", [""]), ("a", ["a"]), ("a\n\n", ["a", ""]), ("a\r\n", ["a"]),
+        ("a\rb", ["a", "b"]), ("a\r\rb\r", ["a", "", "b"]), ("\r\n\r", ["", ""]),
+        (f"a{NON_BREAKS}b\n", [f"a{NON_BREAKS}b"]),
+    ])
+    def test_lines(self, text, lines):
+        assert cp.split_lines(text) == lines
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_counted_files_read_with_any_line_break(self, tmp_path, newline):
+        vocab, table = cp.build_vocab("a a b"), cp.learn_bpe({"ab": 2, "abc": 1}, 3)
+        emb = np.array([[0.5, -1.25], [3.0, 1e-300]])
+        vocab.save(tmp_path / "vocab.tsv")
+        table.save(tmp_path / "codes.bpe")
+        softmix.save_embedding(tmp_path / "emb.txt", emb)
+        for name in ("vocab.tsv", "codes.bpe", "emb.txt"):
+            path = tmp_path / name
+            path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+        again = cp.Vocabulary.load(tmp_path / "vocab.tsv")
+        assert (again.surfaces, again.counts) == (vocab.surfaces, vocab.counts)
+        assert cp.MergeTable.load(tmp_path / "codes.bpe") == table
+        assert softmix.load_embedding(tmp_path / "emb.txt").tobytes() == emb.tobytes()
+
+    def test_count_words_of_text_lines_or_file(self, tmp_path):
+        text = f"a{NON_BREAKS}b\r\nb\n"
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            assert cp.count_words(text) == cp.count_words(cp.split_lines(text)) == \
+                cp.count_words(fh) == {"a": 1, "b": 2}
+        with pytest.raises(ValueError, match="empty corpus"):
+            cp.count_words(iter([]))
 
 
 class TestBuildVocab:

@@ -423,6 +423,28 @@ class TestSerialization:
             for token in (EOS, 4, 9):
                 assert again.logprob(prefix, token) == model.logprob(prefix, token)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_parse_lm_reads_the_lines_load_lm_reads(self, tmp_path, tiny_lm, newline):
+        model, _, _ = tiny_lm
+        text = lmm.dump_lm(model).replace("\n", newline)
+        path = tmp_path / "model.arpa"
+        path.write_bytes(text.encode("utf-8"))
+        for again in (lmm.parse_lm(text, str(path)), lmm.load_lm(path)):
+            assert_same_levels(again, model)
+            assert (again.vocab.surfaces, again.vocab.counts) == (model.vocab.surfaces,
+                                                                  model.vocab.counts)
+        # A line separator is no line break: both read it inside the last
+        # gram line, and refuse that line alike.
+        head, _, tail = text.rpartition(" ")
+        text = f"{head}\u2028{tail}"
+        path.write_bytes(text.encode("utf-8"))
+        messages = []
+        for read in (lambda: lmm.parse_lm(text, str(path)), lambda: lmm.load_lm(path)):
+            with pytest.raises(ValueError) as info:
+                read()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] and "\\u2028" in messages[0]
+
     def test_dump_is_deterministic(self, tiny_lm):
         model, _, _ = tiny_lm
         assert lmm.dump_lm(model) == lmm.dump_lm(model)
