@@ -13,7 +13,10 @@ on the original sentence; prefixes handed to the language model likewise
 use original tokens, so positions never interact and any number of workers
 produces byte-identical output.  Sentence i always draws from the stream
 ``SplitMix64(derive(seed, i))``, and every strategy consumes one selection
-uniform per position before any replacement draws.
+uniform per position before any replacement draws.  ``augment_corpus``
+draws those uniforms and the masks for a bounded block of sentences in one
+array pass, and the per-sentence functions draw each sentence's as one
+block; both give the scalar stream's draws bit for bit.
 """
 
 from __future__ import annotations
@@ -21,21 +24,27 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .corpus import BLANK, BOS, EOS, NUM_SPECIALS, Sentence, read_text, split_lines
+from .corpus import (
+    BLANK, BOS, EOS, NUM_SPECIALS, Sentence, read_text, sentence_blocks, split_lines,
+)
 from .lm import NGramLM
 from .parallel import fork_map
-from .rng import SplitMix64, derive
+from .rng import SplitMix64, derive_block, stream_block
 
 STRATEGIES = ("base", "swap", "dropout", "blank", "smooth", "lm_sample", "soft")
 LM_STRATEGIES = ("lm_sample", "soft")
 
 # Framing and placeholder ids are never replaced; UNK is an ordinary token.
 _UNSELECTABLE = frozenset((BOS, EOS, BLANK))
+
+# Tokens (and EOSes) per block of ``augment_corpus``: a block's uniforms
+# and masks are one array pass, and its memory stays bounded.
+_BLOCK_TOKENS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +60,13 @@ class Dist:
         if not isinstance(other, Dist):
             return NotImplemented
         return np.array_equal(self.ids, other.ids) and np.array_equal(self.probs, other.probs)
+
+    def __reduce__(self):
+        # Raw buffers pickle in about half the time of two ndarrays, which
+        # is what a pooled soft pass spends returning its results; the
+        # arrays come back read-only, views of the unpickled bytes.
+        return _dist_from_buffers, (self.probs.dtype.str, self.probs.tobytes(),
+                                    self.ids.dtype.str, self.ids.tobytes())
 
     def entries(self) -> list[tuple[int, float]]:
         return [(int(i), float(p)) for i, p in zip(self.ids, self.probs)]
@@ -68,6 +84,10 @@ class Dist:
             raise ValueError("probabilities do not sum to 1")
         if len(set(self.ids.tolist())) != len(self.ids):
             raise ValueError("duplicate ids in distribution")
+
+
+def _dist_from_buffers(probs_dtype: str, probs: bytes, ids_dtype: str, ids: bytes) -> Dist:
+    return Dist(np.frombuffer(probs, probs_dtype), np.frombuffer(ids, ids_dtype))
 
 
 def unigram_dist(sentences: Iterable[Sentence], size: int) -> np.ndarray:
@@ -115,17 +135,26 @@ class AugmentConfig:
             raise ValueError("topk must be >= 0")
 
 
+def _mask(tokens: np.ndarray, u: np.ndarray, gamma: float) -> np.ndarray:
+    """The selection rule: a position is selected when its uniform is below
+    gamma and its token is not BOS, EOS or BLANK."""
+    return (u < gamma) & (tokens != BOS) & (tokens != EOS) & (tokens != BLANK)
+
+
 def select_positions(sentence: Sentence, gamma: float, rng: SplitMix64) -> list[bool]:
     """Bernoulli(gamma) selection mask, one uniform per position.
 
     Specials are never selected; their uniform is still consumed so the
-    mask depends only on (sentence, stream position).
+    mask depends only on (sentence, stream position).  The uniforms are
+    drawn as one block, bit for bit the draws of ``rng.random()``.
     """
-    mask = []
-    for t in sentence:
-        u = rng.random()
-        mask.append(u < gamma and t not in _UNSELECTABLE)
-    return mask
+    u = rng.random_array(len(sentence))
+    return _mask(np.array(sentence, dtype=np.int64), u, gamma).tolist()
+
+
+def _swapped(sentence: Sentence, u: np.ndarray, k: int) -> Sentence:
+    order = np.argsort(np.arange(len(u)) + u * (k + 1), kind="stable")
+    return [sentence[j] for j in order.tolist()]
 
 
 def augment_swap(sentence: Sentence, k: int, rng: SplitMix64) -> Sentence:
@@ -136,47 +165,55 @@ def augment_swap(sentence: Sentence, k: int, rng: SplitMix64) -> Sentence:
     """
     if k < 1:
         raise ValueError("window size must be >= 1")
-    keys = [i + rng.random() * (k + 1) for i in range(len(sentence))]
-    order = sorted(range(len(sentence)), key=keys.__getitem__)
-    return [sentence[j] for j in order]
+    return _swapped(sentence, rng.random_array(len(sentence)), k)
 
 
-def augment_dropout(sentence: Sentence, gamma: float, rng: SplitMix64) -> Sentence:
-    """Drop each eligible token independently with probability gamma.
-
-    A sentence is never emptied: if every token would be dropped, one
-    uniformly chosen token survives.
-    """
-    mask = select_positions(sentence, gamma, rng)
+def _dropped(sentence: Sentence, mask: list[bool], rng: SplitMix64) -> Sentence:
     kept = [t for t, drop in zip(sentence, mask) if not drop]
     if not kept and sentence:
         kept = [sentence[rng.randint(len(sentence))]]
     return kept
 
 
-def _replace_selected(
-    sentence: Sentence, gamma: float, rng: SplitMix64, replace: Callable
-) -> tuple[list, int]:
-    """The driver of the masked strategies.
+def augment_dropout(sentence: Sentence, gamma: float, rng: SplitMix64) -> Sentence:
+    """Drop each eligible token independently with probability gamma.
 
-    Draws the selection mask first, then calls ``replace(sentence, pos,
-    rng)`` for each selected position in order, so every replacement draw
-    follows every selection draw.  Returns (result, replaced positions).
+    A sentence is never emptied: if every token would be dropped, one
+    uniformly chosen token survives, by a draw that follows the mask.
     """
-    mask = select_positions(sentence, gamma, rng)
+    return _dropped(sentence, select_positions(sentence, gamma, rng), rng)
+
+
+def _replaced(sentence: Sentence, mask: list[bool], rng: SplitMix64, replace: Callable
+              ) -> tuple[list, int]:
+    """``replace(sentence, pos, rng)`` at each selected position in order;
+    returns (result, replaced positions)."""
     out = list(sentence)
+    replaced = 0
     for pos, hit in enumerate(mask):
         if hit:
             out[pos] = replace(sentence, pos, rng)
-    return out, sum(mask)
+            replaced += 1
+    return out, replaced
+
+
+def _replace_selected(
+    sentence: Sentence, gamma: float, rng: SplitMix64, replace: Callable
+) -> tuple[list, int]:
+    """The masked strategies on one sentence: the selection mask first,
+    then the replacements, so every replacement draw follows every
+    selection draw.  Returns (result, replaced positions)."""
+    return _replaced(sentence, select_positions(sentence, gamma, rng), rng, replace)
 
 
 def _blank_at(sentence: Sentence, pos: int, rng: SplitMix64) -> int:
     return BLANK
 
 
-def _unigram_at(cum: np.ndarray, sentence: Sentence, pos: int, rng: SplitMix64) -> int:
-    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+def _unigram_at(cum: Callable[[], np.ndarray], sentence: Sentence, pos: int,
+                rng: SplitMix64) -> int:
+    table = cum()
+    return int(np.searchsorted(table, rng.random() * table[-1], side="right"))
 
 
 def _lm_sample_at(lm: NGramLM, sentence: Sentence, pos: int, rng: SplitMix64) -> int:
@@ -217,13 +254,19 @@ def augment_soft(
     return _replace_selected(sentence, gamma, rng, _replacement("soft", lm, topk=topk))[0]
 
 
-def _replacement(strategy: str, lm: NGramLM | None = None, unigram: np.ndarray | None = None,
-                 topk: int = 0):
-    """The per-position replacement of a masked strategy, or None."""
+def _replacement(strategy: str, lm: NGramLM | None = None,
+                 unigram: np.ndarray | Callable[[], np.ndarray] | None = None, topk: int = 0):
+    """The per-position replacement of a masked strategy, or None.
+
+    ``smooth`` takes its unigram as an array or as a function that builds
+    it; either way its cumulative table is made at the first selected
+    position, so a corpus with none needs no unigram.
+    """
     if strategy == "blank":
         return _blank_at
     if strategy == "smooth":
-        return partial(_unigram_at, np.cumsum(unigram))
+        return partial(_unigram_at, cache(
+            lambda: np.cumsum(unigram() if callable(unigram) else unigram)))
     if strategy == "lm_sample":
         return partial(_lm_sample_at, lm)
     if strategy == "soft":
@@ -231,20 +274,42 @@ def _replacement(strategy: str, lm: NGramLM | None = None, unigram: np.ndarray |
     return None
 
 
-def _augment_one(
-    sentence: Sentence, index: int, config: AugmentConfig, replace: Callable | None
-) -> tuple[list, int]:
-    """Augment one sentence; returns (result, replaced-position count)."""
-    s = config.strategy
-    if s == "base" or config.gamma == 0.0:
-        return list(sentence), 0
-    rng = SplitMix64(derive(config.seed, index))
-    if s == "swap":
-        return augment_swap(sentence, config.window_k, rng), 0
-    if s == "dropout":
-        out = augment_dropout(sentence, config.gamma, rng)
-        return out, len(sentence) - len(out)
-    return _replace_selected(sentence, config.gamma, rng, replace)
+def _corpus_unigram(sentences: list[Sentence], size: int | None) -> np.ndarray:
+    if size is None:
+        size = max((max(s) for s in sentences if s), default=NUM_SPECIALS - 1) + 1
+    return unigram_dist(sentences, size)
+
+
+def _augment_block(sentences: list[Sentence], start: int, config: AugmentConfig,
+                   replace: Callable | None) -> list[tuple[list, int]]:
+    """Augment corpus sentences start, start + 1, ... (given as
+    *sentences*); returns (result, replaced-position count) per sentence.
+
+    Sentence i draws from ``SplitMix64(derive(seed, i))``: first one
+    uniform per position, for the swap keys or the mask, then any
+    replacement draws.  The block's uniforms and masks are computed in one
+    array pass, equal to the per-sentence draws bit for bit; each
+    sentence's remaining draws come from its stream advanced past them.
+    """
+    lengths = [len(s) for s in sentences]
+    seeds = derive_block(config.seed, start, len(sentences))
+    u = stream_block(seeds, np.array(lengths, dtype=np.int64))
+    cuts = list(itertools.accumulate(lengths, initial=0))
+    if config.strategy == "swap":
+        return [(_swapped(s, u[a:b], config.window_k), 0)
+                for s, a, b in zip(sentences, cuts, cuts[1:])]
+    tokens = np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.int64, count=cuts[-1])
+    mask = _mask(tokens, u, config.gamma).tolist()
+    out = []
+    for sentence, seed, a, b in zip(sentences, seeds.tolist(), cuts, cuts[1:]):
+        rng = SplitMix64(seed)
+        rng.skip(b - a)
+        if config.strategy == "dropout":
+            kept = _dropped(sentence, mask[a:b], rng)
+            out.append((kept, len(sentence) - len(kept)))
+        else:
+            out.append(_replaced(sentence, mask[a:b], rng, replace))
+    return out
 
 
 def augment_corpus(
@@ -260,25 +325,32 @@ def augment_corpus(
 
     Output depends only on (sentences, config); the worker count changes
     scheduling, never bytes.  ``smooth`` builds its unigram from
-    *sentences* over *vocab_size* ids unless one is given.  With
-    ``return_stats=True`` also returns (replaced, eligible) position
-    totals.
+    *sentences* over *vocab_size* ids unless one is given, and only once
+    a position is selected.  With ``return_stats=True`` also returns
+    (replaced, eligible) position totals.
+
+    Sentences go to ``_augment_block`` in bounded blocks of consecutive
+    sentences, about four per worker when there are several.
     """
     config.validate()
     if config.strategy in LM_STRATEGIES and lm is None:
         raise ValueError(f"strategy {config.strategy!r} requires a language model")
-    if config.strategy == "smooth" and unigram is None:
-        if vocab_size is None:
-            vocab_size = max((max(s) for s in sentences if s), default=NUM_SPECIALS - 1) + 1
-        unigram = unigram_dist(sentences, vocab_size)
-    replace = _replacement(config.strategy, lm, unigram, config.topk)
-
-    results = fork_map(
-        lambda i: _augment_one(sentences[i], i, config, replace),
-        range(len(sentences)),
-        threads,
-        chunksize=max(1, -(-len(sentences) // (4 * max(threads, 1)))),
-    )
+    if config.strategy == "base" or config.gamma == 0.0:
+        results = [(list(s), 0) for s in sentences]
+    else:
+        if config.strategy == "smooth" and unigram is None:
+            unigram = partial(_corpus_unigram, sentences, vocab_size)
+        replace = _replacement(config.strategy, lm, unigram, config.topk)
+        tokens = sum(len(s) + 1 for s in sentences)
+        budget = _BLOCK_TOKENS if threads <= 1 else min(_BLOCK_TOKENS, -(-tokens // (4 * threads)))
+        ranges = []
+        for block in sentence_blocks(sentences, budget):
+            start = ranges[-1][1] if ranges else 0
+            ranges.append((start, start + len(block)))
+        parts = fork_map(
+            lambda r: _augment_block(sentences[r[0]:r[1]], r[0], config, replace), ranges, threads
+        )
+        results = [r for part in parts for r in part]
 
     out = [r[0] for r in results]
     if not return_stats:

@@ -152,6 +152,21 @@ def check_max_size(max_size: int | None) -> None:
         raise ValueError(f"max_size must be >= {NUM_SPECIALS}, the special tokens, not {max_size}")
 
 
+def sentence_blocks(sentences: Iterable[Sentence], budget: int) -> Iterable[list[Sentence]]:
+    """Consecutive runs of *sentences*, each closed once its tokens and
+    EOSes reach *budget*."""
+    block: list[Sentence] = []
+    tokens = 0
+    for sent in sentences:
+        block.append(sent)
+        tokens += len(sent) + 1
+        if tokens >= budget:
+            yield block
+            block, tokens = [], 0
+    if block:
+        yield block
+
+
 def build_vocab(corpus: str | Iterable[str], max_size: int | None = None) -> Vocabulary:
     """Count whitespace tokens and build a Vocabulary.
 

@@ -3,10 +3,13 @@
 The synthetic task partitions the content vocabulary into synonym classes
 (surface form ``c<class>w<member>`` makes the assignment recoverable from
 text alone).  Sentences follow a class chain that repeats the previous
-class half the time, then realize each class as a uniformly chosen member,
-so a next-token model spreads probability mass across members of the
-locally likely classes.  The binary label is whether any marker-class
-token occurs, which a mean-pool linear classifier can separate.
+class three times in four, then realize each class as a uniformly chosen
+member, so a next-token model spreads probability mass across members of
+the locally likely classes.  The binary label is whether any marker-class
+token occurs, which a mean-pool linear classifier can separate.  The
+generator takes its uniforms from the stream as blocks and walks them in
+order, so the task, and where the stream ends, equal those of drawing
+one uniform per call, bit for bit.
 
 The sweep reports, per (strategy, gamma, repetition) cell, the clean-test
 accuracy of a model trained on the augmented training split.  Cell seeds
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import AugmentConfig, augment_corpus
-from .corpus import Sentence, Vocabulary, build_vocab, split_lines
+from .corpus import Sentence, Vocabulary, split_lines
 from .lm import NGramLM, check_params, train_lm
 from .parallel import fork_map
 from .rng import SplitMix64, derive
@@ -39,6 +42,9 @@ from .softmix import Bag, evaluate_packed, init_model, pack_corpus, train_packed
 DEFAULT_GAMMAS = (0.0, 0.05, 0.1, 0.15, 0.2)
 MARKER_FRACTION = 0.12
 CLASS_REPEAT_PROB = 0.75
+# Uniforms drawn per block while generating a task: its memory stays
+# bounded at any size.
+_TASK_BLOCK_DRAWS = 1 << 16
 
 
 def check_task_dims(vocab_size: int, classes: int, sentences: int, length: int) -> None:
@@ -79,29 +85,45 @@ def make_synthetic_task(
     evidence about the local class.
     """
     check_task_dims(vocab_size, num_synonym_classes, sentences_n, length)
-    members: list[list[str]] = [[] for _ in range(num_synonym_classes)]
-    for word in range(vocab_size):
-        cls = word % num_synonym_classes
-        members[cls].append(f"c{cls}w{word // num_synonym_classes}")
     n_markers = max(1, round(MARKER_FRACTION * num_synonym_classes))
-    markers = frozenset(range(n_markers))
+    chain: list[int] = []
+    members = []
+    # A sentence draws at most 3 * length - 1 uniforms: a class, then per
+    # later position a repeat test and maybe a class, then a member each.
+    per_block = max(1, _TASK_BLOCK_DRAWS // (3 * length - 1))
+    for first in range(0, sentences_n, per_block):
+        count = min(per_block, sentences_n - first)
+        u = rng.peek(count * (3 * length - 1))
+        draws = u.tolist()
+        member_draws = []
+        i = 0
+        for _ in range(count):
+            cls = int(draws[i] * num_synonym_classes)
+            chain.append(cls)
+            i += 1
+            for _ in range(length - 1):
+                i += 1
+                if draws[i - 1] >= CLASS_REPEAT_PROB:
+                    cls = int(draws[i] * num_synonym_classes)
+                    i += 1
+                chain.append(cls)
+            member_draws.extend(range(i, i + length))
+            i += length
+        rng.skip(i)
+        # Class q holds the words q, q + classes, q + 2 * classes, ...
+        block = np.array(chain[-count * length:], dtype=np.int64)
+        sizes = vocab_size // num_synonym_classes + (block < vocab_size % num_synonym_classes)
+        members.append((u[member_draws] * sizes).astype(np.int64))
 
-    lines = []
-    labels = []
-    for _ in range(sentences_n):
-        classes = []
-        for t in range(length):
-            if t > 0 and rng.random() < CLASS_REPEAT_PROB:
-                classes.append(classes[-1])
-            else:
-                classes.append(rng.randint(num_synonym_classes))
-        words = [members[c][rng.randint(len(members[c]))] for c in classes]
-        lines.append(" ".join(words))
-        labels.append(int(any(c in markers for c in classes)))
-
-    vocab = build_vocab(lines)
-    sentences = [vocab.encode_tokens(line.split()) for line in lines]
-    return SyntheticTask(sentences, labels, vocab, num_synonym_classes, markers)
+    classes = np.array(chain, dtype=np.int64)
+    words = np.concatenate(members) * num_synonym_classes + classes
+    surfaces = [f"c{w % num_synonym_classes}w{w // num_synonym_classes}" for w in range(vocab_size)]
+    counts = np.bincount(words, minlength=vocab_size).tolist()
+    vocab = Vocabulary.from_counts(dict(zip(surfaces, counts)))
+    id_of = np.array([vocab.id_of(s) for s in surfaces], dtype=np.int64)
+    sentences = id_of[words].reshape(sentences_n, length).tolist()
+    labels = (classes.reshape(sentences_n, length).min(axis=1) < n_markers).astype(int).tolist()
+    return SyntheticTask(sentences, labels, vocab, num_synonym_classes, frozenset(range(n_markers)))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import BLANK, BOS, EOS, UNK, Sentence, Vocabulary, split_lines
+from .corpus import BLANK, BOS, EOS, UNK, Sentence, Vocabulary, sentence_blocks, split_lines
 from .rng import SplitMix64
 
 # Entries in the top-k cache.  An entry holds 2k numbers, never 2|V|.
@@ -303,7 +303,7 @@ def perplexity(lm: NGramLM, sentences: Iterable[Sentence]) -> float:
     that of adding up ``lm.logprob`` per token, bit for bit."""
     total = 0.0
     n = 0
-    for block in _blocks(sentences, _BLOCK_TOKENS):
+    for block in sentence_blocks(sentences, _BLOCK_TOKENS):
         logs = _logprobs(lm, block)
         for x in logs.tolist():
             total += x
@@ -311,21 +311,6 @@ def perplexity(lm: NGramLM, sentences: Iterable[Sentence]) -> float:
     if n == 0:
         raise ValueError("empty corpus")
     return math.exp(-total / n)
-
-
-def _blocks(sentences: Iterable[Sentence], budget: int) -> Iterable[list[Sentence]]:
-    """Consecutive runs of *sentences*, each closed once its tokens and
-    EOSes reach *budget*."""
-    block: list[Sentence] = []
-    tokens = 0
-    for sent in sentences:
-        block.append(sent)
-        tokens += len(sent) + 1
-        if tokens >= budget:
-            yield block
-            block, tokens = [], 0
-    if block:
-        yield block
 
 
 def _logprobs(lm: NGramLM, sentences: list[Sentence]) -> np.ndarray:

@@ -13,9 +13,11 @@ import math
 
 import numpy as np
 
+import softaug as sa
 from softaug.augment import Dist, SoftWord
+from softaug.rng import SplitMix64, derive
 
-BOS_ID, EOS_ID = 0, 1
+BOS_ID, EOS_ID, BLANK_ID = 0, 1, 3
 
 
 class BruteNGram:
@@ -350,3 +352,68 @@ def parse_soft_line(line: str) -> list:
     except (KeyError, TypeError, IndexError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed soft corpus line ({type(exc).__name__}: {exc})") from exc
     return out
+
+
+# -- per-draw references: one SplitMix64 call per uniform -------------------
+
+
+def synthetic_task_per_draw(vocab_size, classes, sentences_n, length, rng):
+    """(sentences, labels, vocabulary) of the synthetic task drawn one
+    ``rng`` call at a time and built through text: each sentence is joined
+    into a line, the lines give the vocabulary, and they are encoded."""
+    members = [[] for _ in range(classes)]
+    for word in range(vocab_size):
+        members[word % classes].append(f"c{word % classes}w{word // classes}")
+    markers = range(max(1, round(0.12 * classes)))
+    lines, labels = [], []
+    for _ in range(sentences_n):
+        chain = []
+        for t in range(length):
+            if t > 0 and rng.random() < 0.75:
+                chain.append(chain[-1])
+            else:
+                chain.append(rng.randint(classes))
+        lines.append(" ".join(members[c][rng.randint(len(members[c]))] for c in chain))
+        labels.append(int(any(c in markers for c in chain)))
+    vocab = sa.build_vocab(lines)
+    return [vocab.encode_tokens(line.split()) for line in lines], labels, vocab
+
+
+def mask_per_draw(sentence, gamma, rng) -> list[bool]:
+    """One ``rng.random()`` per position, in order; BOS, EOS and BLANK are
+    never selected."""
+    return [rng.random() < gamma and t not in (BOS_ID, EOS_ID, BLANK_ID) for t in sentence]
+
+
+def augment_per_draw(sentence, index, config, lm=None, unigram=None):
+    """(result, replaced count) of one corpus sentence, one ``random()``
+    call per uniform from ``SplitMix64(derive(config.seed, index))``: a
+    uniform per position (the swap keys or the mask), then the
+    replacement draws in position order."""
+    s, gamma = config.strategy, config.gamma
+    if s == "base" or gamma == 0.0:
+        return list(sentence), 0
+    rng = SplitMix64(derive(config.seed, index))
+    if s == "swap":
+        keys = [i + rng.random() * (config.window_k + 1) for i in range(len(sentence))]
+        return [sentence[j] for j in sorted(range(len(sentence)), key=keys.__getitem__)], 0
+    mask = mask_per_draw(sentence, gamma, rng)
+    if s == "dropout":
+        kept = [t for t, drop in zip(sentence, mask) if not drop]
+        if not kept and sentence:
+            kept = [sentence[rng.randint(len(sentence))]]
+        return kept, len(sentence) - len(kept)
+    out = list(sentence)
+    for pos in (p for p, hit in enumerate(mask) if hit):
+        if s == "blank":
+            out[pos] = BLANK_ID
+        elif s == "smooth":
+            cum = np.cumsum(unigram)
+            out[pos] = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        elif s == "lm_sample":
+            out[pos] = lm.sample(sentence[:pos], rng)
+        else:
+            ids, probs = lm.top_k(sentence[:pos], config.topk or len(lm.vocab))
+            out[pos] = SoftWord(Dist(probs / probs.sum() if config.topk else probs, ids),
+                                sentence[pos])
+    return out, sum(mask)

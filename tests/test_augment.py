@@ -11,7 +11,7 @@ from scipy import stats
 import softaug as sa
 from softaug import augment as ag
 from softaug.corpus import BLANK
-from softaug.rng import SplitMix64, derive
+from softaug.rng import SplitMix64, derive, derive_block, stream_block
 
 from conftest import corpus_models
 import oracles
@@ -205,6 +205,56 @@ class TestSelection:
             assert mask == [True, False, True, False]
 
 
+class TestBlockDraws:
+    """The corpus path draws a block of sentences' uniforms in one array
+    pass; everything it draws equals the per-draw stream of each sentence."""
+
+    corpus = st.lists(st.lists(st.integers(0, 9), max_size=9), max_size=12)
+
+    @given(corpus, st.integers(0, 2**64 - 1), st.integers(0, 50), st.sampled_from([0.0, 0.3, 1.0]))
+    def test_uniforms_and_masks_equal_per_sentence_streams(self, sents, seed, start, gamma):
+        lengths = np.array([len(s) for s in sents], dtype=np.int64)
+        u = stream_block(derive_block(seed, start, len(sents)), lengths)
+        rngs = [SplitMix64(derive(seed, start + i)) for i in range(len(sents))]
+        scalar = [rng.random() for rng, s in zip(rngs, sents) for _ in s]
+        assert u.tobytes() == np.array(scalar, dtype=np.float64).tobytes()
+        tokens = np.array([t for s in sents for t in s], dtype=np.int64)
+        masks = [oracles.mask_per_draw(s, gamma, SplitMix64(derive(seed, start + i)))
+                 for i, s in enumerate(sents)]
+        assert ag._mask(tokens, u, gamma).tolist() == [m for mask in masks for m in mask]
+
+    # ``augment_corpus`` copies base sentences without drawing.
+    @pytest.mark.parametrize("strategy", sa.STRATEGIES[1:])
+    @given(sents=corpus, seed=st.integers(0, 2**64 - 1), start=st.integers(0, 50))
+    @settings(max_examples=30)
+    def test_block_equals_per_draw_oracle(self, tiny_lm, strategy, sents, seed, start):
+        model = tiny_lm[0]
+        # All-special corpora give no unigram; blank needs none.
+        assume(strategy != "smooth" or any(t >= 4 for s in sents for t in s))
+        cfg = sa.AugmentConfig(strategy=strategy, gamma=0.6, topk=3, seed=seed)
+        uni = ag.unigram_dist(sents, 10) if strategy == "smooth" else None
+        got = ag._augment_block(sents, start, cfg, ag._replacement(strategy, model, uni, 3))
+        assert got == [oracles.augment_per_draw(s, start + i, cfg, model, uni)
+                       for i, s in enumerate(sents)]
+
+    @pytest.mark.parametrize("strategy", sa.STRATEGIES)
+    def test_threads_one_and_two_equal_per_draw_oracle(self, tiny_lm, monkeypatch, strategy):
+        model, sents, _ = tiny_lm
+        corpus = sents + [[], [0, 1, 3, 2], [3]]
+        cfg = sa.AugmentConfig(strategy=strategy, gamma=0.4, topk=4, seed=12)
+        uni = ag.unigram_dist(corpus, len(model.vocab))
+        expected = [oracles.augment_per_draw(s, i, cfg, model, uni) for i, s in enumerate(corpus)]
+        expected = [r[0] for r in expected], sum(r[1] for r in expected)
+        # Small blocks put several blocks on each worker and one sentence
+        # alone in some.
+        for budget in (5, 1 << 16):
+            monkeypatch.setattr(ag, "_BLOCK_TOKENS", budget)
+            for threads in (1, 2):
+                out, (replaced, _) = sa.augment_corpus(corpus, cfg, lm=model, unigram=uni,
+                                                       threads=threads, return_stats=True)
+                assert (out, replaced) == expected
+
+
 class TestTopK:
     def test_ties_break_by_id(self):
         dense = np.array([0.0, 0.25, 0.25, 0.25, 0.25])
@@ -276,19 +326,16 @@ class TestDriver:
         assert replaced == replay
 
     @pytest.mark.parametrize("strategy", ["dropout", "blank", "smooth", "lm_sample", "soft"])
-    def test_mask_drawn_once_per_sentence(self, tiny_lm, monkeypatch, strategy):
+    def test_mask_drawn_once_per_sentence(self, tiny_lm, strategy):
+        """One mask uniform per position, all before any replacement draw:
+        the corpus equals a per-sentence replay that draws them so."""
         model, sents, _ = tiny_lm
-        calls = []
-        draw = ag.select_positions
-
-        def counted(sentence, gamma, rng):
-            calls.append(len(sentence))
-            return draw(sentence, gamma, rng)
-
-        monkeypatch.setattr(ag, "select_positions", counted)
         cfg = sa.AugmentConfig(strategy=strategy, gamma=0.3, topk=4, seed=10)
-        sa.augment_corpus(sents, cfg, lm=model, return_stats=True)
-        assert calls == [len(s) for s in sents]
+        out, (replaced, _) = sa.augment_corpus(sents, cfg, lm=model, return_stats=True)
+        uni = ag.unigram_dist(sents, max(max(s) for s in sents) + 1)
+        replay = [oracles.augment_per_draw(s, i, cfg, model, uni) for i, s in enumerate(sents)]
+        assert out == [r[0] for r in replay]
+        assert replaced == sum(r[1] for r in replay) > 0
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

@@ -350,6 +350,31 @@ class TestLineRule:
             b"alpha beta gamma\n\ndelta beta\n"
 
 
+class TestNothingToAugment:
+    @pytest.mark.parametrize("strategy", aug.STRATEGIES)
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    @pytest.mark.parametrize("gamma", [0, 0.3])
+    def test_empty_or_blank_input_exits_zero(self, line_rule_dir, tmp_path, capsys,
+                                             strategy, text, gamma):
+        raw = tmp_path / "raw.txt"
+        raw.write_text(text)
+        run_main("augment", "--input", raw, "--strategy", strategy, "--gamma", gamma,
+                 "--output", tmp_path / "out",
+                 *(["--lm", line_rule_dir / "model.arpa"] if strategy in aug.LM_STRATEGIES else []))
+        out = (tmp_path / "out").read_text()
+        assert out == (text.replace("\n", '{"toks":[],"soft":{}}\n') if strategy == "soft" else text)
+        assert capsys.readouterr().err.endswith("replacement rate: 0.0000 (0/0)\n")
+
+    def test_smooth_with_nothing_to_draw_from_is_data_error(self, tmp_path, capsys):
+        # <unk> is an ordinary, selectable token, but no unigram mass.
+        raw = tmp_path / "raw.txt"
+        raw.write_text("<unk> <unk>\n")
+        args = ["augment", "--input", raw, "--strategy", "smooth", "--output", tmp_path / "out"]
+        assert cli.main([*map(str, args), "--gamma", "1"]) == 1
+        assert "error: no non-special tokens" in capsys.readouterr().err
+        run_main(*args, "--gamma", 0.3, "--seed", 1)  # this seed selects neither position
+
+
 class TestGradCheckCommand:
     def test_default_passes(self):
         proc = run_cli("grad-check", "--seed", 0)

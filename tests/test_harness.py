@@ -10,6 +10,7 @@ from softaug import harness as hn
 from softaug import softmix as sm
 from softaug.rng import SplitMix64, derive
 
+import oracles
 from oracles import task_label
 
 
@@ -20,6 +21,18 @@ class TestSyntheticTask:
             surface = task.vocab.surface(i)
             cls = task.class_of_surface(surface)
             assert surface == f"c{cls}w0"
+
+    @pytest.mark.parametrize("dims", [(50, 10, 40, 1), (30, 1, 25, 6), (12, 12, 30, 5),
+                                      (1, 1, 1, 1), (500, 50, 300, 12), (37, 5, 6000, 4)])
+    def test_equals_per_draw_generator(self, dims):
+        rng, scalar = SplitMix64(2**64 - 9), SplitMix64(2**64 - 9)
+        task = sa.make_synthetic_task(*dims, rng)
+        sentences, labels, vocab = oracles.synthetic_task_per_draw(*dims, scalar)
+        assert task.sentences == sentences
+        assert task.labels == labels
+        assert (task.vocab.surfaces, task.vocab.counts) == (vocab.surfaces, vocab.counts)
+        # The stream goes on where the per-draw generator leaves it.
+        assert rng.next_u64() == scalar.next_u64()
 
     def test_vocab_size_bound(self):
         with pytest.raises(ValueError):

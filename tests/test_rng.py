@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import softaug as sa
-from softaug.rng import SplitMix64, random_block
+from softaug.rng import SplitMix64, derive, derive_block, random_block, stream_block
 
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -18,6 +18,41 @@ class TestRandomBlock:
 
     def test_empty_block(self):
         assert random_block(7, 0).shape == (0,)
+
+
+class TestDeriveBlock:
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("start", [0, 7])
+    def test_equals_scalar_derive(self, seed, start):
+        block = derive_block(seed, start, 300)
+        assert block.dtype == np.uint64
+        assert block.tolist() == [derive(seed, i) for i in range(start, start + 300)]
+
+    def test_stream_block_concatenates_each_streams_first_draws(self):
+        seeds = derive_block(2**64 - 1, 0, 40)
+        lengths = [i % 5 for i in range(40)]
+        scalar = []
+        for seed, n in zip(seeds.tolist(), lengths):
+            rng = SplitMix64(seed)
+            scalar += [rng.random() for _ in range(n)]
+        block = stream_block(seeds, np.array(lengths))
+        assert block.tobytes() == np.array(scalar).tobytes()
+
+
+class TestStreamPosition:
+    def test_peek_skip_and_random_array_follow_the_scalar_stream(self):
+        rng, scalar = SplitMix64(2**64 - 3), SplitMix64(2**64 - 3)
+        ahead = rng.peek(9)
+        assert rng.peek(9).tobytes() == ahead.tobytes()
+        assert ahead.tolist() == [scalar.random() for _ in range(9)]
+        rng.skip(9)
+        assert rng.random_array(4).tolist() == [scalar.random() for _ in range(4)]
+        assert rng.next_u64() == scalar.next_u64()
+
+    def test_advanced_stream_is_a_stream_of_the_advanced_seed(self):
+        rng = SplitMix64(5)
+        rng.skip(11)
+        assert rng.random_array(3).tolist() == SplitMix64(5 + 11 * GOLDEN).random_array(3).tolist()
 
 
 class TestRandintBlock:
