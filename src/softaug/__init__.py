@@ -12,13 +12,7 @@ from .augment import (
     Dist,
     SoftWord,
     STRATEGIES,
-    augment_blank,
     augment_corpus,
-    augment_dropout,
-    augment_lm_sample,
-    augment_smooth,
-    augment_soft,
-    augment_swap,
     read_soft_corpus,
     unigram_dist,
     write_soft_corpus,

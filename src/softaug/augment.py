@@ -14,9 +14,10 @@ use original tokens, so positions never interact and any number of workers
 produces byte-identical output.  Sentence i always draws from the stream
 ``SplitMix64(derive(seed, i))``, and every strategy consumes one selection
 uniform per position before any replacement draws.  ``augment_corpus``
-draws those uniforms and the masks for a bounded block of sentences in one
-array pass, and the per-sentence functions draw each sentence's as one
-block; both give the scalar stream's draws bit for bit.
+is the one way in: it draws those uniforms and the masks for a bounded
+block of sentences in one array pass, bit for bit the scalar stream's
+draws.  To reproduce one sentence's augmentation, take sentence i of an
+``augment_corpus`` run with the same seed.
 """
 
 from __future__ import annotations
@@ -92,12 +93,12 @@ def _dist_from_buffers(probs_dtype: str, probs: bytes, ids_dtype: str, ids: byte
 
 def unigram_dist(sentences: Iterable[Sentence], size: int) -> np.ndarray:
     """Unigram frequency distribution over non-special token ids, indexed
-    by id."""
-    counts = np.zeros(size, dtype=np.float64)
-    for sent in sentences:
-        for t in sent:
-            if t >= NUM_SPECIALS:
-                counts[t] += 1
+    by id; every id must lie in [0, size)."""
+    ids = np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.int64)
+    outside = ids[(ids < 0) | (ids >= size)]
+    if len(outside):
+        raise ValueError(f"id out of range: {outside[0]}")
+    counts = np.bincount(ids[ids >= NUM_SPECIALS], minlength=size).astype(np.float64)
     total = counts.sum()
     if total == 0:
         raise ValueError("no non-special tokens to build a unigram distribution")
@@ -141,47 +142,22 @@ def _mask(tokens: np.ndarray, u: np.ndarray, gamma: float) -> np.ndarray:
     return (u < gamma) & (tokens != BOS) & (tokens != EOS) & (tokens != BLANK)
 
 
-def select_positions(sentence: Sentence, gamma: float, rng: SplitMix64) -> list[bool]:
-    """Bernoulli(gamma) selection mask, one uniform per position.
-
-    Specials are never selected; their uniform is still consumed so the
-    mask depends only on (sentence, stream position).  The uniforms are
-    drawn as one block, bit for bit the draws of ``rng.random()``.
-    """
-    u = rng.random_array(len(sentence))
-    return _mask(np.array(sentence, dtype=np.int64), u, gamma).tolist()
-
-
 def _swapped(sentence: Sentence, u: np.ndarray, k: int) -> Sentence:
+    """Permute tokens so that nothing moves more than k positions: position
+    i gets sort key i + u_i * (k + 1), and a stable sort of the keys gives
+    the permutation."""
     order = np.argsort(np.arange(len(u)) + u * (k + 1), kind="stable")
     return [sentence[j] for j in order.tolist()]
 
 
-def augment_swap(sentence: Sentence, k: int, rng: SplitMix64) -> Sentence:
-    """Permute tokens so that nothing moves more than k positions.
-
-    Position i gets sort key i + u_i * (k + 1) with u_i uniform on [0, 1);
-    a stable sort of the keys yields the permutation.
-    """
-    if k < 1:
-        raise ValueError("window size must be >= 1")
-    return _swapped(sentence, rng.random_array(len(sentence)), k)
-
-
 def _dropped(sentence: Sentence, mask: list[bool], rng: SplitMix64) -> Sentence:
+    """Drop the selected tokens.  A sentence is never emptied: if every
+    token would be dropped, one uniformly chosen token survives, by a draw
+    that follows the mask."""
     kept = [t for t, drop in zip(sentence, mask) if not drop]
     if not kept and sentence:
         kept = [sentence[rng.randint(len(sentence))]]
     return kept
-
-
-def augment_dropout(sentence: Sentence, gamma: float, rng: SplitMix64) -> Sentence:
-    """Drop each eligible token independently with probability gamma.
-
-    A sentence is never emptied: if every token would be dropped, one
-    uniformly chosen token survives, by a draw that follows the mask.
-    """
-    return _dropped(sentence, select_positions(sentence, gamma, rng), rng)
 
 
 def _replaced(sentence: Sentence, mask: list[bool], rng: SplitMix64, replace: Callable
@@ -195,15 +171,6 @@ def _replaced(sentence: Sentence, mask: list[bool], rng: SplitMix64, replace: Ca
             out[pos] = replace(sentence, pos, rng)
             replaced += 1
     return out, replaced
-
-
-def _replace_selected(
-    sentence: Sentence, gamma: float, rng: SplitMix64, replace: Callable
-) -> tuple[list, int]:
-    """The masked strategies on one sentence: the selection mask first,
-    then the replacements, so every replacement draw follows every
-    selection draw.  Returns (result, replaced positions)."""
-    return _replaced(sentence, select_positions(sentence, gamma, rng), rng, replace)
 
 
 def _blank_at(sentence: Sentence, pos: int, rng: SplitMix64) -> int:
@@ -221,52 +188,26 @@ def _lm_sample_at(lm: NGramLM, sentence: Sentence, pos: int, rng: SplitMix64) ->
 
 
 def _soft_at(lm: NGramLM, topk: int, sentence: Sentence, pos: int, rng: SplitMix64) -> SoftWord:
-    # topk = 0 keeps every token, with next_dist's values as they are.
+    """The contextual distribution at *pos* from ``lm.top_k``, with
+    probabilities bitwise equal to ``next_dist``: with topk > 0 the k most
+    probable, renormalized; topk = 0 keeps every token, not renormalized.
+    Either way a position evaluates the dense distribution, O(|V|)."""
     ids, probs = lm.top_k(sentence[:pos], topk or len(lm.vocab))
     return SoftWord(Dist(probs / probs.sum() if topk else probs, ids), sentence[pos])
 
 
-def augment_blank(sentence: Sentence, gamma: float, rng: SplitMix64) -> Sentence:
-    return _replace_selected(sentence, gamma, rng, _replacement("blank"))[0]
-
-
-def augment_smooth(sentence: Sentence, gamma: float, unigram: np.ndarray, rng: SplitMix64) -> Sentence:
-    """Replace selected tokens by draws from the unigram distribution."""
-    return _replace_selected(sentence, gamma, rng, _replacement("smooth", unigram=unigram))[0]
-
-
-def augment_lm_sample(sentence: Sentence, gamma: float, lm: NGramLM, rng: SplitMix64) -> Sentence:
-    """Replace selected tokens by samples from the model's next-token
-    distribution; prefixes are the original tokens."""
-    return _replace_selected(sentence, gamma, rng, _replacement("lm_sample", lm))[0]
-
-
-def augment_soft(
-    sentence: Sentence, gamma: float, lm: NGramLM, topk: int, rng: SplitMix64
-) -> SoftSentence:
-    """Replace selected tokens by their contextual distribution.
-
-    The entries come from ``lm.top_k``, with probabilities bitwise equal
-    to ``next_dist``.  With topk > 0 the k most probable are kept and
-    renormalized; topk = 0 keeps every token, not renormalized.  Either
-    way a position evaluates the dense distribution, O(|V|).
-    """
-    return _replace_selected(sentence, gamma, rng, _replacement("soft", lm, topk=topk))[0]
-
-
 def _replacement(strategy: str, lm: NGramLM | None = None,
-                 unigram: np.ndarray | Callable[[], np.ndarray] | None = None, topk: int = 0):
+                 unigram: Callable[[], np.ndarray] | None = None, topk: int = 0):
     """The per-position replacement of a masked strategy, or None.
 
-    ``smooth`` takes its unigram as an array or as a function that builds
-    it; either way its cumulative table is made at the first selected
-    position, so a corpus with none needs no unigram.
+    ``smooth`` takes a function that builds its unigram; the cumulative
+    table is made at the first selected position, so a corpus with none
+    needs no unigram.
     """
     if strategy == "blank":
         return _blank_at
     if strategy == "smooth":
-        return partial(_unigram_at, cache(
-            lambda: np.cumsum(unigram() if callable(unigram) else unigram)))
+        return partial(_unigram_at, cache(lambda: np.cumsum(unigram())))
     if strategy == "lm_sample":
         return partial(_lm_sample_at, lm)
     if strategy == "soft":
@@ -288,7 +229,7 @@ def _augment_block(sentences: list[Sentence], start: int, config: AugmentConfig,
     Sentence i draws from ``SplitMix64(derive(seed, i))``: first one
     uniform per position, for the swap keys or the mask, then any
     replacement draws.  The block's uniforms and masks are computed in one
-    array pass, equal to the per-sentence draws bit for bit; each
+    array pass, equal to each stream's scalar draws bit for bit; each
     sentence's remaining draws come from its stream advanced past them.
     """
     lengths = [len(s) for s in sentences]
@@ -338,9 +279,9 @@ def augment_corpus(
     if config.strategy == "base" or config.gamma == 0.0:
         results = [(list(s), 0) for s in sentences]
     else:
-        if config.strategy == "smooth" and unigram is None:
-            unigram = partial(_corpus_unigram, sentences, vocab_size)
-        replace = _replacement(config.strategy, lm, unigram, config.topk)
+        build_unigram = (partial(_corpus_unigram, sentences, vocab_size) if unigram is None
+                         else lambda: unigram)
+        replace = _replacement(config.strategy, lm, build_unigram, config.topk)
         tokens = sum(len(s) + 1 for s in sentences)
         budget = _BLOCK_TOKENS if threads <= 1 else min(_BLOCK_TOKENS, -(-tokens // (4 * threads)))
         ranges = []

@@ -193,7 +193,10 @@ class NGramLM:
         """log P(*token* | *prefix*), from the dense vector: O(|V|)."""
         if not 0 <= token < len(self.vocab):
             raise ValueError(f"id out of range: {token}")
-        return float(np.log(self._dist(self.pad_prefix(prefix))[token]))
+        p = self._dist(self.pad_prefix(prefix))[token]
+        # At alpha 0 an unseen token has probability 0: its log is -inf.
+        with np.errstate(divide="ignore"):
+            return float(np.log(p))
 
     def sample(self, prefix: Sequence[int], rng: SplitMix64) -> int:
         """Inverse-CDF draw in id order; BOS/UNK/BLANK are never emitted."""
@@ -341,7 +344,9 @@ def _logprobs(lm: NGramLM, sentences: list[Sentence]) -> np.ndarray:
         found = np.minimum(keys.searchsorted(want), len(keys) - 1)
         inside = keys[found] == want
         p[live[inside]] += level.add[found[inside]]
-    return np.log(p)
+    # At alpha 0 an unseen token has probability 0: its log is -inf.
+    with np.errstate(divide="ignore"):
+        return np.log(p)
 
 
 # -- count-file serialization ----------------------------------------------

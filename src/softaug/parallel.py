@@ -35,10 +35,11 @@ def check_threads(threads: int) -> None:
         raise ValueError(f"threads must lie in [1, {MAX_THREADS}], not {threads}")
 
 
-def fork_map(fn: Callable, items: Iterable, threads: int, chunksize: int = 1) -> list:
-    """``[fn(x) for x in items]``, on *threads* forked workers when > 1."""
+def fork_map(fn: Callable, items: Iterable, threads: int) -> list:
+    """``[fn(x) for x in items]``, on *threads* forked workers when > 1.
+    Items go to the workers one at a time, so jobs of uneven cost balance."""
     if threads <= 1:
         return [fn(x) for x in items]
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(threads, initializer=_init, initargs=(fn,)) as pool:
-        return pool.map(_call, items, chunksize=chunksize)
+        return pool.map(_call, items, chunksize=1)

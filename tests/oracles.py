@@ -379,6 +379,17 @@ def synthetic_task_per_draw(vocab_size, classes, sentences_n, length, rng):
     return [vocab.encode_tokens(line.split()) for line in lines], labels, vocab
 
 
+def unigram_per_token(sentences, size) -> np.ndarray:
+    """Frequencies of the ids >= 4 (the non-specials), counted one token at
+    a time."""
+    counts = np.zeros(size, dtype=np.float64)
+    for sent in sentences:
+        for t in sent:
+            if t >= 4:
+                counts[t] += 1
+    return counts / counts.sum()
+
+
 def mask_per_draw(sentence, gamma, rng) -> list[bool]:
     """One ``rng.random()`` per position, in order; BOS, EOS and BLANK are
     never selected."""

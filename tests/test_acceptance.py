@@ -162,8 +162,8 @@ def test_c5_baseline_distributional_fidelity():
         unigram = ag.unigram_dist(sents, len(vocab))
         counts = np.zeros(len(vocab))
         n = 100_000
-        for i in range(n):
-            out = sa.augment_smooth([5], 1.0, unigram, SplitMix64(derive(5001, i)))
+        config = sa.AugmentConfig(strategy="smooth", gamma=1.0, seed=5001)
+        for out in sa.augment_corpus([[5]] * n, config, unigram=unigram):
             counts[out[0]] += 1
         assert np.max(np.abs(counts / n - unigram)) <= 0.01
 
@@ -171,18 +171,18 @@ def test_c5_baseline_distributional_fidelity():
         sentence = [5, 9, 7]
         target = model.next_dist(sentence[:2])
         counts = np.zeros(len(vocab))
-        for i in range(n):
-            out = sa.augment_lm_sample(list(sentence), 1.0, model, SplitMix64(derive(5002, i)))
+        config = sa.AugmentConfig(strategy="lm_sample", gamma=1.0, seed=5002)
+        for out in sa.augment_corpus([sentence] * n, config, lm=model):
             counts[out[2]] += 1
         assert np.max(np.abs(counts / n - target)) <= 0.01
 
-        # swap displacement bound with the default window
+        # swap displacement bound with the default window (swap reads no
+        # gamma, but gamma 0 leaves every strategy the identity)
         k = 3
         rng = SplitMix64(5003)
-        for i in range(10_000):
-            length = 1 + rng.randint(20)
-            sent = list(range(1000, 1000 + length))
-            out = sa.augment_swap(sent, k, SplitMix64(derive(5004, i)))
+        sents = [list(range(1000, 1001 + rng.randint(20))) for _ in range(10_000)]
+        config = sa.AugmentConfig(strategy="swap", gamma=1.0, window_k=k, seed=5004)
+        for sent, out in zip(sents, sa.augment_corpus(sents, config)):
             assert sorted(out) == sent
             for pos, token in enumerate(out):
                 assert abs((token - 1000) - pos) <= k

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -18,27 +19,29 @@ import oracles
 from oracles import top_k
 
 
-def fresh_rngs(seed, n):
-    return (SplitMix64(derive(seed, i)) for i in range(n))
+def run(sents, strategy, gamma, seed, lm=None, unigram=None, **config):
+    """``augment_corpus`` over *sents*: sentence i draws from
+    ``SplitMix64(derive(seed, i))``."""
+    cfg = sa.AugmentConfig(strategy=strategy, gamma=gamma, seed=seed, **config)
+    return sa.augment_corpus(sents, cfg, lm=lm, unigram=unigram)
 
 
+# swap does not read gamma, but gamma 0 leaves every strategy the identity.
 class TestSwap:
     def test_length_one_unchanged(self):
-        assert sa.augment_swap([7], 3, SplitMix64(1)) == [7]
+        assert run([[7]], "swap", 1.0, seed=1, window_k=3) == [[7]]
 
     def test_multiset_preserved_large_window(self):
         rng = SplitMix64(2)
         sent = [4 + rng.randint(30) for _ in range(15)]
-        out = sa.augment_swap(list(sent), 50, SplitMix64(3))
+        [out] = run([sent], "swap", 1.0, seed=3, window_k=50)
         assert sorted(out) == sorted(sent)
 
     def test_displacement_bound(self):
         k = 3
         rng = SplitMix64(4)
-        for i in range(2000):
-            length = 1 + rng.randint(20)
-            sent = list(range(100, 100 + length))
-            out = sa.augment_swap(sent, k, SplitMix64(derive(10, i)))
+        sents = [list(range(100, 101 + rng.randint(20))) for _ in range(2000)]
+        for sent, out in zip(sents, run(sents, "swap", 1.0, seed=10, window_k=k)):
             for pos, token in enumerate(out):
                 assert abs((token - 100) - pos) <= k
             assert sorted(out) == sent
@@ -47,15 +50,14 @@ class TestSwap:
 class TestDropout:
     def test_gamma_zero_identity(self):
         sent = [4, 5, 6, 7]
-        assert sa.augment_dropout(list(sent), 0.0, SplitMix64(5)) == sent
+        assert run([sent], "dropout", 0.0, seed=5) == [sent]
 
     def test_gamma_one_single_uniform_survivor(self):
         length = 8
         sent = [4 + i for i in range(length)]
         counts = np.zeros(length)
         trials = 100_000
-        for rng in fresh_rngs(6, trials):
-            out = sa.augment_dropout(list(sent), 1.0, rng)
+        for out in run([sent] * trials, "dropout", 1.0, seed=6):
             assert len(out) == 1
             counts[out[0] - 4] += 1
         chi2 = float(((counts - trials / length) ** 2 / (trials / length)).sum())
@@ -64,31 +66,29 @@ class TestDropout:
     def test_drop_rate_concentrates(self):
         sent = [4 + i % 9 for i in range(10)]
         dropped = total = 0
-        for rng in fresh_rngs(7, 10_000):
-            out = sa.augment_dropout(list(sent), 0.15, rng)
+        for out in run([sent] * 10_000, "dropout", 0.15, seed=7):
             dropped += len(sent) - len(out)
             total += len(sent)
         assert 0.14 <= dropped / total <= 0.16
 
     def test_specials_never_dropped(self):
         sent = [4, BLANK, 5]
-        for rng in fresh_rngs(8, 200):
-            assert BLANK in sa.augment_dropout(list(sent), 0.9, rng)
+        for out in run([sent] * 200, "dropout", 0.9, seed=8):
+            assert BLANK in out
 
 
 class TestBlank:
     def test_gamma_zero_identity(self):
         sent = [4, 5, 6]
-        assert sa.augment_blank(list(sent), 0.0, SplitMix64(9)) == sent
+        assert run([sent], "blank", 0.0, seed=9) == [sent]
 
     def test_gamma_one_all_blank(self):
-        assert sa.augment_blank([4, 5, 6], 1.0, SplitMix64(10)) == [BLANK] * 3
+        assert run([[4, 5, 6]], "blank", 1.0, seed=10) == [[BLANK] * 3]
 
     def test_replacement_rate(self):
         sent = [4 + i % 7 for i in range(10)]
         hits = total = 0
-        for rng in fresh_rngs(11, 10_000):
-            out = sa.augment_blank(list(sent), 0.15, rng)
+        for out in run([sent] * 10_000, "blank", 0.15, seed=11):
             hits += sum(1 for t in out if t == BLANK)
             total += len(sent)
         assert 0.14 <= hits / total <= 0.16
@@ -98,29 +98,27 @@ class TestSmooth:
     def test_gamma_zero_identity(self):
         unigram = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
         sent = [4, 4, 4]
-        assert sa.augment_smooth(list(sent), 0.0, unigram, SplitMix64(12)) == sent
+        assert run([sent], "smooth", 0.0, seed=12, unigram=unigram) == [sent]
 
     def test_point_mass_unigram(self):
         probs = np.zeros(8)
         probs[6] = 1.0
-        out = sa.augment_smooth([4, 5, 7], 1.0, probs, SplitMix64(13))
-        assert out == [6, 6, 6]
+        assert run([[4, 5, 7]], "smooth", 1.0, seed=13, unigram=probs) == [[6, 6, 6]]
 
     def test_replacement_distribution_matches_unigram(self):
         probs = np.zeros(10)
         probs[4:] = [0.3, 0.25, 0.2, 0.1, 0.1, 0.05]
         counts = np.zeros(10)
         n = 100_000
-        for rng in fresh_rngs(14, n):
-            counts[sa.augment_smooth([4], 1.0, probs, rng)[0]] += 1
+        for out in run([[4]] * n, "smooth", 1.0, seed=14, unigram=probs):
+            counts[out[0]] += 1
         assert np.max(np.abs(counts / n - probs)) <= 0.01
 
 
 class TestLmSample:
     def test_gamma_zero_identity(self, tiny_lm):
         model, sents, _ = tiny_lm
-        sent = sents[0]
-        assert sa.augment_lm_sample(list(sent), 0.0, model, SplitMix64(15)) == sent
+        assert run(sents[:1], "lm_sample", 0.0, seed=15, lm=model) == sents[:1]
 
     def test_replacements_match_next_dist(self, tiny_lm):
         model, _, vocab = tiny_lm
@@ -128,21 +126,20 @@ class TestLmSample:
         dist = model.next_dist(sent[:2])
         counts = np.zeros(len(vocab))
         n = 100_000
-        for rng in fresh_rngs(16, n):
-            counts[sa.augment_lm_sample(list(sent), 1.0, model, rng)[2]] += 1
+        for out in run([sent] * n, "lm_sample", 1.0, seed=16, lm=model):
+            counts[out[2]] += 1
         assert np.max(np.abs(counts / n - dist)) <= 0.01
 
 
 class TestSoft:
     def test_gamma_zero_all_hard(self, tiny_lm):
         model, sents, _ = tiny_lm
-        out = sa.augment_soft(list(sents[0]), 0.0, model, 8, SplitMix64(17))
-        assert out == sents[0]
+        assert run(sents[:1], "soft", 0.0, seed=17, lm=model, topk=8) == sents[:1]
 
     def test_topk_one_is_argmax_point_mass(self, tiny_lm):
         model, _, _ = tiny_lm
         sent = [5, 6]
-        out = sa.augment_soft(list(sent), 1.0, model, 1, SplitMix64(18))
+        [out] = run([sent], "soft", 1.0, seed=18, lm=model, topk=1)
         for pos, word in enumerate(out):
             assert isinstance(word, sa.SoftWord)
             dense = model.next_dist(sent[:pos])
@@ -155,7 +152,7 @@ class TestSoft:
         # Nearly every content id ends some prefix; several of these histories
         # have a next_dist that renormalizing would change.
         sent = [7] + list(range(4, len(vocab)))
-        out = sa.augment_soft(list(sent), 1.0, model, 0, SplitMix64(19))
+        [out] = run([sent], "soft", 1.0, seed=19, lm=model, topk=0)
         for pos, word in enumerate(out):
             assert isinstance(word, sa.SoftWord)
             dense = model.next_dist(sent[:pos])
@@ -165,8 +162,7 @@ class TestSoft:
 
     def test_soft_words_are_normalized(self, tiny_lm):
         model, sents, _ = tiny_lm
-        for i, sent in enumerate(sents[:50]):
-            out = sa.augment_soft(list(sent), 0.5, model, 4, SplitMix64(derive(20, i)))
+        for out in run(sents[:50], "soft", 0.5, seed=20, lm=model, topk=4):
             for word in out:
                 if isinstance(word, sa.SoftWord):
                     word.dist.validate(tol=1e-9)
@@ -174,14 +170,14 @@ class TestSoft:
 
     def test_original_id_recorded(self, tiny_lm):
         model, _, _ = tiny_lm
-        out = sa.augment_soft([9, 8], 1.0, model, 4, SplitMix64(21))
+        [out] = run([[9, 8]], "soft", 1.0, seed=21, lm=model, topk=4)
         assert [w.original_id for w in out] == [9, 8]
 
     @pytest.mark.parametrize("topk", [1, 3, 32])
     def test_topk_matches_dense_reference(self, tiny_lm, topk):
         model, sents, _ = tiny_lm
-        for i, sent in enumerate(sents[:40]):
-            out = sa.augment_soft(list(sent), 0.6, model, topk, SplitMix64(derive(24, i)))
+        outs = run(sents[:40], "soft", 0.6, seed=24, lm=model, topk=topk)
+        for sent, out in zip(sents[:40], outs):
             for pos, word in enumerate(out):
                 if isinstance(word, sa.SoftWord):
                     assert word.dist == top_k(model.next_dist(sent[:pos]), topk)
@@ -189,20 +185,37 @@ class TestSoft:
 
 class TestSelection:
     def test_positions_independent(self):
-        sent = [4] * 6
+        # blank replaces exactly the selected positions.
         n = 20_000
         hits = np.zeros((n, 2))
-        for row, rng in enumerate(fresh_rngs(22, n)):
-            mask = ag.select_positions(sent, 0.3, rng)
-            hits[row] = [mask[0], mask[4]]
+        for row, out in enumerate(run([[4] * 6] * n, "blank", 0.3, seed=22)):
+            hits[row] = [out[0] == BLANK, out[4] == BLANK]
         corr = np.corrcoef(hits[:, 0], hits[:, 1])[0, 1]
         assert abs(corr) < 0.03
 
     def test_specials_never_selected(self):
+        # A point-mass unigram on id 9 marks the selected positions.
         sent = [4, BLANK, 5, BLANK]
-        for rng in fresh_rngs(23, 500):
-            mask = ag.select_positions(sent, 1.0, rng)
+        probs = np.zeros(10)
+        probs[9] = 1.0
+        for out in run([sent] * 500, "smooth", 1.0, seed=23, unigram=probs):
+            mask = [t == 9 for t in out]
             assert mask == [True, False, True, False]
+
+
+class TestUnigram:
+    @given(st.integers(5, 12).flatmap(lambda size: st.tuples(
+        st.just(size), st.lists(st.lists(st.integers(0, size - 1), max_size=8), max_size=8))))
+    def test_equals_per_token_count(self, case):
+        size, sents = case
+        assume(any(t >= 4 for s in sents for t in s))
+        expected = oracles.unigram_per_token(sents, size)
+        assert ag.unigram_dist(sents, size).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_id_outside_the_vocabulary_is_refused(self, bad):
+        with pytest.raises(ValueError, match=f"^id out of range: {bad}$"):
+            ag.unigram_dist([[4, 5], [6, bad]], 10)
 
 
 class TestBlockDraws:
@@ -233,7 +246,7 @@ class TestBlockDraws:
         assume(strategy != "smooth" or any(t >= 4 for s in sents for t in s))
         cfg = sa.AugmentConfig(strategy=strategy, gamma=0.6, topk=3, seed=seed)
         uni = ag.unigram_dist(sents, 10) if strategy == "smooth" else None
-        got = ag._augment_block(sents, start, cfg, ag._replacement(strategy, model, uni, 3))
+        got = ag._augment_block(sents, start, cfg, ag._replacement(strategy, model, lambda: uni, 3))
         assert got == [oracles.augment_per_draw(s, start + i, cfg, model, uni)
                        for i, s in enumerate(sents)]
 
@@ -290,15 +303,15 @@ class TestDriver:
             assert serial == parallel
 
     def test_sentence_rng_is_positional(self, tiny_lm):
-        """Augmenting a slice reproduces the matching slice of the full run
-        when indices are preserved via single-sentence calls."""
+        """One sentence augmented alone at its corpus index reproduces that
+        sentence of the full run."""
         model, sents, _ = tiny_lm
         cfg = sa.AugmentConfig(strategy="smooth", gamma=0.4, seed=4)
         uni = ag.unigram_dist(sents, len(model.vocab))
         full = sa.augment_corpus(sents, cfg, unigram=uni)
+        replace = ag._replacement("smooth", unigram=lambda: uni)
         for i in (0, 3, 11):
-            rng = SplitMix64(derive(cfg.seed, i))
-            assert sa.augment_smooth(sents[i], cfg.gamma, uni, rng) == full[i]
+            assert ag._augment_block([sents[i]], i, cfg, replace)[0][0] == full[i]
 
     def test_missing_lm_is_configuration_error(self, tiny_lm):
         _, sents, _ = tiny_lm
@@ -318,10 +331,11 @@ class TestDriver:
         model, sents, _ = tiny_lm
         cfg = sa.AugmentConfig(strategy=strategy, gamma=0.3, topk=4, seed=9)
         _, (replaced, _) = sa.augment_corpus(sents, cfg, lm=model, return_stats=True)
-        replay = sum(
-            sum(ag.select_positions(s, cfg.gamma, SplitMix64(derive(cfg.seed, i))))
-            for i, s in enumerate(sents)
-        )
+        # The mask does not depend on the strategy: blank, run on each
+        # sentence alone at its index, replaces the positions it selects.
+        blank = dataclasses.replace(cfg, strategy="blank")
+        replay = sum(ag._augment_block([s], i, blank, ag._blank_at)[0][1]
+                     for i, s in enumerate(sents))
         assert replay > 0
         assert replaced == replay
 
@@ -431,7 +445,7 @@ class TestSoftSerialization:
 
     def test_jsonl_format_fields(self, tiny_lm):
         model, _, _ = tiny_lm
-        out = sa.augment_soft([5, 6, 7], 1.0, model, 3, SplitMix64(8))
+        [out] = run([[5, 6, 7]], "soft", 1.0, seed=8, lm=model, topk=3)
         line = ag._soft_line(out)
         import json
 
@@ -453,8 +467,8 @@ def soft_sentences(draw, gamma=None):
     if gamma is None:
         gamma = draw(st.sampled_from([0.0, 0.5, 1.0]))
     topk = draw(st.sampled_from([0, 1, 3, 32]))
-    rng = SplitMix64(draw(st.integers(0, 2**64 - 1)))
-    return sa.augment_soft(sent, gamma, model, topk, rng)
+    seed = draw(st.integers(0, 2**64 - 1))
+    return run([sent], "soft", gamma, seed, lm=model, topk=topk)[0]
 
 
 def soft_lines(gamma=None):

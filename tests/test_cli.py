@@ -103,6 +103,19 @@ class TestLanguageModelCommands:
         assert float(proc.stdout.strip()) == pytest.approx(expected, abs=1e-4)
         assert lmm.perplexity(reloaded, sents) == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_unseen_token_at_alpha_zero_is_infinite_without_a_warning(self, tmp_path, capsys):
+        # At alpha 0 the model gives the OOV token probability 0.
+        (tmp_path / "train.txt").write_text("a b\nb c\n")
+        (tmp_path / "test.txt").write_text("d a\n")
+        run_main("train-lm", "--input", tmp_path / "train.txt", "--alpha", 0,
+                 "--output", tmp_path / "m.arpa")
+        capsys.readouterr()
+        run_main("ppl", "--lm", tmp_path / "m.arpa", "--input", tmp_path / "test.txt")
+        captured = capsys.readouterr()
+        assert captured.out == "inf\n"
+        assert "RuntimeWarning" not in captured.err
+
     def test_discount_one_is_usage_error(self, workdir, tmp_path):
         run_cli(
             "train-lm", "--input", workdir / "sub.txt", "--discount", "1.0",

@@ -20,7 +20,6 @@ def test_closure_reaches_workers_by_fork_and_results_keep_item_order():
 
     items = list(range(20))
     assert fork_map(fn, items, threads=2) == [x * x for x in items]
-    assert fork_map(fn, items, threads=2, chunksize=3) == [x * x for x in items]
 
 
 @pytest.mark.parametrize("threads", [0, 1])
