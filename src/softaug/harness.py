@@ -17,8 +17,9 @@ derive from (base seed, gamma, repetition) only, so the cells of one
 (gamma, repetition) share the initial model and the SGD draws, and two
 strategies whose augmented splits pack to the same bags (every strategy
 at gamma = 0, ``swap`` and ``base`` always) run the exact same
-training.  The sweep runs it once, and any cell can still be recomputed
-in isolation.
+training.  The sweep runs it once, trains the distinct ones of a
+(gamma, repetition) in lockstep on their shared SGD draws, and any cell
+can still be recomputed in isolation.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .corpus import Sentence, Vocabulary, split_lines
 from .lm import NGramLM, check_params, train_lm
 from .parallel import fork_map
 from .rng import SplitMix64, derive
-from .softmix import Bag, evaluate_packed, init_model, pack_corpus, train_packed
+from .softmix import PackedCorpus, evaluate_packed, init_model, pack_corpus, train_packed
 
 DEFAULT_GAMMAS = (0.0, 0.05, 0.1, 0.15, 0.2)
 MARKER_FRACTION = 0.12
@@ -248,14 +249,43 @@ def _cell_seed(base_seed: int, gamma: float, rep: int) -> int:
     return derive(base_seed, _gamma_seed_key(gamma), rep)
 
 
-def _content_key(bags: list[Bag]) -> bytes:
+def _content_key(corpus: PackedCorpus) -> bytes:
     """The exact bytes of a packed corpus: equal keys, equal training."""
-    counts = [len(bag.ids) for bag in bags]
     return b"".join([
-        np.array([len(bags), *counts, *(bag.length for bag in bags)], dtype=np.int64).tobytes(),
-        *(bag.ids.tobytes() for bag in bags),
-        *(bag.weights.tobytes() for bag in bags),
+        np.array([len(corpus)], dtype=np.int64).tobytes(),
+        corpus.starts.tobytes(),
+        corpus.lengths.tobytes(),
+        corpus.ids.tobytes(),
+        corpus.weights.tobytes(),
     ])
+
+
+def _distinct_splits(
+    spec: SweepSpec, lm: NGramLM, train_x: list[Sentence], vocab_size: int, strategies,
+    gamma: float, seed: int,
+) -> tuple[list[PackedCorpus], dict[str, int], dict[str, float]]:
+    """Each strategy's packed training split, once per distinct content.
+
+    Returns the distinct splits, the index of each strategy's split among
+    them, and each strategy's augment and pack seconds.
+    """
+    index_of: dict[bytes, int] = {}
+    splits, split_of, seconds = [], {}, {}
+    for strategy in strategies:
+        start = time.perf_counter()
+        config = AugmentConfig(
+            strategy=strategy,
+            gamma=gamma,
+            window_k=spec.window,
+            topk=spec.topk,
+            seed=derive(seed, 1),
+        )
+        split = pack_corpus(augment_corpus(train_x, config, lm=lm, vocab_size=vocab_size), vocab_size)
+        split_of[strategy] = index_of.setdefault(_content_key(split), len(splits))
+        if split_of[strategy] == len(splits):
+            splits.append(split)
+        seconds[strategy] = time.perf_counter() - start
+    return splits, split_of, seconds
 
 
 def _run_group(
@@ -264,37 +294,37 @@ def _run_group(
     """The cells of *strategies* at one (gamma, rep), and the trainings run.
 
     The cells share their seed, so strategies whose augmented training
-    splits pack to the same bytes share one training.  A row's seconds
-    are its own augment and pack time, plus the training and evaluation
-    when the row ran them; the first row also carries the test split's
-    packing.
+    splits pack to the same bytes share one training, and the distinct
+    trainings run in lockstep in one ``train_packed`` call.  A row's
+    seconds are its own augment and pack time.  The job's training and
+    evaluation time is split evenly over the rows that own a distinct
+    training (the first row, in strategy order, with each packed
+    content), and the first row also carries the test split's packing,
+    so the rows of a job sum to its busy time.
     """
     start = time.perf_counter()
     train_x, train_y, test_x, test_y = split_task(task, spec.test_fraction)
     vocab_size = len(task.vocab)
     seed = _cell_seed(spec.seed, gamma, rep)
-    test_bags = pack_corpus(test_x, vocab_size)
-    accuracy_of: dict[bytes, float] = {}
-    rows = []
+    test_split = pack_corpus(test_x, vocab_size)
+    setup_s = time.perf_counter() - start
+    splits, split_of, seconds = _distinct_splits(
+        spec, lm, train_x, vocab_size, strategies, gamma, seed
+    )
+    start = time.perf_counter()
+    first = init_model(vocab_size, spec.dim, 2, derive(seed, 2))
+    models = [first.copy() for _ in splits]
+    train_packed(models, splits, train_y, spec.lr, spec.steps, SplitMix64(derive(seed, 3)))
+    accuracies = evaluate_packed(models, test_split, test_y)
+    shared_s = (time.perf_counter() - start) / len(splits)
+    rows, owned = [], set()
     for strategy in strategies:
-        config = AugmentConfig(
-            strategy=strategy,
-            gamma=gamma,
-            window_k=spec.window,
-            topk=spec.topk,
-            seed=derive(seed, 1),
-        )
-        augmented = augment_corpus(train_x, config, lm=lm, vocab_size=vocab_size)
-        bags = pack_corpus(augmented, vocab_size)
-        key = _content_key(bags)
-        if key not in accuracy_of:
-            model = init_model(vocab_size, spec.dim, 2, derive(seed, 2))
-            train_packed(model, bags, train_y, spec.lr, spec.steps, SplitMix64(derive(seed, 3)))
-            accuracy_of[key] = evaluate_packed(model, test_bags, test_y)
-        now = time.perf_counter()
-        rows.append(CellResult(strategy, gamma, rep, accuracy_of[key], round(now - start, 3)))
-        start = now
-    return rows, len(accuracy_of)
+        own_s = seconds[strategy] + (0.0 if rows else setup_s)
+        if split_of[strategy] not in owned:
+            owned.add(split_of[strategy])
+            own_s += shared_s
+        rows.append(CellResult(strategy, gamma, rep, accuracies[split_of[strategy]], round(own_s, 3)))
+    return rows, len(splits)
 
 
 def run_cell(

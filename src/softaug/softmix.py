@@ -14,12 +14,19 @@ then runs the same array expressions:
 with ``dpooled`` the loss gradient w.r.t. the pooled vector divided by the
 sentence length; the ids are unique, so the update needs no scatter-add.
 A minimal linear classifier (softmax cross-entropy) sits on the pooled
-vector.  ``_loss_grads`` is the one forward-backward routine: ``loss``,
-``backward``, ``grad_check`` and ``train_toy`` call it, while
-``mix_embedding``, ``forward`` and ``evaluate`` run the same pooling and
-``_softmax``.  ``train_packed`` and ``evaluate_packed`` take a corpus
-that ``pack_corpus`` already packed, so one packing can serve several
-models.
+vector.  ``pack_corpus`` stores a corpus's bags flat, as one
+``PackedCorpus``.
+
+``train_packed`` trains K models of one shape, one packed corpus each,
+in lockstep on one shared stream of sample indexes, and
+``evaluate_packed`` scores K models on one corpus the same way: a step
+runs each operation once over all K models stacked (``_Lockstep``),
+except the pooling product, which runs once per model.  Each model ends
+bit for bit as it would alone, since every model's share of an operation
+computes what that model's own call computes, NaN bits included
+(``_RowSoftmax``).  ``train_toy``, ``evaluate`` and a sweep cell are the
+K = 1 case.  ``_loss_grads`` is the one single-sentence forward-backward
+routine, behind ``loss``, ``backward`` and ``grad_check``.
 
 All arithmetic is float64.  A hard token and a point-mass soft word pack
 to the same bag, so their forward values, gradients and training runs
@@ -28,7 +35,9 @@ agree bitwise.
 
 from __future__ import annotations
 
+import math
 import operator
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,12 +88,12 @@ class Bag:
     length: int          # positions in the sentence, the mean-pool divisor
 
 
-def pack(sentence: SoftSentence, vocab_size: int) -> Bag:
-    """Sum the sentence's mixture weights per embedding row.
+def _bag_entries(sentence: SoftSentence, vocab_size: int) -> tuple[list[int], list[float]]:
+    """The sentence's distinct row ids, ascending, and each one's summed weight.
 
     Weights accumulate in position order, so equal sentences written as
     hard ids or point masses, or with one support in any entry order,
-    give identical bags.
+    give identical entries.
     """
     if not sentence:
         raise ValueError("empty sentence")
@@ -100,7 +109,13 @@ def pack(sentence: SoftSentence, vocab_size: int) -> Bag:
     if ids and (ids[0] < 0 or ids[-1] >= vocab_size):
         bad = ids[0] if ids[0] < 0 else ids[-1]
         raise ValueError(f"id out of range: {bad}")
-    return Bag(np.array(ids, dtype=np.int64), np.array([acc[i] for i in ids]), len(sentence))
+    return ids, [acc[i] for i in ids]
+
+
+def pack(sentence: SoftSentence, vocab_size: int) -> Bag:
+    """Sum the sentence's mixture weights per embedding row."""
+    ids, weights = _bag_entries(sentence, vocab_size)
+    return Bag(np.array(ids, dtype=np.int64), np.array(weights, dtype=np.float64), len(sentence))
 
 
 def _pool(emb: np.ndarray, bag: Bag) -> np.ndarray:
@@ -122,29 +137,73 @@ def _check_label(model: ToyModel, label: int) -> int:
     return label
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """``z / z.sum()`` with ``z = np.exp(logits - logits.max())``, bit for bit.
+class _RowSoftmax:
+    """``softmax(raw + bias)`` of every row of (K, c) arrays, each row with
+    the bits numpy gives on that row's own arrays.
 
-    Below 8 classes numpy takes the max and the sum in sequence, so they
-    run here on Python floats; from 8 on ``ndarray.sum`` is pairwise and
-    numpy does both, as it does for NaN logits, whose max numpy propagates.
+    Row r of ``probs`` becomes ``z / z.sum()`` with
+    ``z = np.exp(l - l.max())`` and ``l = raw[r] + bias[r]``.  From 2 to
+    7 classes numpy takes a row's max and sum in sequence, so they run
+    here as operations on whole columns, one per class, over all K rows
+    at once; from 8 classes on numpy's own, pairwise, reductions run.
+    With a NaN about, bits depend on which NaN operand numpy returns.  A
+    reduction by rows returns the one it returns on the row alone, but an
+    add's choice depends on the element's place in the array, so the
+    logits are then added again one row at a time.
     """
-    if len(logits) < 8:
-        z = logits - max(logits.tolist())
-        np.exp(z, out=z)
-        total = 0.0
-        for value in z.tolist():
-            total += value
-        if total == total:
-            z /= total
-            return z
-    z = np.exp(logits - logits.max())
-    return z / z.sum()
+
+    def __init__(self, rows: int, classes: int):
+        self.raw = np.empty((rows, classes))
+        self.logits = np.empty((rows, classes))
+        self.probs = np.empty((rows, classes))
+        self._top = np.empty(rows)
+        self._total = np.empty(rows)
+        self._top_col = self._top[:, None]
+        self._total_col = self._total[:, None]
+        self._columns = (list(self.logits.T), list(self.probs.T)) if 2 <= classes < 8 else None
+
+    def __call__(self, bias: np.ndarray) -> bool:
+        """Fill ``probs`` from ``raw`` and *bias*; True when no row holds a NaN."""
+        np.add(self.raw, bias, out=self.logits)
+        if self._columns is not None and self._by_columns():
+            return True
+        if self._by_numpy():
+            return True
+        for raw, row_bias, logits in zip(self.raw, bias, self.logits):
+            np.add(raw, row_bias, out=logits)
+        self._by_numpy()
+        return False
+
+    def _by_columns(self) -> bool:
+        (logit_columns, prob_columns), top, total = self._columns, self._top, self._total
+        np.maximum(logit_columns[0], logit_columns[1], out=top)
+        for column in logit_columns[2:]:
+            np.maximum(top, column, out=top)
+        np.subtract(self.logits, self._top_col, out=self.probs)
+        np.exp(self.probs, out=self.probs)
+        np.add(prob_columns[0], prob_columns[1], out=total)
+        for column in prob_columns[2:]:
+            total += column
+        if math.isnan(sum(total.tolist())):
+            return False
+        self.probs /= self._total_col
+        return True
+
+    def _by_numpy(self) -> bool:
+        np.max(self.logits, axis=1, out=self._top)
+        np.subtract(self.logits, self._top_col, out=self.probs)
+        np.exp(self.probs, out=self.probs)
+        np.sum(self.probs, axis=1, out=self._total)
+        self.probs /= self._total_col
+        return not math.isnan(sum(self._total.tolist()))
 
 
-def _forward(model: ToyModel, bag: Bag) -> tuple[np.ndarray, np.ndarray]:
-    pooled = _pool(model.emb, bag)
-    return pooled, _softmax(model.w @ pooled + model.b)
+def _class_probs(w: np.ndarray, b: np.ndarray, pooled: np.ndarray) -> np.ndarray:
+    """``softmax(w @ pooled + b)`` of one model, as ``_RowSoftmax`` computes it."""
+    softmax = _RowSoftmax(1, len(b))
+    np.matmul(w, pooled, out=softmax.raw[0])
+    softmax(b[None, :])
+    return softmax.probs[0]
 
 
 def _loss_grads(
@@ -157,9 +216,7 @@ def _loss_grads(
     """
     pooled = weights @ rows
     pooled /= length
-    logits = w @ pooled
-    logits += b
-    dlogits = _softmax(logits)
+    dlogits = _class_probs(w, b, pooled)
     picked = dlogits.item(label)
     dlogits[label] = picked - 1.0
     dpos = w.T @ dlogits
@@ -174,7 +231,7 @@ def _bag_loss_grads(model: ToyModel, bag: Bag, label: int):
 
 def forward(model: ToyModel, sentence: SoftSentence) -> np.ndarray:
     """Class probabilities softmax(W @ meanpool(mixed) + b)."""
-    return _forward(model, pack(sentence, len(model.emb)))[1]
+    return _class_probs(model.w, model.b, _pool(model.emb, pack(sentence, len(model.emb))))
 
 
 def loss(model: ToyModel, sentence: SoftSentence, label: int) -> float:
@@ -266,47 +323,188 @@ def grad_check(
     return GradCheckReport(errors, step, tolerance)
 
 
-def pack_corpus(corpus: list[SoftSentence], vocab_size: int) -> list[Bag]:
-    """``pack`` every sentence, in order."""
-    return [pack(sentence, vocab_size) for sentence in corpus]
+@dataclass(frozen=True)
+class PackedCorpus:
+    """``pack`` of every sentence of a corpus, stored flat.
+
+    Sentence i's bag is ``ids[starts[i]:starts[i + 1]]``, the same slice
+    of ``weights``, and ``lengths[i]`` positions; indexing gives that
+    bag, so the corpus reads as a sequence of ``Bag``.
+    """
+
+    ids: np.ndarray      # int64, each bag's ids in turn
+    weights: np.ndarray  # float64, aligned with ids
+    starts: np.ndarray   # int64, len(corpus) + 1 offsets into ids
+    lengths: np.ndarray  # int64, positions per sentence
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i: int) -> Bag:
+        i = range(len(self))[i]
+        a, b = int(self.starts[i]), int(self.starts[i + 1])
+        return Bag(self.ids[a:b], self.weights[a:b], int(self.lengths[i]))
 
 
-def _check_labels(model: ToyModel, bags: list[Bag], labels: list[int]) -> None:
-    if len(bags) != len(labels):
-        raise ValueError("corpus and labels length mismatch")
-    for label in labels:
-        _check_label(model, label)
+def pack_corpus(corpus: list[SoftSentence], vocab_size: int) -> PackedCorpus:
+    """``pack`` every sentence, in order, into one flat corpus."""
+    ids, weights = array("q"), array("d")
+    starts, lengths = [0], []
+    for sentence in corpus:
+        sentence_ids, sentence_weights = _bag_entries(sentence, vocab_size)
+        ids.extend(sentence_ids)
+        weights.extend(sentence_weights)
+        starts.append(len(ids))
+        lengths.append(len(sentence))
+    return PackedCorpus(
+        np.frombuffer(ids, dtype=np.int64),
+        np.frombuffer(weights, dtype=np.float64),
+        np.array(starts, dtype=np.int64),
+        np.array(lengths, dtype=np.int64),
+    )
+
+
+def _interleave(corpora: list[PackedCorpus], vocab_size: int):
+    """The K corpora as one flat corpus over the stacked embedding.
+
+    Block i * K + k holds sentence i of corpus k, its ids offset by
+    k * vocab_size, so sentence i of all K is one contiguous run.
+    Returns the ids, the weights, the block offsets (a list), each
+    block's entry count as an (N, K) array and the divisors as (N, K, 1).
+    """
+    k_models = len(corpora)
+    counts = np.stack([np.diff(corpus.starts) for corpus in corpora], axis=1)
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    ids = np.empty(offsets[-1], dtype=np.int64)
+    weights = np.empty(offsets[-1])
+    for k, corpus in enumerate(corpora):
+        shift = np.repeat(offsets[k:-1:k_models] - corpus.starts[:-1], counts[:, k])
+        slots = shift + np.arange(len(corpus.ids))
+        ids[slots] = corpus.ids + k * vocab_size
+        weights[slots] = corpus.weights
+    lengths = np.stack([corpus.lengths for corpus in corpora], axis=1).astype(np.float64)
+    return ids, weights, offsets.tolist(), counts, lengths[:, :, None]
+
+
+class _Lockstep:
+    """K models of one shape, stacked, stepping over K corpora of N sentences.
+
+    The embeddings stack to one (K * |V|, d) array and the classifiers to
+    (K, c, d) and (K, c); the corpora are ``_interleave``d.  ``forward(i)``
+    runs sentence i of every corpus through its model: one ``take`` of
+    all K bags' rows, one matrix-vector product per model (the one
+    ``weights @ rows`` makes) and every other operation once over all K,
+    the classifier as a stacked product that computes each model's
+    product as its own call would.  Each model's numbers are therefore
+    bit for bit those of running it alone.
+    """
+
+    def __init__(self, models: list[ToyModel], corpora: list[PackedCorpus], labels: list[int]):
+        if len(models) != len(corpora) or not models:
+            raise ValueError("need one packed corpus per model, and at least one model")
+        shapes = {(m.emb.shape, m.w.shape, m.b.shape) for m in models}
+        if len(shapes) != 1:
+            raise ValueError(f"models differ in shape: {sorted(shapes)}")
+        if any(len(corpus) != len(labels) for corpus in corpora):
+            raise ValueError("corpus and labels length mismatch")
+        for label in labels:
+            _check_label(models[0], label)
+        vocab_size, dim = models[0].emb.shape
+        self.k = len(models)
+        self.ids, self.weights, self.offsets, self.counts, self.lengths = _interleave(corpora, vocab_size)
+        self.emb = np.concatenate([m.emb for m in models])
+        self.w = np.stack([m.w for m in models])
+        self.b = np.stack([m.b for m in models])
+        self.pooled = np.empty((self.k, dim))
+        self._pooled_rows = list(self.pooled)
+        self._pooled_col = self.pooled[:, :, None]
+        self.softmax = _RowSoftmax(self.k, models[0].num_classes)
+        self._raw_col = self.softmax.raw[:, :, None]
+
+    def forward(self, i: int) -> tuple[np.ndarray, np.ndarray, int, int, np.ndarray, bool]:
+        """Leave sentence i's class probabilities in ``softmax.probs``.
+
+        Returns the gathered rows, their ids into the stacked embedding,
+        the sentence's run [start, end) in the interleaved corpus, the
+        (K, 1) mean-pool divisors and whether no model's row holds a NaN.
+        """
+        k, offsets, weights = self.k, self.offsets, self.weights
+        block = i * k
+        start, end = offsets[block], offsets[block + k]
+        ids = self.ids[start:end]
+        rows = self.emb.take(ids, axis=0)
+        bounds = offsets[block:block + k + 1]
+        for out, a, z in zip(self._pooled_rows, bounds, bounds[1:]):
+            np.matmul(weights[a:z], rows[a - start:z - start], out=out)
+        divisors = self.lengths[i]
+        self.pooled /= divisors
+        np.matmul(self.w, self._pooled_col, out=self._raw_col)
+        return rows, ids, start, end, divisors, self.softmax(self.b)
 
 
 def train_packed(
-    model: ToyModel, bags: list[Bag], labels: list[int], lr: float, steps: int, rng: SplitMix64
-) -> list[float]:
-    """``train_toy`` on a corpus packed for *model*; returns the loss trace.
+    models: list[ToyModel],
+    corpora: list[PackedCorpus],
+    labels: list[int],
+    lr: float,
+    steps: int,
+    rng: SplitMix64,
+) -> np.ndarray:
+    """Train K models of one shape, model k on packed corpus k, in lockstep.
 
-    All sample indexes come from one block draw.  Each step gathers the
-    sample's embedding rows once, updates them and every classifier
-    parameter in place and writes the rows back; the losses are taken
-    from the picked probabilities in one pass at the end.
+    All K share one block draw of sample indexes, so step t visits
+    sentence i of every corpus.  After ``_Lockstep.forward`` the backward
+    pass and the updates run once over all K: the row update is one outer
+    product of the weights with each row's model gradient, scattered back
+    into the stacked embedding.  Model k ends bit for bit as training it
+    alone would leave it.  Updates the models in place; returns the
+    (steps, K) pre-update losses.  Every corpus and label is checked
+    before the first step.
     """
-    _check_labels(model, bags, labels)
-    emb, w, b = model.emb, model.w, model.b
-    samples = [
-        (bag.ids, bag.weights, float(bag.length), label) for bag, label in zip(bags, labels)
-    ]
-    picked = []
-    for i in rng.randint_block(len(samples), steps).tolist():
-        ids, weights, length, label = samples[i]
-        rows = emb.take(ids, axis=0)
-        p, grows, dw, db = _loss_grads(w, b, rows, weights, length, label)
-        picked.append(p)
+    run = _Lockstep(models, corpora, labels)
+    emb, w, b, pooled, probs = run.emb, run.w, run.b, run.pooled, run.softmax.probs
+    # One model's gradient broadcasts over its rows as it is.
+    counts = run.counts if run.k > 1 else None
+    w_t, pooled_row = w.transpose(0, 2, 1), pooled[:, None, :]
+    probs_col, prob_columns = probs[:, :, None], list(probs.T)
+    one_hot = list(np.eye(models[0].num_classes))
+    weight_column = run.weights[:, None]
+    dpos = np.empty_like(pooled)
+    dpos_col = dpos[:, :, None]
+    dw = np.empty_like(w)
+    dw_by_model = list(zip(dw, probs_col, pooled_row))
+    losses = np.empty((steps, run.k))
+    for step, i in enumerate(rng.randint_block(len(labels), steps).tolist()):
+        rows, ids, start, end, divisors, finite = run.forward(i)
+        label = labels[i]
+        losses[step] = prob_columns[label]
+        probs -= one_hot[label]
+        np.matmul(w_t, probs_col, out=dpos_col)
+        dpos /= divisors
+        model_grads = dpos if counts is None else np.repeat(dpos, counts[i], axis=0)
+        grows = weight_column[start:end] * model_grads
         grows *= lr
         rows -= grows
         emb[ids] = rows
+        if finite:
+            np.multiply(probs_col, pooled_row, out=dw)
+        else:
+            # A product of two NaNs: each model's own arrays (see _RowSoftmax).
+            for out, dlogits, pooled_k in dw_by_model:
+                np.multiply(dlogits, pooled_k, out=out)
         dw *= lr
         w -= dw
-        db *= lr
-        b -= db
-    return (-np.log(np.array(picked, dtype=np.float64))).tolist()
+        probs *= lr
+        b -= probs
+    vocab_size = len(models[0].emb)
+    for k, model in enumerate(models):
+        model.emb[...] = emb[k * vocab_size:(k + 1) * vocab_size]
+        model.w[...] = w[k]
+        model.b[...] = b[k]
+    np.log(losses, out=losses)
+    np.negative(losses, out=losses)
+    return losses
 
 
 def train_toy(
@@ -323,23 +521,26 @@ def train_toy(
     visited sample.  Every sentence and label is checked before the
     first step.
     """
-    return model, train_packed(model, pack_corpus(corpus, len(model.emb)), labels, lr, steps, rng)
+    losses = train_packed([model], [pack_corpus(corpus, len(model.emb))], labels, lr, steps, rng)
+    return model, losses[:, 0].tolist()
 
 
-def evaluate_packed(model: ToyModel, bags: list[Bag], labels: list[int]) -> float:
-    """``evaluate`` on a corpus packed for *model*."""
-    _check_labels(model, bags, labels)
-    if not bags:
+def evaluate_packed(models: list[ToyModel], corpus: PackedCorpus, labels: list[int]) -> list[float]:
+    """``evaluate`` of each of K models of one shape on one packed corpus,
+    the K in lockstep."""
+    run = _Lockstep(models, [corpus] * len(models), labels)
+    if not len(corpus):
         raise ValueError("empty corpus")
-    hits = sum(
-        int(np.argmax(_forward(model, bag)[1])) == label for bag, label in zip(bags, labels)
-    )
-    return hits / len(bags)
+    hits = np.zeros(run.k, dtype=np.int64)
+    for i, label in enumerate(labels):
+        run.forward(i)
+        hits += run.softmax.probs.argmax(axis=1) == label
+    return (hits / len(corpus)).tolist()
 
 
 def evaluate(model: ToyModel, corpus: list[SoftSentence], labels: list[int]) -> float:
     """Fraction of sentences whose argmax class matches the label."""
-    return evaluate_packed(model, pack_corpus(corpus, len(model.emb)), labels)
+    return evaluate_packed([model], pack_corpus(corpus, len(model.emb)), labels)[0]
 
 
 def save_loss_trace(path: str, trace: list[float]) -> None:

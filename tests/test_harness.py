@@ -125,7 +125,10 @@ class TestRunSweep:
         spec = sa.SweepSpec(**self.SHARED)
         trainings = []
         real = hn.train_packed
-        monkeypatch.setattr(hn, "train_packed", lambda *args: trainings.append(1) or real(*args))
+        # Count models, not calls: one call trains a job's distinct splits in lockstep.
+        monkeypatch.setattr(
+            hn, "train_packed", lambda models, *args: trainings.extend(models) or real(models, *args)
+        )
         result = sa.run_sweep(spec, task, lm)
 
         train_x = sa.split_task(task, spec.test_fraction)[0]

@@ -191,15 +191,25 @@ class TestBackward:
             picked, rows, dw, db = real(*args)
             return picked, rows, dw * 1.01, db
 
-        def one_step(model):
-            sa.train_toy(model, [s for s, _ in batch], [y for _, y in batch], 0.5, 1, SplitMix64(0))
-            return model.w
-
-        clean_w = one_step(model.copy())
         monkeypatch.setattr(sm, "_loss_grads", broken)
-        # The corrupted routine is the one training runs, and the check sees it.
-        assert not np.array_equal(one_step(model.copy()), clean_w)
         assert not sa.grad_check(model, batch).passed
+
+    def test_training_step_applies_the_checked_gradients(self):
+        """One SGD step moves each parameter by lr times ``backward``'s
+        gradient, bit for bit: training applies the gradients that
+        ``grad_check`` verifies."""
+        model = random_model(22)
+        rng = SplitMix64(23)
+        sentence, label, lr = random_sentence(rng, 30, 5), 1, 0.5
+        rows, dw, db = sa.backward(model, sentence, label)
+        want = model.copy()
+        for i, grad in rows.items():
+            want.emb[i] -= grad * lr
+        want.w -= dw * lr
+        want.b -= db * lr
+        sa.train_toy(model, [sentence], [label], lr, 1, SplitMix64(0))
+        for got, ref in ((model.emb, want.emb), (model.w, want.w), (model.b, want.b)):
+            assert_same_bits(got, ref)
 
 
 class TestTraining:
@@ -339,6 +349,39 @@ class TestTraining:
             sa.evaluate(model, [[1]], [5])
 
 
+class TestPackedCorpus:
+    def test_sentence_i_is_its_own_bag(self):
+        rng = SplitMix64(63)
+        corpus = [random_sentence(rng, 20, 1 + rng.randint(8)) for _ in range(12)]
+        packed = sm.pack_corpus(corpus, 20)
+        assert len(packed) == len(corpus)
+        bags = [sm.pack(sentence, 20) for sentence in corpus]
+        for got in (list(packed), [packed[i] for i in range(len(corpus))],
+                    [packed[i - len(corpus)] for i in range(len(corpus))]):
+            for bag, want in zip(got, bags, strict=True):
+                assert bag.ids.tobytes() == want.ids.tobytes()
+                assert_same_bits(bag.weights, want.weights)
+                assert bag.length == want.length
+        with pytest.raises(IndexError):
+            packed[len(corpus)]
+
+    def test_empty_corpus_packs_to_no_bags(self):
+        packed = sm.pack_corpus([], 5)
+        assert len(packed) == 0 and list(packed) == []
+
+    def test_lockstep_evaluation_is_each_models_argmax(self):
+        rng = SplitMix64(64)
+        corpus = [random_sentence(rng, 20, 1 + rng.randint(8)) for _ in range(40)]
+        labels = [rng.randint(3) for _ in corpus]
+        models = [random_model(derive(65, k), 20, 6, 3) for k in range(3)]
+        want = [
+            sum(int(np.argmax(sa.forward(m, s))) == y for s, y in zip(corpus, labels)) / len(corpus)
+            for m in models
+        ]
+        assert sm.evaluate_packed(models, sm.pack_corpus(corpus, 20), labels) == want
+        assert [sa.evaluate(m, corpus, labels) for m in models] == want
+
+
 class TestEmbeddingFile:
     def test_round_trip_is_exact(self, tmp_path):
         model = random_model(37, vocab_size=9, dim=5)
@@ -450,6 +493,30 @@ def training_runs(draw):
     return model, corpus, labels, draw(st.sampled_from([0.05, 0.5, 3.0])), steps, seed
 
 
+@st.composite
+def lockstep_runs(draw):
+    """(model, corpora, labels, lr, steps, rng seed) for K = 1-3 models
+    started from one model: sentence i of each corpus is drawn on its own,
+    so its bag and length differ across models; 1, 2 or 9 classes and
+    d = 1 to 5."""
+    seed = draw(st.integers(0, 2**64 - 1))
+    classes = draw(st.sampled_from([1, 2, 9]))
+    vocab_size = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 6))
+    rng = SplitMix64(seed)
+    corpora = [
+        [
+            random_sentence(rng, vocab_size, 1 + rng.randint(6), 0.5, 1 + rng.randint(vocab_size))
+            for _ in range(n)
+        ]
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    labels = [rng.randint(classes) for _ in range(n)]
+    model = random_model(seed, vocab_size, draw(st.sampled_from([1, 2, 5])), classes)
+    steps = draw(st.one_of(st.just(0), st.integers(1, 120)))
+    return model, corpora, labels, draw(st.sampled_from([0.05, 0.5, 3.0])), steps, seed
+
+
 def assert_same_bits(a, b):
     assert np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
 
@@ -487,15 +554,99 @@ class TestLeanTrainingLoop:
         self.check_against_oracle(model, corpus, labels, 1e200, 40, 54)
         assert np.isnan(model.w).any()
 
-    # inf - inf makes x86's default NaN, whose sign bit differs from a
-    # NaN that numpy's max propagates.
-    @settings(max_examples=300, deadline=None)
-    @given(hnp.arrays(np.float64, st.integers(1, 10),
-                      elements=st.floats(allow_nan=True, allow_infinity=True)))
-    @example(np.array([np.inf, np.nan]))
-    @example(np.array([np.nan, -np.nan, 1.0]))
-    @example(np.array([np.inf, 2.0, np.inf]))
-    def test_softmax_has_numpys_bits(self, logits):
+    def check_lockstep_against_oracle(self, model, corpora, labels, lr, steps, seed):
+        """K models trained in lockstep equal K runs of the per-step loop,
+        each from a fresh stream of *seed*, and leave the stream where
+        each of those runs leaves it."""
+        vocab_size = len(model.emb)
+        models = [model.copy() for _ in corpora]
+        rng = SplitMix64(seed)
         with np.errstate(all="ignore"):
-            z = np.exp(logits - logits.max())
-            assert_same_bits(sm._softmax(logits), z / z.sum())
+            packed = [sm.pack_corpus(corpus, vocab_size) for corpus in corpora]
+            losses = sm.train_packed(models, packed, labels, lr, steps, rng)
+            assert losses.shape == (steps, len(corpora))
+            for k, (trained, corpus) in enumerate(zip(models, corpora)):
+                ref, ref_rng = model.copy(), SplitMix64(seed)
+                want = train_per_step(ref, [sm.pack(s, vocab_size) for s in corpus], labels, lr, steps,
+                                      ref_rng)
+                assert_same_bits(losses[:, k], want)
+                for got, ref_param in ((trained.emb, ref.emb), (trained.w, ref.w), (trained.b, ref.b)):
+                    assert_same_bits(got, ref_param)
+        assert rng.next_u64() == ref_rng.next_u64()
+
+    @settings(max_examples=150, deadline=None)
+    @given(lockstep_runs())
+    def test_lockstep_matches_per_step_loop_bitwise(self, run):
+        self.check_lockstep_against_oracle(*run)
+
+    @pytest.mark.parametrize("classes", [2, 9])
+    def test_diverging_lockstep_matches_per_step_loop_bitwise(self, classes):
+        """One model diverges to NaN while the others' rows stay finite;
+        each still matches its own per-step run."""
+        rng = SplitMix64(55)
+        corpora = [[random_sentence(rng, 10, 1 + rng.randint(6)) for _ in range(6)] for _ in range(3)]
+        labels = [rng.randint(classes) for _ in range(6)]
+        model = random_model(56, 10, 4, classes)
+        self.check_lockstep_against_oracle(model, corpora, labels, 1e200, 40, 57)
+
+    @pytest.mark.parametrize(
+        "shape, match",
+        [((11, 4, 2), "differ in shape"), ((10, 5, 2), "differ in shape"),
+         ((10, 4, 3), "differ in shape")],
+    )
+    def test_lockstep_refuses_models_of_unequal_shape(self, shape, match):
+        models = [sa.init_model(10, 4, 2, seed=58), sa.init_model(*shape, seed=58)]
+        snapshot = [m.copy() for m in models]
+        packed = [sm.pack_corpus([[1, 2], [3]], 10)] * 2
+        with pytest.raises(ValueError, match=match):
+            sm.train_packed(models, packed, [0, 1], 0.5, 5, SplitMix64(59))
+        for model, before in zip(models, snapshot):
+            assert np.array_equal(model.emb, before.emb) and np.array_equal(model.w, before.w)
+
+    @pytest.mark.parametrize(
+        "corpora, labels, match",
+        [
+            ([[[1, 2], [3]], [[1, 2]]], [0, 1], "corpus and labels length mismatch"),
+            ([[[1, 2], [3]], [[1, 2], [3]]], [0], "corpus and labels length mismatch"),
+            ([[[1, 2], [3]], [[1, 2], [3]]], [0, 2], "label out of range"),
+            ([[[1, 2], [3]]], [0, 1], "one packed corpus per model"),
+        ],
+    )
+    def test_lockstep_refuses_bad_corpora_before_the_first_step(self, corpora, labels, match):
+        models = [sa.init_model(10, 4, 2, seed=60) for _ in range(2)]
+        snapshot = [m.copy() for m in models]
+        packed = [sm.pack_corpus(corpus, 10) for corpus in corpora]
+        with pytest.raises(ValueError, match=match):
+            sm.train_packed(models, packed, labels, 0.5, 5, SplitMix64(61))
+        for model, before in zip(models, snapshot):
+            assert np.array_equal(model.emb, before.emb) and np.array_equal(model.w, before.w)
+
+    def test_lockstep_needs_a_model(self):
+        with pytest.raises(ValueError, match="at least one model"):
+            sm.train_packed([], [], [0], 0.5, 1, SplitMix64(62))
+
+    # inf - inf makes x86's default NaN, whose sign bit differs from a
+    # NaN that numpy's max propagates.  Below 8 classes the max and sum run
+    # on columns; a NaN anywhere sends every row through numpy's reductions
+    # and re-adds the logits one row at a time, which must leave the other
+    # rows as they were.
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda k: st.integers(1, 10).flatmap(lambda c: st.tuples(
+        *(hnp.arrays(np.float64, (k, c), elements=st.floats(allow_nan=True, allow_infinity=True))
+          for _ in range(2))))))
+    @example((np.array([[np.inf, np.nan]]), np.zeros((1, 2))))
+    @example((np.array([[np.nan, -np.nan, 1.0]]), np.zeros((1, 3))))
+    @example((np.array([[np.inf, 2.0, np.inf]]), np.zeros((1, 3))))
+    @example((np.array([[np.nan, 1.0], [0.5, 2.0]]), np.array([[-np.nan, 0.0], [0.0, 1.0]])))
+    @example((np.full((3, 9), np.nan), np.full((3, 9), -np.nan)))
+    def test_softmax_has_numpys_bits(self, raw_and_bias):
+        raw, bias = raw_and_bias
+        softmax = sm._RowSoftmax(*raw.shape)
+        softmax.raw[...] = raw
+        with np.errstate(all="ignore"):
+            finite = softmax(bias)
+            for got, raw_row, bias_row in zip(softmax.probs, raw, bias):
+                logits = raw_row + bias_row
+                z = np.exp(logits - logits.max())
+                assert_same_bits(got, z / z.sum())
+            assert finite == (not np.isnan(softmax.probs).any())
