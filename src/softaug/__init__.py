@@ -10,6 +10,7 @@ strategy-by-gamma sweep harness.
 from .augment import (
     AugmentConfig,
     Dist,
+    SoftCorpus,
     SoftWord,
     STRATEGIES,
     augment_corpus,

@@ -4,9 +4,11 @@ Seven strategies: ``base`` (identity), ``swap`` (bounded local shuffle),
 ``dropout`` (token deletion), ``blank`` (placeholder substitution),
 ``smooth`` (unigram resampling), ``lm_sample`` (language model
 resampling) and ``soft`` (replace the token by its next-token
-distribution, to be mixed in embedding space downstream).  The last four
-share one driver: it draws the selection mask, then asks the strategy for
-a replacement at each selected position in order, and counts them.
+distribution, to be mixed in embedding space downstream).  ``dropout``
+and the last four share one driver: it draws the selection mask, then
+replaces or drops the selected positions and counts them.  ``blank``
+and ``dropout`` are array passes; the others ask the strategy for a
+replacement at each selected position in order.
 
 Selection is an independent Bernoulli(gamma) event per position, computed
 on the original sentence; prefixes handed to the language model likewise
@@ -18,15 +20,23 @@ is the one way in: it draws those uniforms and the masks for a bounded
 block of sentences in one array pass, bit for bit the scalar stream's
 draws.  To reproduce one sentence's augmentation, take sentence i of an
 ``augment_corpus`` run with the same seed.
+
+Every strategy's result is a ``SoftCorpus``: flat arrays of token ids,
+sentence offsets and the soft positions' supports (ids and
+probabilities, CSR style).  Blocks come back from the worker pool as
+those arrays, the soft JSON Lines codec formats and validates them as a
+whole, and indexing a ``SoftCorpus`` gives the library view: a list of
+ints and ``SoftWord(Dist)`` per sentence.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from functools import cache, partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -40,12 +50,57 @@ from .rng import SplitMix64, derive_block, stream_block
 STRATEGIES = ("base", "swap", "dropout", "blank", "smooth", "lm_sample", "soft")
 LM_STRATEGIES = ("lm_sample", "soft")
 
-# Framing and placeholder ids are never replaced; UNK is an ordinary token.
-_UNSELECTABLE = frozenset((BOS, EOS, BLANK))
-
 # Tokens (and EOSes) per block of ``augment_corpus``: a block's uniforms
 # and masks are one array pass, and its memory stays bounded.
 _BLOCK_TOKENS = 1 << 16
+
+# Sentences at a time that iterating a SoftCorpus turns into lists, and
+# that the soft corpus codec formats or parses as arrays: its memory
+# beyond the corpus stays bounded.
+_CHUNK_SENTENCES = 64
+
+
+def _offsets(sizes) -> np.ndarray:
+    """``[0, sizes[0], sizes[0] + sizes[1], ...]`` as int64."""
+    out = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=out[1:])
+    return out
+
+
+def _first_bad_support(ids: np.ndarray, probs: np.ndarray, support: np.ndarray,
+                       tol: float = 1e-9) -> tuple[int, str] | None:
+    """The first support ``ids[support[j]:support[j + 1]]`` (with the same
+    slice of *probs*) that is not a distribution, as (j, the message of
+    the first check it fails), or None.
+
+    The checks, in order: finite, non-negative probabilities,
+    non-negative ids, a sum within *tol* of 1 (numpy's sum of the slice,
+    bit for bit) and no repeated id.  Each runs as array passes over the
+    supports before the first failure found so far.
+    """
+    end, found = len(support) - 1, None
+    for bad, message in ((~np.isfinite(probs), "non-finite probability"),
+                         (probs < 0, "negative probability"),
+                         (ids < 0, "negative id in distribution")):
+        hits = np.flatnonzero(bad[:support[end]])
+        if len(hits):
+            end, found = int(np.searchsorted(support, hits[0], "right")) - 1, message
+    sizes = np.diff(support[:end + 1])
+    off_one = repeated = end
+    # Supports of one size form a matrix whose row sums are each slice's sum.
+    for size in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == size)
+        grid = support[rows][:, None] + np.arange(size)
+        bad = np.flatnonzero(np.abs(probs[grid].sum(axis=1) - 1.0) > tol)
+        off_one = min(off_one, int(rows[bad[0]])) if len(bad) else off_one
+        by_id = np.sort(ids[grid], axis=1)
+        bad = np.flatnonzero((by_id[:, 1:] == by_id[:, :-1]).any(axis=1))
+        repeated = min(repeated, int(rows[bad[0]])) if len(bad) else repeated
+    if off_one < end:
+        end, found = off_one, "probabilities do not sum to 1"
+    if repeated < end:
+        end, found = repeated, "duplicate ids in distribution"
+    return None if found is None else (end, found)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,33 +117,16 @@ class Dist:
             return NotImplemented
         return np.array_equal(self.ids, other.ids) and np.array_equal(self.probs, other.probs)
 
-    def __reduce__(self):
-        # Raw buffers pickle in about half the time of two ndarrays, which
-        # is what a pooled soft pass spends returning its results; the
-        # arrays come back read-only, views of the unpickled bytes.
-        return _dist_from_buffers, (self.probs.dtype.str, self.probs.tobytes(),
-                                    self.ids.dtype.str, self.ids.tobytes())
-
     def entries(self) -> list[tuple[int, float]]:
         return [(int(i), float(p)) for i, p in zip(self.ids, self.probs)]
 
     def validate(self, tol: float = 1e-9) -> None:
         if len(self.ids) != len(self.probs):
             raise ValueError(f"{len(self.ids)} ids but {len(self.probs)} probabilities")
-        if not np.isfinite(self.probs).all():
-            raise ValueError("non-finite probability")
-        if (self.probs < 0).any():
-            raise ValueError("negative probability")
-        if (self.ids < 0).any():
-            raise ValueError("negative id in distribution")
-        if abs(float(self.probs.sum()) - 1.0) > tol:
-            raise ValueError("probabilities do not sum to 1")
-        if len(set(self.ids.tolist())) != len(self.ids):
-            raise ValueError("duplicate ids in distribution")
-
-
-def _dist_from_buffers(probs_dtype: str, probs: bytes, ids_dtype: str, ids: bytes) -> Dist:
-    return Dist(np.frombuffer(probs, probs_dtype), np.frombuffer(ids, ids_dtype))
+        bad = _first_bad_support(np.asarray(self.ids), np.asarray(self.probs),
+                                 np.array([0, len(self.ids)]), tol)
+        if bad:
+            raise ValueError(bad[1])
 
 
 def unigram_dist(sentences: Iterable[Sentence], size: int) -> np.ndarray:
@@ -117,6 +155,114 @@ class SoftWord:
 SoftSentence = list
 
 
+@dataclass(frozen=True, eq=False)
+class SoftCorpus:
+    """A corpus of soft sentences as flat arrays.
+
+    Sentence i holds the positions ``starts[i]:starts[i + 1]`` of
+    ``tokens``.  The positions listed in ``soft_at`` are soft: the j-th
+    one's distribution is ``ids[support[j]:support[j + 1]]`` with the
+    same slice of ``probs``, and its token stays the original id.
+    Indexing, iterating or slicing gives each sentence as a
+    ``SoftSentence``, its ``Dist`` arrays views of these columns; the
+    corpus compares equal to another one, or to a list of sentences,
+    that reads the same.
+    """
+
+    tokens: np.ndarray   # int64, every position's id
+    starts: np.ndarray   # int64, len(corpus) + 1 offsets into tokens
+    soft_at: np.ndarray  # int64, the flat index of each soft position, ascending
+    support: np.ndarray  # int64, len(soft_at) + 1 offsets into ids and probs
+    ids: np.ndarray      # int64, each soft position's support ids in turn
+    probs: np.ndarray    # float64, aligned with ids
+
+    @classmethod
+    def hard(cls, tokens: np.ndarray, starts: np.ndarray) -> "SoftCorpus":
+        """A corpus without soft positions."""
+        return cls(tokens, starts, np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64),
+                   np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
+
+    @classmethod
+    def from_sentences(cls, sentences: Iterable[SoftSentence]) -> "SoftCorpus":
+        """The columns of a list of soft sentences.  Hard items must be
+        integers; a soft word's ids and probabilities must pair up."""
+        sentences = list(sentences)
+        flat = list(itertools.chain.from_iterable(sentences))
+        soft_at = [i for i, item in enumerate(flat) if isinstance(item, SoftWord)]
+        dists = [flat[i].dist for i in soft_at]
+        for i, dist in zip(soft_at, dists):
+            flat[i] = flat[i].original_id
+            if len(dist.ids) != len(dist.probs):
+                raise ValueError(f"{len(dist.ids)} ids but {len(dist.probs)} probabilities")
+        return cls(
+            np.fromiter(map(operator.index, flat), dtype=np.int64, count=len(flat)),
+            _offsets([len(s) for s in sentences]),
+            np.array(soft_at, dtype=np.int64),
+            _offsets([len(d.ids) for d in dists]),
+            np.concatenate([d.ids for d in dists] + [np.zeros(0, dtype=np.int64)], dtype=np.int64),
+            np.concatenate([d.probs for d in dists] + [np.zeros(0)], dtype=np.float64),
+        )
+
+    @classmethod
+    def concat(cls, parts: list["SoftCorpus"]) -> "SoftCorpus":
+        """The corpora of *parts* (at least one), one after another."""
+        if len(parts) == 1:
+            return parts[0]
+        shifts = _offsets([len(p.tokens) for p in parts]).tolist()
+        return cls(
+            np.concatenate([p.tokens for p in parts]),
+            _offsets(np.concatenate([np.diff(p.starts) for p in parts])),
+            np.concatenate([p.soft_at + shift for p, shift in zip(parts, shifts)]),
+            _offsets(np.concatenate([np.diff(p.support) for p in parts])),
+            np.concatenate([p.ids for p in parts]),
+            np.concatenate([p.probs for p in parts]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def _sentences(self, first: int, last: int) -> list[SoftSentence]:
+        """Sentences first .. last - 1 as lists."""
+        a, z = int(self.starts[first]), int(self.starts[last])
+        flat = self.tokens[a:z].tolist()
+        lo, hi = np.searchsorted(self.soft_at, [a, z]).tolist()
+        bounds = self.support[lo:hi + 1].tolist()
+        for at, s, e in zip(self.soft_at[lo:hi].tolist(), bounds, bounds[1:]):
+            flat[at - a] = SoftWord(Dist(self.probs[s:e], self.ids[s:e]), flat[at - a])
+        cuts = (self.starts[first:last + 1] - a).tolist()
+        return [flat[x:y] for x, y in zip(cuts, cuts[1:])]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            picked = range(len(self))[i]
+            if picked.step == 1:
+                return self._sentences(picked.start, picked.stop) if picked else []
+            return [self[j] for j in picked]
+        i = range(len(self))[i]
+        return self._sentences(i, i + 1)[0]
+
+    def __iter__(self) -> Iterator[SoftSentence]:
+        for first in range(0, len(self), _CHUNK_SENTENCES):
+            yield from self._sentences(first, min(len(self), first + _CHUNK_SENTENCES))
+
+    def part(self, first: int, last: int) -> "SoftCorpus":
+        """Sentences first .. last - 1 as a corpus of their own, its
+        columns views of these where they can be."""
+        a, z = self.starts[first], self.starts[last]
+        lo, hi = np.searchsorted(self.soft_at, [a, z])
+        s, e = self.support[lo], self.support[hi]
+        return SoftCorpus(self.tokens[a:z], self.starts[first:last + 1] - a, self.soft_at[lo:hi] - a,
+                          self.support[lo:hi + 1] - s, self.ids[s:e], self.probs[s:e])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SoftCorpus):
+            return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                       for f in fields(self))
+        if isinstance(other, list):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+
 @dataclass(frozen=True)
 class AugmentConfig:
     strategy: str = "base"
@@ -136,45 +282,15 @@ class AugmentConfig:
             raise ValueError("topk must be >= 0")
 
 
+def _selectable(tokens: np.ndarray) -> np.ndarray:
+    """Framing and placeholder ids are never replaced; UNK is an ordinary token."""
+    return (tokens != BOS) & (tokens != EOS) & (tokens != BLANK)
+
+
 def _mask(tokens: np.ndarray, u: np.ndarray, gamma: float) -> np.ndarray:
     """The selection rule: a position is selected when its uniform is below
     gamma and its token is not BOS, EOS or BLANK."""
-    return (u < gamma) & (tokens != BOS) & (tokens != EOS) & (tokens != BLANK)
-
-
-def _swapped(sentence: Sentence, u: np.ndarray, k: int) -> Sentence:
-    """Permute tokens so that nothing moves more than k positions: position
-    i gets sort key i + u_i * (k + 1), and a stable sort of the keys gives
-    the permutation."""
-    order = np.argsort(np.arange(len(u)) + u * (k + 1), kind="stable")
-    return [sentence[j] for j in order.tolist()]
-
-
-def _dropped(sentence: Sentence, mask: list[bool], rng: SplitMix64) -> Sentence:
-    """Drop the selected tokens.  A sentence is never emptied: if every
-    token would be dropped, one uniformly chosen token survives, by a draw
-    that follows the mask."""
-    kept = [t for t, drop in zip(sentence, mask) if not drop]
-    if not kept and sentence:
-        kept = [sentence[rng.randint(len(sentence))]]
-    return kept
-
-
-def _replaced(sentence: Sentence, mask: list[bool], rng: SplitMix64, replace: Callable
-              ) -> tuple[list, int]:
-    """``replace(sentence, pos, rng)`` at each selected position in order;
-    returns (result, replaced positions)."""
-    out = list(sentence)
-    replaced = 0
-    for pos, hit in enumerate(mask):
-        if hit:
-            out[pos] = replace(sentence, pos, rng)
-            replaced += 1
-    return out, replaced
-
-
-def _blank_at(sentence: Sentence, pos: int, rng: SplitMix64) -> int:
-    return BLANK
+    return (u < gamma) & _selectable(tokens)
 
 
 def _unigram_at(cum: Callable[[], np.ndarray], sentence: Sentence, pos: int,
@@ -187,25 +303,26 @@ def _lm_sample_at(lm: NGramLM, sentence: Sentence, pos: int, rng: SplitMix64) ->
     return lm.sample(sentence[:pos], rng)
 
 
-def _soft_at(lm: NGramLM, topk: int, sentence: Sentence, pos: int, rng: SplitMix64) -> SoftWord:
-    """The contextual distribution at *pos* from ``lm.top_k``, with
-    probabilities bitwise equal to ``next_dist``: with topk > 0 the k most
-    probable, renormalized; topk = 0 keeps every token, not renormalized.
-    Either way a position evaluates the dense distribution, O(|V|)."""
+def _soft_at(lm: NGramLM, topk: int, sentence: Sentence, pos: int, rng: SplitMix64
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The contextual distribution at *pos* as (ids, probs) from
+    ``lm.top_k``, with probabilities bitwise equal to ``next_dist``: with
+    topk > 0 the k most probable, renormalized; topk = 0 keeps every
+    token, not renormalized.  Either way a position evaluates the dense
+    distribution, O(|V|)."""
     ids, probs = lm.top_k(sentence[:pos], topk or len(lm.vocab))
-    return SoftWord(Dist(probs / probs.sum() if topk else probs, ids), sentence[pos])
+    return ids, probs / probs.sum() if topk else probs
 
 
 def _replacement(strategy: str, lm: NGramLM | None = None,
                  unigram: Callable[[], np.ndarray] | None = None, topk: int = 0):
-    """The per-position replacement of a masked strategy, or None.
+    """The per-position replacement ``replace(sentence, pos, rng)`` of a
+    strategy that draws or queries per selected position, or None.
 
     ``smooth`` takes a function that builds its unigram; the cumulative
     table is made at the first selected position, so a corpus with none
     needs no unigram.
     """
-    if strategy == "blank":
-        return _blank_at
     if strategy == "smooth":
         return partial(_unigram_at, cache(lambda: np.cumsum(unigram())))
     if strategy == "lm_sample":
@@ -222,35 +339,82 @@ def _corpus_unigram(sentences: list[Sentence], size: int | None) -> np.ndarray:
 
 
 def _augment_block(sentences: list[Sentence], start: int, config: AugmentConfig,
-                   replace: Callable | None) -> list[tuple[list, int]]:
+                   replace: Callable | None) -> tuple[SoftCorpus, int, int]:
     """Augment corpus sentences start, start + 1, ... (given as
-    *sentences*); returns (result, replaced-position count) per sentence.
+    *sentences*); returns their columns and the replaced and eligible
+    (selectable) position counts.
 
     Sentence i draws from ``SplitMix64(derive(seed, i))``: first one
     uniform per position, for the swap keys or the mask, then any
     replacement draws.  The block's uniforms and masks are computed in one
-    array pass, equal to each stream's scalar draws bit for bit; each
+    array pass, equal to each stream's scalar draws bit for bit; a
     sentence's remaining draws come from its stream advanced past them.
+    ``blank``, ``dropout`` and ``swap`` are array passes throughout.
     """
-    lengths = [len(s) for s in sentences]
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    starts = _offsets(lengths)
+    tokens = np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.int64,
+                         count=int(starts[-1]))
+    selectable = _selectable(tokens)
+    eligible = int(np.count_nonzero(selectable))
+    if config.strategy == "base" or config.gamma == 0.0:
+        return SoftCorpus.hard(tokens, starts), 0, eligible
     seeds = derive_block(config.seed, start, len(sentences))
-    u = stream_block(seeds, np.array(lengths, dtype=np.int64))
-    cuts = list(itertools.accumulate(lengths, initial=0))
+    u = stream_block(seeds, lengths)
+    sentence_of = np.repeat(np.arange(len(sentences)), lengths)
     if config.strategy == "swap":
-        return [(_swapped(s, u[a:b], config.window_k), 0)
-                for s, a, b in zip(sentences, cuts, cuts[1:])]
-    tokens = np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.int64, count=cuts[-1])
-    mask = _mask(tokens, u, config.gamma).tolist()
-    out = []
-    for sentence, seed, a, b in zip(sentences, seeds.tolist(), cuts, cuts[1:]):
-        rng = SplitMix64(seed)
-        rng.skip(b - a)
-        if config.strategy == "dropout":
-            kept = _dropped(sentence, mask[a:b], rng)
-            out.append((kept, len(sentence) - len(kept)))
-        else:
-            out.append(_replaced(sentence, mask[a:b], rng, replace))
-    return out
+        # Position i of a sentence gets sort key i + u_i * (k + 1); a
+        # stable sort of the keys within each sentence is the permutation.
+        keys = np.arange(len(tokens)) - starts[sentence_of] + u * (config.window_k + 1)
+        return SoftCorpus.hard(tokens[np.lexsort((keys, sentence_of))], starts), 0, eligible
+    mask = (u < config.gamma) & selectable
+    replaced = int(np.count_nonzero(mask))
+    if config.strategy == "dropout":
+        # A sentence is never emptied: if every token would be dropped, one
+        # uniformly chosen token survives, by a draw that follows the mask.
+        keep = ~mask
+        kept = np.bincount(sentence_of[keep], minlength=len(sentences))
+        for i in np.flatnonzero((kept == 0) & (lengths > 0)).tolist():
+            rng = SplitMix64(int(seeds[i]))
+            rng.skip(int(lengths[i]))
+            keep[starts[i] + rng.randint(int(lengths[i]))] = True
+            kept[i] = 1
+            replaced -= 1
+        return SoftCorpus.hard(tokens[keep], _offsets(kept)), replaced, eligible
+    if config.strategy == "blank":
+        out = tokens.copy()
+        out[mask] = BLANK
+        return SoftCorpus.hard(out, starts), replaced, eligible
+    hits = np.flatnonzero(mask)
+    values = _replacements(sentences, seeds, starts, hits, replace)
+    if config.strategy != "soft":
+        out = tokens.copy()
+        out[hits] = list(values)
+        return SoftCorpus.hard(out, starts), replaced, eligible
+    # top_k gives every soft position the same number of entries, so the
+    # supports fill the rows of two matrices.
+    ids, probs = np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0))
+    for j, (row_ids, row_probs) in enumerate(values):
+        if not j:
+            shape = (len(hits), len(row_ids))
+            ids, probs = np.empty(shape, dtype=np.int64), np.empty(shape)
+        ids[j], probs[j] = row_ids, row_probs
+    support = np.arange(len(hits) + 1, dtype=np.int64) * ids.shape[1]
+    return SoftCorpus(tokens, starts, hits, support, ids.ravel(), probs.ravel()), replaced, eligible
+
+
+def _replacements(sentences: list[Sentence], seeds: np.ndarray, starts: np.ndarray,
+                  hits: np.ndarray, replace: Callable) -> Iterator:
+    """``replace(sentence, pos, rng)`` at each selected flat position in
+    *hits*, in order; each sentence's ``rng`` continues its stream past its
+    mask uniforms."""
+    current, rng = -1, None
+    firsts = starts.tolist()
+    for i, at in zip((np.searchsorted(starts, hits, "right") - 1).tolist(), hits.tolist()):
+        if i != current:
+            current, rng = i, SplitMix64(int(seeds[i]))
+            rng.skip(firsts[i + 1] - firsts[i])
+        yield replace(sentences[i], at - firsts[i], rng)
 
 
 def augment_corpus(
@@ -262,7 +426,8 @@ def augment_corpus(
     threads: int = 1,
     return_stats: bool = False,
 ):
-    """Apply one strategy to every sentence, deterministically.
+    """Apply one strategy to every sentence, deterministically; returns a
+    ``SoftCorpus`` (hard unless the strategy is ``soft``).
 
     Output depends only on (sentences, config); the worker count changes
     scheduling, never bytes.  ``smooth`` builds its unigram from
@@ -271,13 +436,14 @@ def augment_corpus(
     (replaced, eligible) position totals.
 
     Sentences go to ``_augment_block`` in bounded blocks of consecutive
-    sentences, about four per worker when there are several.
+    sentences, about four per worker when there are several; the blocks'
+    columns are concatenated.
     """
     config.validate()
     if config.strategy in LM_STRATEGIES and lm is None:
         raise ValueError(f"strategy {config.strategy!r} requires a language model")
     if config.strategy == "base" or config.gamma == 0.0:
-        results = [(list(s), 0) for s in sentences]
+        parts = [_augment_block(sentences, 0, config, None)]
     else:
         build_unigram = (partial(_corpus_unigram, sentences, vocab_size) if unigram is None
                          else lambda: unigram)
@@ -290,15 +456,11 @@ def augment_corpus(
             ranges.append((start, start + len(block)))
         parts = fork_map(
             lambda r: _augment_block(sentences[r[0]:r[1]], r[0], config, replace), ranges, threads
-        )
-        results = [r for part in parts for r in part]
-
-    out = [r[0] for r in results]
+        ) or [_augment_block([], 0, config, replace)]
+    out = SoftCorpus.concat([corpus for corpus, _, _ in parts])
     if not return_stats:
         return out
-    replaced = sum(r[1] for r in results)
-    eligible = sum(1 for s in sentences for t in s if t not in _UNSELECTABLE)
-    return out, (replaced, eligible)
+    return out, (sum(p[1] for p in parts), sum(p[2] for p in parts))
 
 
 # -- soft corpus serialization (JSON Lines) --------------------------------
@@ -311,43 +473,58 @@ def augment_corpus(
 _LEAST_NORMAL = 2.2250738585072014e-308
 
 
-def _probs_text(dist: Dist) -> str:
-    """The JSON ``[[id, p], ...]`` of *dist*, each p the shortest repr of
-    its 12-significant-digit rounding."""
-    ids, probs = dist.ids.tolist(), dist.probs.tolist()
-    # numpy's min and max propagate NaN, which then fails the range test.
-    if probs and _LEAST_NORMAL <= dist.probs.min() and dist.probs.max() < 1.0:
-        # One format call for the word; a field that rounds to 1 would
-        # need its ".0", and sends the word down the general path.
-        flat = tuple(itertools.chain.from_iterable(zip(ids, probs)))
-        text = "[%d,%.12g]," * (len(flat) // 2) % flat
-        if ",1]" not in text:
-            return f"[{text[:-1]}]"
-    return json.dumps([[int(i), float(f"{p:.12g}")] for i, p in zip(ids, probs)],
-                      separators=(",", ":"))
+def _probs_texts(corpus: SoftCorpus) -> list[str]:
+    """The JSON ``[[id, p], ...]`` of every soft position's support, each
+    p the shortest repr of its 12-significant-digit rounding."""
+    support = corpus.support
+    # NaN fails both comparisons, and with it the one-format test.
+    plain = (corpus.probs >= _LEAST_NORMAL) & (corpus.probs < 1.0)
+    unplain = _offsets(~plain)
+    one_format = ((support[1:] > support[:-1])
+                  & (unplain[support[1:]] == unplain[support[:-1]])).tolist()
+    flat = [None] * (2 * len(corpus.ids))
+    flat[::2], flat[1::2] = corpus.ids.tolist(), corpus.probs.tolist()
+    bounds = (2 * support).tolist()
+    texts = []
+    for fast, a, b in zip(one_format, bounds, bounds[1:]):
+        if fast:
+            # One format call for the word; a field that rounds to 1 would
+            # need its ".0", and sends the word down the general path.
+            text = "[%d,%.12g]," * ((b - a) // 2) % tuple(flat[a:b])
+            if ",1]" not in text:
+                texts.append(f"[{text[:-1]}]")
+                continue
+        texts.append(json.dumps([[int(i), float(f"{p:.12g}")] for i, p in
+                                 zip(flat[a:b:2], flat[a + 1:b:2])], separators=(",", ":")))
+    return texts
+
+
+def _soft_lines(corpus: SoftCorpus) -> list[str]:
+    """One JSON object per sentence (see ``parse_soft_line``), from the columns."""
+    toks, starts = corpus.tokens.tolist(), corpus.starts.tolist()
+    soft_at = corpus.soft_at.tolist()
+    owner = (np.searchsorted(corpus.starts, corpus.soft_at, "right") - 1).tolist()
+    entries = [f'"{at - starts[i]}":{{"orig":{toks[at]},"p":{p}}}'
+               for at, i, p in zip(soft_at, owner, _probs_texts(corpus))]
+    first_word = np.searchsorted(corpus.soft_at, corpus.starts).tolist()
+    return [f'{{"toks":[{",".join(map(str, toks[a:b]))}],"soft":{{{",".join(entries[v:w])}}}}}'
+            for a, b, v, w in zip(starts, starts[1:], first_word, first_word[1:])]
 
 
 def _soft_line(sentence: SoftSentence) -> str:
-    toks = []
-    soft = []
-    for pos, item in enumerate(sentence):
-        if isinstance(item, SoftWord):
-            toks.append(item.original_id)
-            soft.append(f'"{pos}":{{"orig":{json.dumps(item.original_id)},'
-                        f'"p":{_probs_text(item.dist)}}}')
-        else:
-            toks.append(int(item))
-    return f'{{"toks":{json.dumps(toks, separators=(",", ":"))},"soft":{{{",".join(soft)}}}}}'
+    return _soft_lines(SoftCorpus.from_sentences([sentence]))[0]
 
 
-def write_soft_corpus(path: str, sentences: Iterable[SoftSentence]) -> None:
-    """One JSON object per line (see ``parse_soft_line``), written as each
-    sentence comes.  Probabilities are written at 12 significant digits,
-    as the shortest repr of that rounding, so write -> read -> write gives
-    the same bytes."""
+def write_soft_corpus(path: str, sentences: SoftCorpus | Iterable[SoftSentence]) -> None:
+    """One JSON object per line (see ``parse_soft_line``), formatted from
+    the corpus's columns a chunk of sentences at a time.  Probabilities
+    are written at 12 significant digits, as the shortest repr of that
+    rounding, so write -> read -> write gives the same bytes."""
+    corpus = sentences if isinstance(sentences, SoftCorpus) else SoftCorpus.from_sentences(sentences)
     with open(path, "w", encoding="utf-8") as fh:
-        for s in sentences:
-            fh.write(_soft_line(s) + "\n")
+        for first in range(0, len(corpus), _CHUNK_SENTENCES):
+            part = corpus.part(first, min(len(corpus), first + _CHUNK_SENTENCES))
+            fh.writelines(line + "\n" for line in _soft_lines(part))
 
 
 def _integer(value) -> int:
@@ -357,25 +534,6 @@ def _integer(value) -> int:
     return value
 
 
-def _number(value) -> float:
-    if type(value) not in (int, float):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
-
-
-def _integers(values) -> list[int]:
-    """*values* as a list, checked per array; ``_integer`` names the culprit."""
-    if not set(map(type, values)) <= {int}:
-        [_integer(v) for v in values]
-    return list(values)
-
-
-def _numbers(values) -> list:
-    if not set(map(type, values)) <= {int, float}:
-        [_number(v) for v in values]
-    return list(values)
-
-
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     obj = dict(pairs)
     if len(obj) != len(pairs):
@@ -383,51 +541,177 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def parse_soft_line(line: str) -> SoftSentence:
-    """One JSON Lines record; any malformed record raises ValueError.
+def _malformed(exc: Exception) -> str:
+    return f"malformed soft corpus line ({type(exc).__name__}: {exc})"
 
-    Tokens, ``orig`` and support ids must be JSON integers and
-    probabilities JSON numbers, and no object may repeat a key.  Each
-    soft position must be written as a
-    plain index into ``toks``, its ``orig`` must equal the token there,
-    and its entries must form a valid distribution.
-    """
+
+_SHAPE_ERRORS = (KeyError, TypeError, IndexError, AttributeError, OverflowError)
+
+
+def _first_of_type(values, types: set) -> int | None:
+    """The index of the first of *values* whose type is not in *types*."""
+    if set(map(type, values)) <= types:
+        return None
+    return next(j for j, v in enumerate(values) if type(v) not in types)
+
+
+def _as_array(values, dtype) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """*values* as an array of *dtype*; if one does not fit, the values
+    before it, and its index and message."""
     try:
-        obj = json.loads(line, object_pairs_hook=_unique_keys)
-        out: SoftSentence = _integers(obj["toks"])
-        for pos_text, entry in obj.get("soft", {}).items():
-            pos, orig = int(pos_text), _integer(entry["orig"])
-            if pos_text != str(pos) or not 0 <= pos < len(out):
-                raise ValueError(
-                    f"soft position {pos_text!r} is not an index of a {len(out)}-token sentence"
-                )
-            if out[pos] != orig:
-                raise ValueError(f"soft position {pos}: orig {orig} is not its token {out[pos]}")
-            pairs = entry["p"]
-            # zip(*) would drop or regroup the items of entries not of length
-            # 2.  One of length 2 that is not a list is a string or an
-            # object, whose items are strings, so the id check refuses it.
-            if not set(map(len, pairs)) <= {2}:
-                raise ValueError(f"soft position {pos}: an entry is not an [id, p] pair")
-            ids, probs = zip(*pairs) if pairs else ((), ())
-            dist = Dist(np.array(_numbers(probs), dtype=np.float64),
-                        np.array(_integers(ids), dtype=np.int64))
-            dist.validate()
-            out[pos] = SoftWord(dist, orig)
-    except (KeyError, TypeError, IndexError, AttributeError, OverflowError) as exc:
-        raise ValueError(f"malformed soft corpus line ({type(exc).__name__}: {exc})") from exc
-    return out
+        return np.array(values, dtype=dtype), None
+    except OverflowError:
+        for j, v in enumerate(values):
+            try:
+                np.array([v], dtype=dtype)
+            except OverflowError as exc:
+                return np.array(values[:j], dtype=dtype), (j, _malformed(exc))
+        raise
 
 
-def read_soft_corpus(path: str) -> list[SoftSentence]:
-    """One soft sentence per line.  A blank line is refused: dropping it
-    would shift every later sentence one place off its label."""
-    out = []
-    for lineno, line in enumerate(split_lines(read_text(path)), 1):
+class _BadRecord(ValueError):
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def _soft_records(lines: list[str]) -> SoftCorpus:
+    """The soft corpus of *lines*, one JSON Lines record each; any
+    malformed record raises ``_BadRecord`` with its index and message.
+
+    One pass over the lines parses the JSON and checks each record's
+    shape.  The tokens, ids and probabilities are then checked as whole
+    arrays, and the supports by ``_first_bad_support``.  What is reported
+    is the first failure in record order, and within a record the one
+    that checking its tokens and then its soft positions in turn, each
+    fully, would meet first.
+    """
+    toks: list = []
+    line_starts = [0]   # offsets into toks, one per record read
+    line_words = [0]    # soft positions before each record
+    soft_at: list[int] = []
+    sizes: list[int] = []
+    pairs: list = []
+    shape_error = None
+    for index, line in enumerate(lines):
         try:
             if not line:
                 raise ValueError("blank line")
-            out.append(parse_soft_line(line))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno} of {path}: {exc}") from exc
-    return out
+            obj = json.loads(line, object_pairs_hook=_unique_keys)
+            out = list(obj["toks"])
+            base = len(toks)
+            toks.extend(out)
+            line_starts.append(len(toks))
+            for pos_text, entry in obj.get("soft", {}).items():
+                pos, orig = int(pos_text), _integer(entry["orig"])
+                if pos_text != str(pos) or not 0 <= pos < len(out):
+                    raise ValueError(
+                        f"soft position {pos_text!r} is not an index of a {len(out)}-token sentence"
+                    )
+                if out[pos] != orig:
+                    raise ValueError(f"soft position {pos}: orig {orig} is not its token {out[pos]}")
+                entry_pairs = entry["p"]
+                # Flattening would regroup the items of entries not of
+                # length 2.  One of length 2 that is not a list is a string
+                # or an object, whose items are strings, so a type check
+                # refuses it.
+                if not set(map(len, entry_pairs)) <= {2}:
+                    raise ValueError(f"soft position {pos}: an entry is not an [id, p] pair")
+                soft_at.append(base + pos)
+                sizes.append(len(entry_pairs))
+                pairs.extend(entry_pairs)
+            line_words.append(len(sizes))
+        except (*_SHAPE_ERRORS, ValueError) as exc:
+            message = _malformed(exc) if isinstance(exc, _SHAPE_ERRORS) else str(exc)
+            shape_error = _BadRecord(index, message)
+            shape_error.__cause__ = exc
+            break
+
+    if shape_error and not toks and not pairs:
+        raise shape_error
+    # The first failure among what the shape pass accepted comes before its
+    # own.  A record's tokens come before its soft positions, so a token
+    # failure wins over a support failure of its record or a later one:
+    # failures compare as (first soft position of the record, -1) against
+    # (soft position, 0).
+    failures = []
+    bad = _first_of_type(toks, {int})
+    tokens, failure = _as_array(toks[:bad], np.int64)
+    failure = failure or (None if bad is None else (bad, f"{toks[bad]!r} is not an integer"))
+    if failure:
+        record = int(np.searchsorted(line_starts, failure[0], "right")) - 1
+        failures.append(((line_words[record], -1), record, failure[1]))
+
+    # Per soft position, in order: probability types, their conversion,
+    # id types, their conversion, then the distribution checks; each pass
+    # runs over the positions before the first failure so far.
+    support = _offsets(sizes)
+    # Every entry has two items, so the flat list alternates id, p.
+    flat = list(itertools.chain.from_iterable(pairs))
+    ids_in, probs_in = flat[::2], flat[1::2]
+    end, found = len(sizes), None
+
+    def fail_at(j: int, message: str) -> None:
+        nonlocal end, found
+        end, found = int(np.searchsorted(support, j, "right")) - 1, message
+
+    j = _first_of_type(probs_in, {int, float})
+    if j is not None:
+        fail_at(j, f"{probs_in[j]!r} is not a number")
+    probs, failure = _as_array(probs_in[:support[end]], np.float64)
+    if failure:
+        fail_at(*failure)
+    j = _first_of_type(ids_in[:support[end]], {int})
+    if j is not None:
+        fail_at(j, f"{ids_in[j]!r} is not an integer")
+    ids, failure = _as_array(ids_in[:support[end]], np.int64)
+    if failure:
+        fail_at(*failure)
+    failure = _first_bad_support(ids[:support[end]], probs[:support[end]], support[:end + 1])
+    if failure:
+        end, found = failure
+    if found is not None:
+        record = int(np.searchsorted(line_words, end, "right")) - 1
+        failures.append(((end, 0), record, found))
+    if failures:
+        _, record, message = min(failures)
+        raise _BadRecord(record, message)
+    if shape_error:
+        raise shape_error
+
+    soft_at = np.array(soft_at, dtype=np.int64)
+    if np.any(soft_at[1:] <= soft_at[:-1]):
+        # A record may list its soft positions in any order.
+        order = np.argsort(soft_at, kind="stable")
+        moved = _offsets(np.diff(support)[order])
+        source = np.repeat(support[:-1][order] - moved[:-1], np.diff(moved)) + np.arange(len(ids))
+        soft_at, support, ids, probs = soft_at[order], moved, ids[source], probs[source]
+    return SoftCorpus(tokens, np.array(line_starts, dtype=np.int64), soft_at, support, ids, probs)
+
+
+def parse_soft_line(line: str) -> SoftSentence:
+    """One JSON Lines record; any malformed record raises ValueError.
+
+    Tokens, ``orig`` and support ids must be JSON integers (tokens and
+    ids within int64) and probabilities JSON numbers, and no object may
+    repeat a key.  Each soft position must be written as a plain index
+    into ``toks``, its ``orig`` must equal the token there, and its
+    entries must form a valid distribution.  This is ``read_soft_corpus``
+    on a one-line file.
+    """
+    return _soft_records([line])[0]
+
+
+def read_soft_corpus(path: str) -> SoftCorpus:
+    """One soft sentence per line, as a ``SoftCorpus``, parsed and checked
+    a chunk of lines at a time.  A blank line is refused: dropping it
+    would shift every later sentence one place off its label.  An error
+    names the first malformed line."""
+    lines = split_lines(read_text(path))
+    parts = []
+    for first in range(0, len(lines), _CHUNK_SENTENCES):
+        try:
+            parts.append(_soft_records(lines[first:first + _CHUNK_SENTENCES]))
+        except _BadRecord as exc:
+            raise ValueError(f"line {first + exc.index + 1} of {path}: {exc}") from exc
+    return SoftCorpus.concat(parts) if parts else _soft_records([])

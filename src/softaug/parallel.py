@@ -8,7 +8,6 @@ output.
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Callable, Iterable
 
 # Upper bound on the worker count.  Each worker is a forked process, so
@@ -40,6 +39,10 @@ def fork_map(fn: Callable, items: Iterable, threads: int) -> list:
     Items go to the workers one at a time, so jobs of uneven cost balance."""
     if threads <= 1:
         return [fn(x) for x in items]
+    # Imported at the first pooled call: a serial run never needs it, and
+    # importing it costs every start of the package about 12 ms.
+    import multiprocessing
+
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(threads, initializer=_init, initargs=(fn,)) as pool:
         return pool.map(_call, items, chunksize=1)

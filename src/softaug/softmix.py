@@ -2,11 +2,14 @@
 
 A hard id j stands for embedding row E_j and a soft position for
 sum_j p_j * E_j over its distribution's support.  Mean pooling is linear,
-so ``pack`` reduces a whole sentence, once, to a sparse bag over the
-vocabulary: its unique row ids (ascending) and the summed weight of each
-row, where a hard occurrence counts 1 and a soft support entry counts
-p_j.  Row ids are range-checked there and nowhere else.  Every consumer
-then runs the same array expressions:
+so each sentence reduces, once, to a sparse bag over the vocabulary: its
+unique row ids (ascending) and the summed weight of each row, where a
+hard occurrence counts 1 and a soft support entry counts p_j.
+``pack_corpus`` does this for a whole ``SoftCorpus`` from its columns,
+with one ``np.unique`` of sentence * |V| + id and one ``np.bincount`` of
+the weights in position order; ``pack`` is its one-sentence case.  Row
+ids are range-checked there and nowhere else.  Every consumer then runs
+the same array expressions:
 
     pooled = weights @ E[ids] / len(sentence)
     E[ids] -= lr * (weights[:, None] * dpooled)
@@ -14,7 +17,7 @@ then runs the same array expressions:
 with ``dpooled`` the loss gradient w.r.t. the pooled vector divided by the
 sentence length; the ids are unique, so the update needs no scatter-add.
 A minimal linear classifier (softmax cross-entropy) sits on the pooled
-vector.  ``pack_corpus`` stores a corpus's bags flat, as one
+vector.  ``pack_corpus`` stores the corpus's bags flat, as one
 ``PackedCorpus``.
 
 ``train_packed`` trains K models of one shape, one packed corpus each,
@@ -36,18 +39,20 @@ agree bitwise.
 from __future__ import annotations
 
 import math
-import operator
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import SoftSentence, SoftWord
+from .augment import SoftCorpus, SoftSentence, SoftWord
 from .corpus import read_text, split_lines
 from .rng import SplitMix64, random_block
 
 GRAD_TOLERANCE = 1e-4
 GRAD_STEP = 1e-5
+
+# Sentences that ``pack_corpus`` packs at a time: a pass holds about ten
+# arrays the size of its entries, so its peak memory stays bounded.
+_PACK_SENTENCES = 256
 
 
 @dataclass
@@ -88,34 +93,10 @@ class Bag:
     length: int          # positions in the sentence, the mean-pool divisor
 
 
-def _bag_entries(sentence: SoftSentence, vocab_size: int) -> tuple[list[int], list[float]]:
-    """The sentence's distinct row ids, ascending, and each one's summed weight.
-
-    Weights accumulate in position order, so equal sentences written as
-    hard ids or point masses, or with one support in any entry order,
-    give identical entries.
-    """
-    if not sentence:
-        raise ValueError("empty sentence")
-    acc: dict[int, float] = {}
-    for item in sentence:
-        if isinstance(item, SoftWord):
-            for i, p in zip(item.dist.ids.tolist(), item.dist.probs.tolist()):
-                acc[i] = acc.get(i, 0.0) + p
-        else:
-            i = operator.index(item)
-            acc[i] = acc.get(i, 0.0) + 1.0
-    ids = sorted(acc)
-    if ids and (ids[0] < 0 or ids[-1] >= vocab_size):
-        bad = ids[0] if ids[0] < 0 else ids[-1]
-        raise ValueError(f"id out of range: {bad}")
-    return ids, [acc[i] for i in ids]
-
-
 def pack(sentence: SoftSentence, vocab_size: int) -> Bag:
-    """Sum the sentence's mixture weights per embedding row."""
-    ids, weights = _bag_entries(sentence, vocab_size)
-    return Bag(np.array(ids, dtype=np.int64), np.array(weights, dtype=np.float64), len(sentence))
+    """Sum the sentence's mixture weights per embedding row: the one-sentence
+    ``pack_corpus``."""
+    return pack_corpus([sentence], vocab_size)[0]
 
 
 def _pool(emb: np.ndarray, bag: Bag) -> np.ndarray:
@@ -346,22 +327,64 @@ class PackedCorpus:
         return Bag(self.ids[a:b], self.weights[a:b], int(self.lengths[i]))
 
 
-def pack_corpus(corpus: list[SoftSentence], vocab_size: int) -> PackedCorpus:
-    """``pack`` every sentence, in order, into one flat corpus."""
-    ids, weights = array("q"), array("d")
-    starts, lengths = [0], []
-    for sentence in corpus:
-        sentence_ids, sentence_weights = _bag_entries(sentence, vocab_size)
-        ids.extend(sentence_ids)
-        weights.extend(sentence_weights)
-        starts.append(len(ids))
-        lengths.append(len(sentence))
-    return PackedCorpus(
-        np.frombuffer(ids, dtype=np.int64),
-        np.frombuffer(weights, dtype=np.float64),
-        np.array(starts, dtype=np.int64),
-        np.array(lengths, dtype=np.int64),
-    )
+def _bags(corpus: SoftCorpus, vocab_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each sentence's bag: the ids, the weights and each bag's entry count."""
+    lengths = np.diff(corpus.starts)
+    sizes = np.diff(corpus.support)
+    per_position = np.ones(len(corpus.tokens), dtype=np.int64)
+    per_position[corpus.soft_at] = sizes
+    first_entry = np.zeros(len(per_position) + 1, dtype=np.int64)
+    np.cumsum(per_position, out=first_entry[1:])
+    ids = np.empty(first_entry[-1], dtype=np.int64)
+    weights = np.ones(first_entry[-1])
+    hard = np.ones(len(per_position), dtype=bool)
+    hard[corpus.soft_at] = False
+    ids[first_entry[:-1][hard]] = corpus.tokens[hard]
+    slots = np.repeat(first_entry[corpus.soft_at] - corpus.support[:-1], sizes) + np.arange(len(corpus.ids))
+    ids[slots] = corpus.ids
+    weights[slots] = corpus.probs
+    # Each entry's sentence, then, in place, sentence * |V| + id.
+    key = np.repeat(np.arange(len(lengths)), np.diff(first_entry[corpus.starts]))
+
+    empty = np.flatnonzero(lengths == 0)
+    outside = np.flatnonzero((ids < 0) | (ids >= vocab_size))
+    if len(empty) or len(outside):
+        if not len(outside) or len(empty) and empty[0] < key[outside[0]]:
+            raise ValueError("empty sentence")
+        own = ids[key == key[outside[0]]]
+        raise ValueError(f"id out of range: {own.min() if own.min() < 0 else own.max()}")
+    key *= vocab_size
+    key += ids
+    # Freed before the sort, whose temporaries are the pass's peak.
+    del ids
+    rows, entry_row = np.unique(key, return_inverse=True)
+    del key
+    owner, row_ids = np.divmod(rows, vocab_size)
+    # bincount gives an empty input's counts as ints.
+    summed = np.bincount(entry_row, weights=weights, minlength=len(rows)).astype(np.float64, copy=False)
+    return row_ids, summed, np.bincount(owner, minlength=len(lengths))
+
+
+def pack_corpus(corpus: SoftCorpus | list[SoftSentence], vocab_size: int) -> PackedCorpus:
+    """Each sentence's bag, in order, as one flat corpus.
+
+    Every hard position is one entry (its id, weight 1) and every soft
+    position its support's entries, in position order.  One ``np.unique``
+    of sentence * |V| + id gives each bag's ids, ascending, and one
+    ``np.bincount`` sums each row's weights in entry order, so equal
+    sentences written as hard ids or point masses, or with one support in
+    any entry order, pack to identical bags.  The first sentence that is
+    empty or holds an id outside [0, |V|) is refused.  Sentences go
+    through in chunks, so the temporaries stay bounded.
+    """
+    if not isinstance(corpus, SoftCorpus):
+        corpus = SoftCorpus.from_sentences(corpus)
+    chunks = [_bags(corpus.part(first, min(len(corpus), first + _PACK_SENTENCES)), vocab_size)
+              for first in range(0, len(corpus), _PACK_SENTENCES)] or [_bags(corpus, vocab_size)]
+    ids, weights, counts = (np.concatenate(column) for column in zip(*chunks))
+    starts = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    return PackedCorpus(ids, weights, starts, np.diff(corpus.starts))
 
 
 def _interleave(corpora: list[PackedCorpus], vocab_size: int):
@@ -509,7 +532,7 @@ def train_packed(
 
 def train_toy(
     model: ToyModel,
-    corpus: list[SoftSentence],
+    corpus: SoftCorpus | list[SoftSentence],
     labels: list[int],
     lr: float,
     steps: int,
@@ -538,7 +561,7 @@ def evaluate_packed(models: list[ToyModel], corpus: PackedCorpus, labels: list[i
     return (hits / len(corpus)).tolist()
 
 
-def evaluate(model: ToyModel, corpus: list[SoftSentence], labels: list[int]) -> float:
+def evaluate(model: ToyModel, corpus: SoftCorpus | list[SoftSentence], labels: list[int]) -> float:
     """Fraction of sentences whose argmax class matches the label."""
     return evaluate_packed([model], pack_corpus(corpus, len(model.emb)), labels)[0]
 

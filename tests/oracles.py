@@ -171,6 +171,38 @@ def brute_mix(entries, emb) -> list[float]:
     return out
 
 
+def bag_entries(sentence, vocab_size) -> tuple[list[int], list[float]]:
+    """A sentence's distinct row ids, ascending, and each one's summed
+    weight, from one dict entry per row: a hard id adds 1 and a support
+    entry its p, in position order.  The reference for packing."""
+    if not sentence:
+        raise ValueError("empty sentence")
+    acc: dict[int, float] = {}
+    for item in sentence:
+        if isinstance(item, SoftWord):
+            for i, p in zip(item.dist.ids.tolist(), item.dist.probs.tolist()):
+                acc[i] = acc.get(i, 0.0) + p
+        else:
+            acc[int(item)] = acc.get(int(item), 0.0) + 1.0
+    ids = sorted(acc)
+    if ids and (ids[0] < 0 or ids[-1] >= vocab_size):
+        raise ValueError(f"id out of range: {ids[0] if ids[0] < 0 else ids[-1]}")
+    return ids, [acc[i] for i in ids]
+
+
+def pack_corpus(corpus, vocab_size):
+    """(ids, weights, starts, lengths) of every sentence's ``bag_entries``
+    in turn, as numpy arrays; the first bad sentence raises."""
+    ids, weights, starts = [], [], [0]
+    for sentence in corpus:
+        sentence_ids, sentence_weights = bag_entries(sentence, vocab_size)
+        ids += sentence_ids
+        weights += sentence_weights
+        starts.append(len(ids))
+    return (np.array(ids, dtype=np.int64), np.array(weights, dtype=np.float64),
+            np.array(starts, dtype=np.int64), np.array([len(s) for s in corpus], dtype=np.int64))
+
+
 def sgd_step_oracle(sentence, label, emb, w, b, lr):
     """One SGD step of the mean-pool softmax classifier, per coordinate.
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -246,9 +247,13 @@ class TestBlockDraws:
         assume(strategy != "smooth" or any(t >= 4 for s in sents for t in s))
         cfg = sa.AugmentConfig(strategy=strategy, gamma=0.6, topk=3, seed=seed)
         uni = ag.unigram_dist(sents, 10) if strategy == "smooth" else None
-        got = ag._augment_block(sents, start, cfg, ag._replacement(strategy, model, lambda: uni, 3))
-        assert got == [oracles.augment_per_draw(s, start + i, cfg, model, uni)
-                       for i, s in enumerate(sents)]
+        corpus, replaced, eligible = ag._augment_block(
+            sents, start, cfg, ag._replacement(strategy, model, lambda: uni, 3))
+        expected = [oracles.augment_per_draw(s, start + i, cfg, model, uni)
+                    for i, s in enumerate(sents)]
+        assert corpus == [r[0] for r in expected]
+        assert replaced == sum(r[1] for r in expected)
+        assert eligible == sum(t not in (0, 1, 3) for s in sents for t in s)
 
     @pytest.mark.parametrize("strategy", sa.STRATEGIES)
     def test_threads_one_and_two_equal_per_draw_oracle(self, tiny_lm, monkeypatch, strategy):
@@ -266,6 +271,54 @@ class TestBlockDraws:
                 out, (replaced, _) = sa.augment_corpus(corpus, cfg, lm=model, unigram=uni,
                                                        threads=threads, return_stats=True)
                 assert (out, replaced) == expected
+
+
+class TestSoftCorpus:
+    """The columns read as the list of soft sentences they hold."""
+
+    @pytest.fixture(scope="class", params=["soft", "lm_sample", "dropout"])
+    def augmented(self, request, tiny_lm):
+        model, sents, _ = tiny_lm
+        corpus = sents[:30] + [[], [0, 1, 3]]
+        cfg = sa.AugmentConfig(strategy=request.param, gamma=0.4, topk=4, seed=14)
+        want = [oracles.augment_per_draw(s, i, cfg, model)[0] for i, s in enumerate(corpus)]
+        return sa.augment_corpus(corpus, cfg, lm=model), want
+
+    def test_indexing_gives_the_per_draw_sentences(self, augmented):
+        got, want = augmented
+        assert isinstance(got, sa.SoftCorpus) and len(got) == len(want)
+        assert [got[i] for i in range(len(got))] == want
+        assert [got[i - len(got)] for i in range(len(got))] == want
+        with pytest.raises(IndexError):
+            got[len(got)]
+
+    def test_slices_iteration_and_list_equality(self, augmented):
+        got, want = augmented
+        assert list(got) == want and got == want
+        assert got[3:9] == want[3:9] and got[::4] == want[::4] and got[9:3] == []
+        assert got != want[:-1] and got != want[:-1] + [[5]]
+        assert (got == "corpus") is False
+
+    def test_round_trips(self, augmented):
+        got, _ = augmented
+        assert sa.SoftCorpus.from_sentences(list(got)) == got
+        assert pickle.loads(pickle.dumps(got)) == got
+
+    @pytest.mark.parametrize("strategy", sa.STRATEGIES[1:])
+    @given(sents=TestBlockDraws.corpus, cut=st.integers(0, 12), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=20)
+    def test_blocks_concatenated_equal_one_block(self, tiny_lm, strategy, sents, cut, seed):
+        model = tiny_lm[0]
+        assume(strategy != "smooth" or any(t >= 4 for s in sents for t in s))
+        cut = min(cut, len(sents))
+        cfg = sa.AugmentConfig(strategy=strategy, gamma=0.6, topk=3, seed=seed)
+        uni = ag.unigram_dist(sents, 10) if strategy == "smooth" else None
+        replace = ag._replacement(strategy, model, lambda: uni, 3)
+        parts = [ag._augment_block(sents[:cut], 0, cfg, replace),
+                 ag._augment_block(sents[cut:], cut, cfg, replace)]
+        whole = ag._augment_block(sents, 0, cfg, replace)
+        assert sa.SoftCorpus.concat([p[0] for p in parts]) == whole[0]
+        assert [sum(p[k] for p in parts) for k in (1, 2)] == list(whole[1:])
 
 
 class TestTopK:
@@ -326,6 +379,21 @@ class TestDriver:
         assert eligible == sum(len(s) for s in sents)
         assert replaced == sum(1 for s in out for t in s if t == BLANK)
 
+    @pytest.mark.parametrize("strategy", sa.STRATEGIES)
+    def test_eligible_count_equals_the_token_walk(self, tiny_lm, strategy):
+        """Every id but BOS, EOS and BLANK is eligible, UNK included, at
+        any worker count."""
+        model, sents, _ = tiny_lm
+        rng = SplitMix64(32)
+        corpus = [[rng.randint(4) if rng.random() < 0.3 else t for t in s] for s in sents]
+        corpus += [[], [0, 1, 2, 3], [3]]
+        walk = sum(1 for s in corpus for t in s if t not in (0, 1, 3))
+        cfg = sa.AugmentConfig(strategy=strategy, gamma=0.3, topk=4, seed=13)
+        for threads in (1, 2):
+            _, (_, eligible) = sa.augment_corpus(corpus, cfg, lm=model, threads=threads,
+                                                 return_stats=True)
+            assert eligible == walk
+
     @pytest.mark.parametrize("strategy", ["smooth", "lm_sample", "soft"])
     def test_replaced_count_equals_replayed_mask(self, tiny_lm, strategy):
         model, sents, _ = tiny_lm
@@ -334,8 +402,7 @@ class TestDriver:
         # The mask does not depend on the strategy: blank, run on each
         # sentence alone at its index, replaces the positions it selects.
         blank = dataclasses.replace(cfg, strategy="blank")
-        replay = sum(ag._augment_block([s], i, blank, ag._blank_at)[0][1]
-                     for i, s in enumerate(sents))
+        replay = sum(ag._augment_block([s], i, blank, None)[1] for i, s in enumerate(sents))
         assert replay > 0
         assert replaced == replay
 
@@ -643,3 +710,66 @@ class TestSoftLineProperties:
         assert ag._soft_line([5, word]) == (
             '{"toks":[5,6],"soft":{"1":{"orig":6,"p":[[6,%s]]}}}' % text)
 
+
+def _refusal(parse, line) -> str | None:
+    """The message *parse* refuses *line* with, or None."""
+    try:
+        parse(line)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestSoftFileReader:
+    """``read_soft_corpus`` checks a whole file as arrays and reports its
+    first bad line, with the message that line alone gets."""
+
+    @pytest.mark.parametrize("first_bad", [1, 3])
+    @pytest.mark.parametrize("kind", SOFT_CORRUPTIONS + ["blank line"])
+    @settings(max_examples=10, deadline=None)
+    @given(lines=st.lists(soft_lines(gamma=1.0), min_size=4, max_size=4),
+           later=st.sampled_from(["cut short"] + SOFT_CORRUPTIONS), data=st.data())
+    def test_names_the_first_bad_line(self, scratch_file, first_bad, kind, lines, later, data):
+        def broken(line, kind):
+            if kind == "blank line":
+                return ""
+            if kind == "cut short":
+                return line[:-1]
+            obj = json.loads(line)
+            assume(obj["soft"])
+            _corrupt_soft(kind, obj, data.draw)
+            return json.dumps(obj)
+
+        lines[first_bad - 1] = bad = broken(lines[first_bad - 1], kind)
+        lines[3] = broken(lines[3], later)
+        scratch_file.write_text("".join(line + "\n" for line in lines))
+        message = "blank line" if kind == "blank line" else _refusal(oracles.parse_soft_line, bad)
+        assert message is not None
+        with pytest.raises(ValueError) as refused:
+            sa.read_soft_corpus(scratch_file)
+        assert str(refused.value) == f"line {first_bad} of {scratch_file}: {message}"
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(soft_lines(), max_size=5))
+    def test_file_reads_as_its_lines(self, scratch_file, lines):
+        scratch_file.write_text("".join(line + "\n" for line in lines))
+        assert sa.read_soft_corpus(scratch_file) == [ag.parse_soft_line(line) for line in lines]
+
+    def test_lines_are_numbered_across_chunks(self, tmp_path):
+        lines = ['{"toks":[5],"soft":{}}'] * 3 * ag._CHUNK_SENTENCES
+        lines[ag._CHUNK_SENTENCES + 5] = '{"toks":[5.5],"soft":{}}'
+        lines[ag._CHUNK_SENTENCES + 9] = '{"toks":'
+        path = tmp_path / "soft.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        where = re.escape(f"line {ag._CHUNK_SENTENCES + 6} of {path}: ")
+        with pytest.raises(ValueError, match=f"^{where}5.5 is not an integer$"):
+            sa.read_soft_corpus(path)
+
+    def test_soft_positions_in_any_order(self, tmp_path):
+        path = tmp_path / "soft.jsonl"
+        path.write_text('{"toks":[5,6,7],"soft":{"2":{"orig":7,"p":[[7,0.5],[4,0.5]]},'
+                        '"0":{"orig":5,"p":[[5,1.0]]}}}\n{"toks":[8],"soft":{}}\n')
+        corpus = sa.read_soft_corpus(path)
+        assert corpus.soft_at.tolist() == [0, 2]
+        assert corpus == [[sa.SoftWord(sa.Dist(np.array([1.0]), np.array([5])), 5), 6,
+                           sa.SoftWord(sa.Dist(np.array([0.5, 0.5]), np.array([7, 4])), 7)], [8]]

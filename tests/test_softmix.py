@@ -11,6 +11,7 @@ from softaug import softmix as sm
 from softaug.augment import Dist, SoftWord
 from softaug.rng import SplitMix64, derive
 
+import oracles
 from oracles import brute_mix, sgd_step_oracle, train_per_step
 
 
@@ -380,6 +381,80 @@ class TestPackedCorpus:
         ]
         assert sm.evaluate_packed(models, sm.pack_corpus(corpus, 20), labels) == want
         assert [sa.evaluate(m, corpus, labels) for m in models] == want
+
+
+@st.composite
+def pack_items(draw, vocab_size, outside):
+    """A hard id or a soft word over ids in [0, vocab_size), or around it
+    when *outside*: point masses, empty supports and any entry order."""
+    ids = st.integers(-2, vocab_size + 1) if outside else st.integers(0, vocab_size - 1)
+    if draw(st.booleans()):
+        return draw(ids)
+    support = draw(st.lists(ids, max_size=4, unique=True))
+    probs = draw(st.lists(st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+                          min_size=len(support), max_size=len(support)))
+    return SoftWord(Dist(np.array(probs, dtype=np.float64), np.array(support, dtype=np.int64)),
+                    support[0] if support else 0)
+
+
+@st.composite
+def pack_corpora(draw):
+    vocab_size = draw(st.integers(1, 10))
+    outside = draw(st.booleans())
+    corpus = draw(st.lists(st.lists(pack_items(vocab_size, outside), min_size=1, max_size=6),
+                           max_size=6))
+    if draw(st.booleans()):
+        corpus.insert(draw(st.integers(0, len(corpus))), [])
+    return corpus, vocab_size
+
+
+def packed_or_refusal(pack, corpus, vocab_size):
+    """The bytes of (ids, weights, starts, lengths), or the refusal's message."""
+    try:
+        packed = pack(corpus, vocab_size)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(packed, sm.PackedCorpus):
+        packed = (packed.ids, packed.weights, packed.starts, packed.lengths)
+    return [(a.dtype.str, a.tobytes()) for a in packed]
+
+
+class TestPackOracle:
+    """``pack_corpus`` from columns against the per-entry dict reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pack_corpora())
+    def test_equals_the_per_entry_reference_bit_for_bit(self, case):
+        corpus, vocab_size = case
+        assert packed_or_refusal(sm.pack_corpus, corpus, vocab_size) == packed_or_refusal(
+            oracles.pack_corpus, corpus, vocab_size)
+
+    def test_one_id_across_hard_and_soft_positions(self):
+        word = SoftWord(Dist(np.array([0.3, 0.7]), np.array([5, 2])), 5)
+        corpus = [[5, word, 5, word], [word, 2]]
+        assert packed_or_refusal(sm.pack_corpus, corpus, 6) == packed_or_refusal(
+            oracles.pack_corpus, corpus, 6)
+        assert sm.pack_corpus(corpus, 6)[0].weights.tolist() == [0.7 + 0.7, 1.0 + 0.3 + 1.0 + 0.3]
+
+    def test_entry_order_and_point_masses_do_not_change_the_bags(self):
+        word = SoftWord(Dist(np.array([0.25, 0.5, 0.25]), np.array([3, 1, 7])), 3)
+        shuffled = SoftWord(Dist(np.array([0.5, 0.25, 0.25]), np.array([1, 7, 3])), 3)
+        point = SoftWord(Dist(np.array([1.0]), np.array([6])), 6)
+        assert packed_or_refusal(sm.pack_corpus, [[3, word, 1], [point, 2]], 8) == packed_or_refusal(
+            sm.pack_corpus, [[3, shuffled, 1], [6, 2]], 8)
+
+    @pytest.mark.parametrize("corpus, message", [
+        ([[4, 5], [], [9]], "empty sentence"),
+        ([[4, 5], [9], []], "id out of range: 9"),
+        ([[4, -1, 9, SoftWord(Dist(np.array([0.5, 0.5]), np.array([30, -2])), 30)]],
+         "id out of range: -2"),
+        ([[4, 5], [SoftWord(Dist(np.array([0.5, 0.5]), np.array([12, 8])), 12), 7]],
+         "id out of range: 12"),
+    ])
+    def test_refusals_name_what_the_reference_names(self, corpus, message):
+        assert packed_or_refusal(oracles.pack_corpus, corpus, 9) == message
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sm.pack_corpus(corpus, 9)
 
 
 class TestEmbeddingFile:
