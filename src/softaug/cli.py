@@ -18,7 +18,7 @@ import numpy as np
 from . import augment as aug
 from . import corpus as cp
 from . import harness, lm as lmmod, parallel, softmix
-from .rng import SplitMix64, derive, random_block
+from .rng import SplitMix64, check_seed, derive, random_block
 
 
 def _echo_config(command: str, args: argparse.Namespace, seed_defaulted: bool = False) -> None:
@@ -107,6 +107,7 @@ def cmd_ppl(args) -> int:
 def cmd_augment(args) -> int:
     seed_defaulted = _resolve_seed(args)
     _echo_config("augment", args, seed_defaulted)
+    _checked(check_seed, args.seed)
     config = aug.AugmentConfig(
         strategy=args.strategy,
         gamma=args.gamma,
@@ -164,6 +165,7 @@ def _render_tokens(toks, orig_ids, new_ids, vocab):
 def cmd_grad_check(args) -> int:
     seed_defaulted = _resolve_seed(args)
     _echo_config("grad-check", args, seed_defaulted)
+    _checked(check_seed, args.seed)
     _checked(softmix.check_model_dims, args.vocab_size, args.dim, args.classes)
     rng = SplitMix64(derive(args.seed, 0xC0DE))
     model = softmix.init_model(args.vocab_size, args.dim, args.classes, derive(args.seed, 1))

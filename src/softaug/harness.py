@@ -37,7 +37,7 @@ from .augment import AugmentConfig, augment_corpus
 from .corpus import Sentence, Vocabulary, split_lines
 from .lm import NGramLM, check_params, train_lm
 from .parallel import fork_map
-from .rng import SplitMix64, derive
+from .rng import SplitMix64, check_seed, derive
 from .softmix import PackedCorpus, evaluate_packed, init_model, pack_corpus, train_packed
 
 DEFAULT_GAMMAS = (0.0, 0.05, 0.1, 0.15, 0.2)
@@ -424,7 +424,8 @@ DEFAULT_TASK_PARAMS = {"vocab_size": 500, "classes": 50, "sentences": 2000, "len
 SPEC_KEYS = {
     "strategies": lambda value: tuple(s.strip() for s in value.split(",") if s.strip()),
     "gammas": lambda value: tuple(float(g) for g in value.split(",") if g.strip()),
-    **dict.fromkeys(("reps", "seed", "dim", "steps", "topk", "window", "lm_order"), int),
+    "seed": lambda value: check_seed(int(value)),
+    **dict.fromkeys(("reps", "dim", "steps", "topk", "window", "lm_order"), int),
     **dict.fromkeys(("lr", "test_fraction", "discount", "alpha"), float),
     **dict.fromkeys(DEFAULT_TASK_PARAMS, int),
 }

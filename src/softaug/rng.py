@@ -22,6 +22,14 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _SALT = 0x5851F42D4C957F2D
 
 
+def check_seed(seed: int) -> int:
+    """The range check for a seed from outside the program: streams take
+    seeds mod 2^64, so any other value would alias one in [0, 2^64)."""
+    if not 0 <= seed <= _MASK:
+        raise ValueError(f"seed must lie in [0, 2^64), not {seed}")
+    return seed
+
+
 def _finalize(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK

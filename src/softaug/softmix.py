@@ -7,9 +7,8 @@ unique row ids (ascending) and the summed weight of each row, where a
 hard occurrence counts 1 and a soft support entry counts p_j.
 ``pack_corpus`` does this for a whole ``SoftCorpus`` from its columns,
 with one ``np.unique`` of sentence * |V| + id and one ``np.bincount`` of
-the weights in position order; ``pack`` is its one-sentence case.  Row
-ids are range-checked there and nowhere else.  Every consumer then runs
-the same array expressions:
+the weights in position order.  Row ids are range-checked there and
+nowhere else.  Every consumer then runs the same array expressions:
 
     pooled = weights @ E[ids] / len(sentence)
     E[ids] -= lr * (weights[:, None] * dpooled)
@@ -27,9 +26,12 @@ runs each operation once over all K models stacked (``_Lockstep``),
 except the pooling product, which runs once per model.  Each model ends
 bit for bit as it would alone, since every model's share of an operation
 computes what that model's own call computes, NaN bits included
-(``_RowSoftmax``).  ``train_toy``, ``evaluate`` and a sweep cell are the
-K = 1 case.  ``_loss_grads`` is the one single-sentence forward-backward
-routine, behind ``loss``, ``backward`` and ``grad_check``.
+(``_RowSoftmax``).  ``_Lockstep.forward`` and ``_Lockstep.gradients``
+are the one forward-backward: a training step is ``gradients`` scaled
+by the learning rate, and ``forward``, ``loss``, ``backward``,
+``grad_check``, ``train_toy``, ``evaluate`` and a sweep cell are all its
+K = 1 case, so the finite-difference check verifies the very step that
+training applies.
 
 All arithmetic is float64.  A hard token and a point-mass soft word pack
 to the same bag, so their forward values, gradients and training runs
@@ -93,29 +95,14 @@ class Bag:
     length: int          # positions in the sentence, the mean-pool divisor
 
 
-def pack(sentence: SoftSentence, vocab_size: int) -> Bag:
-    """Sum the sentence's mixture weights per embedding row: the one-sentence
-    ``pack_corpus``."""
-    return pack_corpus([sentence], vocab_size)[0]
-
-
-def _pool(emb: np.ndarray, bag: Bag) -> np.ndarray:
-    return bag.weights @ emb[bag.ids] / bag.length
-
-
 def mix_embedding(word: int | SoftWord, emb: np.ndarray) -> np.ndarray:
     """Embedding of a hard or soft position.
 
     Hard ids return the embedding row itself; soft words return the
     probability-weighted sum of rows over the distribution's support.
     """
-    return _pool(emb, pack([word], len(emb)))
-
-
-def _check_label(model: ToyModel, label: int) -> int:
-    if not 0 <= label < model.num_classes:
-        raise ValueError(f"label out of range: {label}")
-    return label
+    bag = pack_corpus([[word]], len(emb))[0]
+    return bag.weights @ emb[bag.ids]
 
 
 class _RowSoftmax:
@@ -179,45 +166,27 @@ class _RowSoftmax:
         return not math.isnan(sum(self._total.tolist()))
 
 
-def _class_probs(w: np.ndarray, b: np.ndarray, pooled: np.ndarray) -> np.ndarray:
-    """``softmax(w @ pooled + b)`` of one model, as ``_RowSoftmax`` computes it."""
-    softmax = _RowSoftmax(1, len(b))
-    np.matmul(w, pooled, out=softmax.raw[0])
-    softmax(b[None, :])
-    return softmax.probs[0]
+def _alone(model: ToyModel, sentences: list[SoftSentence], labels: list[int]) -> _Lockstep:
+    """The K = 1 lockstep of *model* over *sentences*."""
+    return _Lockstep([model], [pack_corpus(sentences, len(model.emb))], labels)
 
 
-def _loss_grads(
-    w: np.ndarray, b: np.ndarray, rows: np.ndarray, weights: np.ndarray, length: float, label: int
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Forward-backward on one bag whose embedding rows are *rows*.
-
-    Returns the label's probability (the loss is its negative log), the
-    gradients of *rows*, dW and db, each a fresh array.
-    """
-    pooled = weights @ rows
-    pooled /= length
-    dlogits = _class_probs(w, b, pooled)
-    picked = dlogits.item(label)
-    dlogits[label] = picked - 1.0
-    dpos = w.T @ dlogits
-    dpos /= length
-    return picked, weights[:, None] * dpos, dlogits[:, None] * pooled, dlogits
-
-
-def _bag_loss_grads(model: ToyModel, bag: Bag, label: int):
-    rows = model.emb.take(bag.ids, axis=0)
-    return _loss_grads(model.w, model.b, rows, bag.weights, float(bag.length), label)
+def _loss(run: _Lockstep, i: int) -> float:
+    """Sentence i's loss under the one model of *run*."""
+    run.forward(i)
+    return -float(np.log(run.softmax.probs[0, run.labels[i]]))
 
 
 def forward(model: ToyModel, sentence: SoftSentence) -> np.ndarray:
     """Class probabilities softmax(W @ meanpool(mixed) + b)."""
-    return _class_probs(model.w, model.b, _pool(model.emb, pack(sentence, len(model.emb))))
+    # Any label does: the forward pass reads none.
+    run = _alone(model, [sentence], [0])
+    run.forward(0)
+    return run.softmax.probs[0]
 
 
 def loss(model: ToyModel, sentence: SoftSentence, label: int) -> float:
-    _check_label(model, label)
-    return -float(np.log(_bag_loss_grads(model, pack(sentence, len(model.emb)), label)[0]))
+    return _loss(_alone(model, [sentence], [label]), 0)
 
 
 def backward(
@@ -229,10 +198,10 @@ def backward(
     position spreads its pooled gradient over every row in its support,
     scaled by that row's probability.
     """
-    _check_label(model, label)
-    bag = pack(sentence, len(model.emb))
-    _, rows, dw, db = _bag_loss_grads(model, bag, label)
-    return dict(zip(bag.ids.tolist(), rows)), dw, db
+    run = _alone(model, [sentence], [label])
+    run.forward(0)
+    rows, dw, db = run.gradients(0)
+    return dict(zip(run.row_ids.tolist(), rows)), dw[0], db[0]
 
 
 @dataclass
@@ -258,26 +227,26 @@ def grad_check(
     step: float = GRAD_STEP,
     tolerance: float = GRAD_TOLERANCE,
 ) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences."""
+    """Compare the training step's gradients, averaged over *batch*,
+    against central finite differences of the batch's mean loss."""
     if not batch:
         raise ValueError("empty batch")
-    bags = [(pack(s, len(model.emb)), _check_label(model, y)) for s, y in batch]
-    demb = np.zeros_like(model.emb)
+    run = _alone(model, [sentence for sentence, _ in batch], [label for _, label in batch])
+    demb = np.zeros_like(run.emb)
     dw = np.zeros_like(model.w)
     db = np.zeros_like(model.b)
-    for bag, label in bags:
-        _, rows, gw, gb = _bag_loss_grads(model, bag, label)
-        demb[bag.ids] += rows
-        dw += gw
-        db += gb
-    demb /= len(bags)
-    dw /= len(bags)
-    db /= len(bags)
+    for i in range(len(batch)):
+        run.forward(i)
+        rows, gw, gb = run.gradients(i)
+        demb[run.row_ids] += rows
+        dw += gw[0]
+        db += gb[0]
+    demb /= len(batch)
+    dw /= len(batch)
+    db /= len(batch)
 
     def batch_loss() -> float:
-        return sum(
-            -float(np.log(_bag_loss_grads(model, bag, label)[0])) for bag, label in bags
-        ) / len(bags)
+        return sum(_loss(run, i) for i in range(len(batch))) / len(batch)
 
     def numeric(param: np.ndarray) -> np.ndarray:
         out = np.zeros_like(param)
@@ -293,10 +262,11 @@ def grad_check(
         return out
 
     errors = {}
+    # The lockstep's own stacked parameters, which its forward pass reads.
     for name, analytic, param in (
-        ("embedding", demb, model.emb),
-        ("classifier_w", dw, model.w),
-        ("classifier_b", db, model.b),
+        ("embedding", demb, run.emb),
+        ("classifier_w", dw, run.w[0]),
+        ("classifier_b", db, run.b[0]),
     ):
         num = numeric(param)
         denom = np.maximum(np.abs(analytic) + np.abs(num), 1e-6)
@@ -306,7 +276,7 @@ def grad_check(
 
 @dataclass(frozen=True)
 class PackedCorpus:
-    """``pack`` of every sentence of a corpus, stored flat.
+    """Every sentence of a corpus packed to its ``Bag``, stored flat.
 
     Sentence i's bag is ``ids[starts[i]:starts[i + 1]]``, the same slice
     of ``weights``, and ``lengths[i]`` positions; indexing gives that
@@ -419,7 +389,8 @@ class _Lockstep:
     all K bags' rows, one matrix-vector product per model (the one
     ``weights @ rows`` makes) and every other operation once over all K,
     the classifier as a stacked product that computes each model's
-    product as its own call would.  Each model's numbers are therefore
+    product as its own call would.  ``gradients(i)`` then runs the
+    backward pass once over all K.  Each model's numbers are therefore
     bit for bit those of running it alone.
     """
 
@@ -431,39 +402,76 @@ class _Lockstep:
             raise ValueError(f"models differ in shape: {sorted(shapes)}")
         if any(len(corpus) != len(labels) for corpus in corpora):
             raise ValueError("corpus and labels length mismatch")
+        classes = models[0].num_classes
         for label in labels:
-            _check_label(models[0], label)
+            if not 0 <= label < classes:
+                raise ValueError(f"label out of range: {label}")
         vocab_size, dim = models[0].emb.shape
         self.k = len(models)
-        self.ids, self.weights, self.offsets, self.counts, self.lengths = _interleave(corpora, vocab_size)
+        self.labels = labels
+        self.ids, self.weights, self.offsets, counts, self.lengths = _interleave(corpora, vocab_size)
+        # One model's gradient broadcasts over its rows as it is.
+        self._counts = counts if self.k > 1 else None
         self.emb = np.concatenate([m.emb for m in models])
         self.w = np.stack([m.w for m in models])
         self.b = np.stack([m.b for m in models])
         self.pooled = np.empty((self.k, dim))
         self._pooled_rows = list(self.pooled)
         self._pooled_col = self.pooled[:, :, None]
-        self.softmax = _RowSoftmax(self.k, models[0].num_classes)
+        self.softmax = _RowSoftmax(self.k, classes)
         self._raw_col = self.softmax.raw[:, :, None]
+        self._weight_column = self.weights[:, None]
+        self._w_t = self.w.transpose(0, 2, 1)
+        self._probs_col = self.softmax.probs[:, :, None]
+        self._one_hot = list(np.eye(classes))
+        self._dpos = np.empty_like(self.pooled)
+        self._dpos_col = self._dpos[:, :, None]
+        self._dw = np.empty_like(self.w)
+        self._pooled_row = self.pooled[:, None, :]
+        self._dw_by_model = list(zip(self._dw, self._probs_col, self._pooled_row))
 
-    def forward(self, i: int) -> tuple[np.ndarray, np.ndarray, int, int, np.ndarray, bool]:
+    def forward(self, i: int) -> None:
         """Leave sentence i's class probabilities in ``softmax.probs``.
 
-        Returns the gathered rows, their ids into the stacked embedding,
-        the sentence's run [start, end) in the interleaved corpus, the
-        (K, 1) mean-pool divisors and whether no model's row holds a NaN.
+        Also leaves the gathered ``rows`` and their ``row_ids`` into the
+        stacked embedding.
         """
         k, offsets, weights = self.k, self.offsets, self.weights
         block = i * k
         start, end = offsets[block], offsets[block + k]
-        ids = self.ids[start:end]
-        rows = self.emb.take(ids, axis=0)
+        self.row_ids = self.ids[start:end]
+        self.rows = rows = self.emb.take(self.row_ids, axis=0)
         bounds = offsets[block:block + k + 1]
         for out, a, z in zip(self._pooled_rows, bounds, bounds[1:]):
             np.matmul(weights[a:z], rows[a - start:z - start], out=out)
-        divisors = self.lengths[i]
-        self.pooled /= divisors
+        self._row_weights = self._weight_column[start:end]
+        self._divisors = self.lengths[i]
+        self.pooled /= self._divisors
         np.matmul(self.w, self._pooled_col, out=self._raw_col)
-        return rows, ids, start, end, divisors, self.softmax(self.b)
+        self._finite = self.softmax(self.b)
+
+    def gradients(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """After ``forward(i)``: the loss gradients of sentence i, not
+        scaled by a learning rate.
+
+        Returns the gradient of each of ``rows`` (a fresh array), dW as
+        (K, c, d) and db as (K, c); the last two live in buffers, db in
+        ``softmax.probs``, that the next step overwrites.
+        """
+        probs = self.softmax.probs
+        probs -= self._one_hot[self.labels[i]]
+        np.matmul(self._w_t, self._probs_col, out=self._dpos_col)
+        dpos = self._dpos
+        dpos /= self._divisors
+        counts = self._counts
+        model_grads = dpos if counts is None else np.repeat(dpos, counts[i], axis=0)
+        if self._finite:
+            np.multiply(self._probs_col, self._pooled_row, out=self._dw)
+        else:
+            # A product of two NaNs: each model's own arrays (see _RowSoftmax).
+            for out, dlogits, pooled_k in self._dw_by_model:
+                np.multiply(dlogits, pooled_k, out=out)
+        return self._row_weights * model_grads, self._dw, probs
 
 
 def train_packed(
@@ -477,49 +485,29 @@ def train_packed(
     """Train K models of one shape, model k on packed corpus k, in lockstep.
 
     All K share one block draw of sample indexes, so step t visits
-    sentence i of every corpus.  After ``_Lockstep.forward`` the backward
-    pass and the updates run once over all K: the row update is one outer
-    product of the weights with each row's model gradient, scattered back
+    sentence i of every corpus.  A step is ``_Lockstep.gradients`` times
+    *lr*, subtracted once over all K: the row update is scattered back
     into the stacked embedding.  Model k ends bit for bit as training it
     alone would leave it.  Updates the models in place; returns the
     (steps, K) pre-update losses.  Every corpus and label is checked
     before the first step.
     """
     run = _Lockstep(models, corpora, labels)
-    emb, w, b, pooled, probs = run.emb, run.w, run.b, run.pooled, run.softmax.probs
-    # One model's gradient broadcasts over its rows as it is.
-    counts = run.counts if run.k > 1 else None
-    w_t, pooled_row = w.transpose(0, 2, 1), pooled[:, None, :]
-    probs_col, prob_columns = probs[:, :, None], list(probs.T)
-    one_hot = list(np.eye(models[0].num_classes))
-    weight_column = run.weights[:, None]
-    dpos = np.empty_like(pooled)
-    dpos_col = dpos[:, :, None]
-    dw = np.empty_like(w)
-    dw_by_model = list(zip(dw, probs_col, pooled_row))
+    emb, w, b = run.emb, run.w, run.b
+    prob_columns = list(run.softmax.probs.T)
     losses = np.empty((steps, run.k))
     for step, i in enumerate(rng.randint_block(len(labels), steps).tolist()):
-        rows, ids, start, end, divisors, finite = run.forward(i)
-        label = labels[i]
-        losses[step] = prob_columns[label]
-        probs -= one_hot[label]
-        np.matmul(w_t, probs_col, out=dpos_col)
-        dpos /= divisors
-        model_grads = dpos if counts is None else np.repeat(dpos, counts[i], axis=0)
-        grows = weight_column[start:end] * model_grads
+        run.forward(i)
+        losses[step] = prob_columns[labels[i]]
+        grows, dw, db = run.gradients(i)
         grows *= lr
+        rows = run.rows
         rows -= grows
-        emb[ids] = rows
-        if finite:
-            np.multiply(probs_col, pooled_row, out=dw)
-        else:
-            # A product of two NaNs: each model's own arrays (see _RowSoftmax).
-            for out, dlogits, pooled_k in dw_by_model:
-                np.multiply(dlogits, pooled_k, out=out)
+        emb[run.row_ids] = rows
         dw *= lr
         w -= dw
-        probs *= lr
-        b -= probs
+        db *= lr
+        b -= db
     vocab_size = len(models[0].emb)
     for k, model in enumerate(models):
         model.emb[...] = emb[k * vocab_size:(k + 1) * vocab_size]

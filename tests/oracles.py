@@ -236,8 +236,9 @@ def train_per_step(model, bags, labels, lr, steps, rng):
     """SGD as the step-at-a-time loop: a scalar ``randint`` draw, numpy's
     softmax, fresh gradient arrays and a ``-log`` per step.
 
-    *bags* are ``softmix.pack`` results.  Updates *model* in place and
-    returns the loss trace; a lean training loop must match it bit for bit.
+    *bags* are the ``softmix.Bag`` items of a packed corpus.  Updates
+    *model* in place and returns the loss trace; a lean training loop must
+    match it bit for bit.
     """
     trace = []
     for _ in range(steps):

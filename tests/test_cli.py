@@ -390,8 +390,17 @@ class TestNothingToAugment:
 
 class TestGradCheckCommand:
     def test_default_passes(self):
+        """The errors are pinned to the bit: a change that moves a bit of
+        the training step's gradients shows here."""
         proc = run_cli("grad-check", "--seed", 0)
-        assert "PASS" in proc.stdout
+        assert proc.stdout == "grad check PASS (max 4.242e-07, tolerance 0.0001)\n"
+        assert proc.stderr.splitlines() == [
+            'softaug grad-check config: {"classes": 3, "command": "grad-check", "dim": 8, '
+            '"seed": 0, "vocab_size": 30}',
+            "classifier_b: max relative error 3.077e-11",
+            "classifier_w: max relative error 9.558e-09",
+            "embedding: max relative error 4.242e-07",
+        ]
 
 
 class TestFlagRanges:
@@ -409,6 +418,21 @@ class TestFlagRanges:
         assert "Traceback" not in proc.stderr
         assert any(line.startswith("usage: softaug") for line in proc.stderr.splitlines())
         assert proc.stdout == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["augment", "grad-check"])
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64), 10**30])
+    def test_seed_outside_range_is_usage_error_before_any_input(self, capsys, tmp_path, command, seed):
+        # The input does not exist: reading it first would exit 1.
+        out = tmp_path / "out"
+        argv = {
+            "augment": ["--input", tmp_path / "missing.txt", "--strategy", "swap", "--output", out],
+            "grad-check": [],
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, *map(str, argv), "--seed", str(seed)])
+        assert exit_info.value.code == 2
+        assert f"seed must lie in [0, 2^64), not {seed}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["augment", "sweep"])
     @pytest.mark.parametrize("threads", [0, -1, parallel.MAX_THREADS + 1, 10**9])
@@ -490,6 +514,15 @@ steps=250
         proc = run_cli("sweep", "--spec", spec, "--outdir", tmp_path / "out", expect=2)
         assert "Traceback" not in proc.stderr
         assert "error:" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["make-task", "sweep"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_range_is_data_error(self, capsys, tmp_path, command, seed):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"strategies=base\nseed={seed}\n")
+        assert cli.main([command, "--spec", str(spec), "--outdir", str(tmp_path / "out")]) == 1
+        assert f"error: seed must lie in [0, 2^64), not {seed}" in capsys.readouterr().err.splitlines()
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line", BAD_TASK_LINES)

@@ -248,6 +248,7 @@ FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 SPEC_VALUES = {
     **{key: st.integers(-10**6, 10**6) for key, parse in hn.SPEC_KEYS.items() if parse is int},
     **{key: FLOATS for key, parse in hn.SPEC_KEYS.items() if parse is float},
+    "seed": st.integers(0, 2**64 - 1),
     "strategies": st.lists(st.sampled_from(sa.STRATEGIES), min_size=1, max_size=4).map(tuple),
     "gammas": st.lists(FLOATS, min_size=1, max_size=4).map(tuple),
 }
@@ -308,6 +309,8 @@ class TestSpecFiles:
         ("reps=two", "invalid literal"),
         ("lr=fast", "could not convert"),
         ("bogus=3", "unknown spec key"),
+        ("seed=-1", r"seed must lie in \[0, 2\^64\), not -1"),
+        ("seed=18446744073709551616", "seed must lie in"),
     ])
     def test_corrupt_spec_raises_value_error(self, text, match):
         with pytest.raises(ValueError, match=match):

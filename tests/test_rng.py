@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import softaug as sa
-from softaug.rng import SplitMix64, derive, derive_block, random_block, stream_block
+from softaug.rng import SplitMix64, check_seed, derive, derive_block, random_block, stream_block
 
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -53,6 +53,19 @@ class TestStreamPosition:
         rng = SplitMix64(5)
         rng.skip(11)
         assert rng.random_array(3).tolist() == SplitMix64(5 + 11 * GOLDEN).random_array(3).tolist()
+
+
+class TestCheckSeed:
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_a_seed_in_range_passes(self, seed):
+        assert check_seed(seed) == seed
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+    def test_a_seed_that_would_alias_is_refused(self, seed):
+        # Outside the range a stream takes the seed mod 2^64.
+        assert SplitMix64(seed).next_u64() == SplitMix64(seed % 2**64).next_u64()
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\^64\), not {seed}$"):
+            check_seed(seed)
 
 
 class TestRandintBlock:

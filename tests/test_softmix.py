@@ -48,6 +48,25 @@ def random_sentence(rng, vocab_size, length, soft_prob=0.5, k=4):
     return out
 
 
+@st.composite
+def training_runs(draw):
+    """(model, corpus, labels, lr, steps, rng seed): hard, soft or mixed
+    sentences, 1, 2, 3 or 9 classes (9 reaches numpy's pairwise sum)."""
+    seed = draw(st.integers(0, 2**64 - 1))
+    classes = draw(st.sampled_from([1, 2, 3, 9]))
+    soft_prob = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    vocab_size = draw(st.integers(1, 12))
+    rng = SplitMix64(seed)
+    corpus = [
+        random_sentence(rng, vocab_size, 1 + rng.randint(6), soft_prob, 1 + rng.randint(vocab_size))
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    labels = [rng.randint(classes) for _ in corpus]
+    model = random_model(seed, vocab_size, draw(st.integers(1, 6)), classes)
+    steps = draw(st.one_of(st.just(0), st.integers(1, 150)))
+    return model, corpus, labels, draw(st.sampled_from([0.05, 0.5, 3.0])), steps, seed
+
+
 class TestMixEmbedding:
     def test_hard_returns_exact_row(self):
         model = random_model(1)
@@ -183,32 +202,46 @@ class TestBackward:
             assert report.passed, report.errors
 
     def test_grad_check_detects_wrong_gradient(self, monkeypatch):
+        """A wrong dW fails the check and changes what a training step
+        leaves: the check's subject is the code training runs."""
         model = random_model(22)
         rng = SplitMix64(23)
         batch = [(random_sentence(rng, 30, 5), 1)]
-        real = sm._loss_grads
 
-        def broken(*args):
-            picked, rows, dw, db = real(*args)
-            return picked, rows, dw * 1.01, db
+        def one_step():
+            trained = model.copy()
+            sa.train_toy(trained, [batch[0][0]], [batch[0][1]], 0.5, 1, SplitMix64(0))
+            return trained
 
-        monkeypatch.setattr(sm, "_loss_grads", broken)
+        right = one_step()
+        real = sm._Lockstep.gradients
+
+        def broken(self, i):
+            rows, dw, db = real(self, i)
+            return rows, dw * 1.01, db
+
+        monkeypatch.setattr(sm._Lockstep, "gradients", broken)
         assert not sa.grad_check(model, batch).passed
+        assert not np.array_equal(one_step().w, right.w)
 
-    def test_training_step_applies_the_checked_gradients(self):
+    @settings(max_examples=150, deadline=None)
+    @given(training_runs())
+    def test_training_step_applies_the_checked_gradients(self, run):
         """One SGD step moves each parameter by lr times ``backward``'s
-        gradient, bit for bit: training applies the gradients that
-        ``grad_check`` verifies."""
-        model = random_model(22)
-        rng = SplitMix64(23)
-        sentence, label, lr = random_sentence(rng, 30, 5), 1, 0.5
-        rows, dw, db = sa.backward(model, sentence, label)
+        gradient of the drawn sentence, bit for bit, and records its
+        ``loss``: training applies the gradients that ``grad_check``
+        verifies."""
+        model, corpus, labels, lr, _, seed = run
+        i = SplitMix64(seed).randint(len(corpus))
+        rows, dw, db = sa.backward(model, corpus[i], labels[i])
         want = model.copy()
-        for i, grad in rows.items():
-            want.emb[i] -= grad * lr
+        for row, grad in rows.items():
+            want.emb[row] -= grad * lr
         want.w -= dw * lr
         want.b -= db * lr
-        sa.train_toy(model, [sentence], [label], lr, 1, SplitMix64(0))
+        want_loss = sa.loss(model, corpus[i], labels[i])
+        _, trace = sa.train_toy(model, corpus, labels, lr, 1, SplitMix64(seed))
+        assert_same_bits(trace, [want_loss])
         for got, ref in ((model.emb, want.emb), (model.w, want.w), (model.b, want.b)):
             assert_same_bits(got, ref)
 
@@ -356,7 +389,7 @@ class TestPackedCorpus:
         corpus = [random_sentence(rng, 20, 1 + rng.randint(8)) for _ in range(12)]
         packed = sm.pack_corpus(corpus, 20)
         assert len(packed) == len(corpus)
-        bags = [sm.pack(sentence, 20) for sentence in corpus]
+        bags = [sm.pack_corpus([sentence], 20)[0] for sentence in corpus]
         for got in (list(packed), [packed[i] for i in range(len(corpus))],
                     [packed[i - len(corpus)] for i in range(len(corpus))]):
             for bag, want in zip(got, bags, strict=True):
@@ -550,25 +583,6 @@ class TestCsvOutputs:
 
 
 @st.composite
-def training_runs(draw):
-    """(model, corpus, labels, lr, steps, rng seed): hard, soft or mixed
-    sentences, 1, 2, 3 or 9 classes (9 reaches numpy's pairwise sum)."""
-    seed = draw(st.integers(0, 2**64 - 1))
-    classes = draw(st.sampled_from([1, 2, 3, 9]))
-    soft_prob = draw(st.sampled_from([0.0, 0.5, 1.0]))
-    vocab_size = draw(st.integers(1, 12))
-    rng = SplitMix64(seed)
-    corpus = [
-        random_sentence(rng, vocab_size, 1 + rng.randint(6), soft_prob, 1 + rng.randint(vocab_size))
-        for _ in range(draw(st.integers(1, 8)))
-    ]
-    labels = [rng.randint(classes) for _ in corpus]
-    model = random_model(seed, vocab_size, draw(st.integers(1, 6)), classes)
-    steps = draw(st.one_of(st.just(0), st.integers(1, 150)))
-    return model, corpus, labels, draw(st.sampled_from([0.05, 0.5, 3.0])), steps, seed
-
-
-@st.composite
 def lockstep_runs(draw):
     """(model, corpora, labels, lr, steps, rng seed) for K = 1-3 models
     started from one model: sentence i of each corpus is drawn on its own,
@@ -642,8 +656,8 @@ class TestLeanTrainingLoop:
             assert losses.shape == (steps, len(corpora))
             for k, (trained, corpus) in enumerate(zip(models, corpora)):
                 ref, ref_rng = model.copy(), SplitMix64(seed)
-                want = train_per_step(ref, [sm.pack(s, vocab_size) for s in corpus], labels, lr, steps,
-                                      ref_rng)
+                want = train_per_step(ref, [sm.pack_corpus([s], vocab_size)[0] for s in corpus], labels, lr,
+                                      steps, ref_rng)
                 assert_same_bits(losses[:, k], want)
                 for got, ref_param in ((trained.emb, ref.emb), (trained.w, ref.w), (trained.b, ref.b)):
                     assert_same_bits(got, ref_param)
