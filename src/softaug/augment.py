@@ -24,9 +24,12 @@ draws.  To reproduce one sentence's augmentation, take sentence i of an
 Every strategy's result is a ``SoftCorpus``: flat arrays of token ids,
 sentence offsets and the soft positions' supports (ids and
 probabilities, CSR style).  Blocks come back from the worker pool as
-those arrays, the soft JSON Lines codec formats and validates them as a
-whole, and indexing a ``SoftCorpus`` gives the library view: a list of
-ints and ``SoftWord(Dist)`` per sentence.
+those arrays, and the soft JSON Lines writer formats them as a whole.
+The reader decides a chunk of lines with array passes;
+``parse_soft_line`` is the rule for one record, and only a chunk the
+arrays refuse is parsed again line by line to name its first bad line.
+Indexing a ``SoftCorpus`` gives the library view: a list of ints and
+``SoftWord(Dist)`` per sentence.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .corpus import (
 )
 from .lm import NGramLM
 from .parallel import fork_map
-from .rng import SplitMix64, derive_block, stream_block
+from .rng import SplitMix64, check_seed, derive_block, stream_block
 
 STRATEGIES = ("base", "swap", "dropout", "blank", "smooth", "lm_sample", "soft")
 LM_STRATEGIES = ("lm_sample", "soft")
@@ -67,42 +70,6 @@ def _offsets(sizes) -> np.ndarray:
     return out
 
 
-def _first_bad_support(ids: np.ndarray, probs: np.ndarray, support: np.ndarray,
-                       tol: float = 1e-9) -> tuple[int, str] | None:
-    """The first support ``ids[support[j]:support[j + 1]]`` (with the same
-    slice of *probs*) that is not a distribution, as (j, the message of
-    the first check it fails), or None.
-
-    The checks, in order: finite, non-negative probabilities,
-    non-negative ids, a sum within *tol* of 1 (numpy's sum of the slice,
-    bit for bit) and no repeated id.  Each runs as array passes over the
-    supports before the first failure found so far.
-    """
-    end, found = len(support) - 1, None
-    for bad, message in ((~np.isfinite(probs), "non-finite probability"),
-                         (probs < 0, "negative probability"),
-                         (ids < 0, "negative id in distribution")):
-        hits = np.flatnonzero(bad[:support[end]])
-        if len(hits):
-            end, found = int(np.searchsorted(support, hits[0], "right")) - 1, message
-    sizes = np.diff(support[:end + 1])
-    off_one = repeated = end
-    # Supports of one size form a matrix whose row sums are each slice's sum.
-    for size in np.unique(sizes).tolist():
-        rows = np.flatnonzero(sizes == size)
-        grid = support[rows][:, None] + np.arange(size)
-        bad = np.flatnonzero(np.abs(probs[grid].sum(axis=1) - 1.0) > tol)
-        off_one = min(off_one, int(rows[bad[0]])) if len(bad) else off_one
-        by_id = np.sort(ids[grid], axis=1)
-        bad = np.flatnonzero((by_id[:, 1:] == by_id[:, :-1]).any(axis=1))
-        repeated = min(repeated, int(rows[bad[0]])) if len(bad) else repeated
-    if off_one < end:
-        end, found = off_one, "probabilities do not sum to 1"
-    if repeated < end:
-        end, found = repeated, "duplicate ids in distribution"
-    return None if found is None else (end, found)
-
-
 @dataclass(frozen=True, eq=False)
 class Dist:
     """Probability distribution over token ids: ``ids`` paired with
@@ -121,12 +88,23 @@ class Dist:
         return [(int(i), float(p)) for i, p in zip(self.ids, self.probs)]
 
     def validate(self, tol: float = 1e-9) -> None:
-        if len(self.ids) != len(self.probs):
-            raise ValueError(f"{len(self.ids)} ids but {len(self.probs)} probabilities")
-        bad = _first_bad_support(np.asarray(self.ids), np.asarray(self.probs),
-                                 np.array([0, len(self.ids)]), tol)
-        if bad:
-            raise ValueError(bad[1])
+        """Raise ValueError with the first check the entries fail, in
+        order: as many ids as probabilities, finite and non-negative
+        probabilities, non-negative ids, a sum within *tol* of 1 and no
+        repeated id."""
+        ids, probs = np.asarray(self.ids), np.asarray(self.probs)
+        if len(ids) != len(probs):
+            raise ValueError(f"{len(ids)} ids but {len(probs)} probabilities")
+        if not np.isfinite(probs).all():
+            raise ValueError("non-finite probability")
+        if (probs < 0).any():
+            raise ValueError("negative probability")
+        if (ids < 0).any():
+            raise ValueError("negative id in distribution")
+        if abs(probs.sum() - 1.0) > tol:
+            raise ValueError("probabilities do not sum to 1")
+        if len(np.unique(ids)) < len(ids):
+            raise ValueError("duplicate ids in distribution")
 
 
 def unigram_dist(sentences: Iterable[Sentence], size: int) -> np.ndarray:
@@ -272,6 +250,7 @@ class AugmentConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_seed(self.seed)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy: {self.strategy!r}")
         if not 0.0 <= self.gamma <= 1.0:
@@ -534,159 +513,21 @@ def _integer(value) -> int:
     return value
 
 
+def _typed(values: list, types: tuple, kind: str, dtype) -> np.ndarray:
+    """*values* as one array of *dtype*: the first whose type is not in
+    *types* raises ValueError, else one that does not fit raises
+    OverflowError."""
+    for value in values:
+        if type(value) not in types:
+            raise ValueError(f"{value!r} is not {kind}")
+    return np.array(values, dtype=dtype)
+
+
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     obj = dict(pairs)
     if len(obj) != len(pairs):
         raise ValueError("repeated JSON key")
     return obj
-
-
-def _malformed(exc: Exception) -> str:
-    return f"malformed soft corpus line ({type(exc).__name__}: {exc})"
-
-
-_SHAPE_ERRORS = (KeyError, TypeError, IndexError, AttributeError, OverflowError)
-
-
-def _first_of_type(values, types: set) -> int | None:
-    """The index of the first of *values* whose type is not in *types*."""
-    if set(map(type, values)) <= types:
-        return None
-    return next(j for j, v in enumerate(values) if type(v) not in types)
-
-
-def _as_array(values, dtype) -> tuple[np.ndarray, tuple[int, str] | None]:
-    """*values* as an array of *dtype*; if one does not fit, the values
-    before it, and its index and message."""
-    try:
-        return np.array(values, dtype=dtype), None
-    except OverflowError:
-        for j, v in enumerate(values):
-            try:
-                np.array([v], dtype=dtype)
-            except OverflowError as exc:
-                return np.array(values[:j], dtype=dtype), (j, _malformed(exc))
-        raise
-
-
-class _BadRecord(ValueError):
-    def __init__(self, index: int, message: str):
-        super().__init__(message)
-        self.index = index
-
-
-def _soft_records(lines: list[str]) -> SoftCorpus:
-    """The soft corpus of *lines*, one JSON Lines record each; any
-    malformed record raises ``_BadRecord`` with its index and message.
-
-    One pass over the lines parses the JSON and checks each record's
-    shape.  The tokens, ids and probabilities are then checked as whole
-    arrays, and the supports by ``_first_bad_support``.  What is reported
-    is the first failure in record order, and within a record the one
-    that checking its tokens and then its soft positions in turn, each
-    fully, would meet first.
-    """
-    toks: list = []
-    line_starts = [0]   # offsets into toks, one per record read
-    line_words = [0]    # soft positions before each record
-    soft_at: list[int] = []
-    sizes: list[int] = []
-    pairs: list = []
-    shape_error = None
-    for index, line in enumerate(lines):
-        try:
-            if not line:
-                raise ValueError("blank line")
-            obj = json.loads(line, object_pairs_hook=_unique_keys)
-            out = list(obj["toks"])
-            base = len(toks)
-            toks.extend(out)
-            line_starts.append(len(toks))
-            for pos_text, entry in obj.get("soft", {}).items():
-                pos, orig = int(pos_text), _integer(entry["orig"])
-                if pos_text != str(pos) or not 0 <= pos < len(out):
-                    raise ValueError(
-                        f"soft position {pos_text!r} is not an index of a {len(out)}-token sentence"
-                    )
-                if out[pos] != orig:
-                    raise ValueError(f"soft position {pos}: orig {orig} is not its token {out[pos]}")
-                entry_pairs = entry["p"]
-                # Flattening would regroup the items of entries not of
-                # length 2.  One of length 2 that is not a list is a string
-                # or an object, whose items are strings, so a type check
-                # refuses it.
-                if not set(map(len, entry_pairs)) <= {2}:
-                    raise ValueError(f"soft position {pos}: an entry is not an [id, p] pair")
-                soft_at.append(base + pos)
-                sizes.append(len(entry_pairs))
-                pairs.extend(entry_pairs)
-            line_words.append(len(sizes))
-        except (*_SHAPE_ERRORS, ValueError) as exc:
-            message = _malformed(exc) if isinstance(exc, _SHAPE_ERRORS) else str(exc)
-            shape_error = _BadRecord(index, message)
-            shape_error.__cause__ = exc
-            break
-
-    if shape_error and not toks and not pairs:
-        raise shape_error
-    # The first failure among what the shape pass accepted comes before its
-    # own.  A record's tokens come before its soft positions, so a token
-    # failure wins over a support failure of its record or a later one:
-    # failures compare as (first soft position of the record, -1) against
-    # (soft position, 0).
-    failures = []
-    bad = _first_of_type(toks, {int})
-    tokens, failure = _as_array(toks[:bad], np.int64)
-    failure = failure or (None if bad is None else (bad, f"{toks[bad]!r} is not an integer"))
-    if failure:
-        record = int(np.searchsorted(line_starts, failure[0], "right")) - 1
-        failures.append(((line_words[record], -1), record, failure[1]))
-
-    # Per soft position, in order: probability types, their conversion,
-    # id types, their conversion, then the distribution checks; each pass
-    # runs over the positions before the first failure so far.
-    support = _offsets(sizes)
-    # Every entry has two items, so the flat list alternates id, p.
-    flat = list(itertools.chain.from_iterable(pairs))
-    ids_in, probs_in = flat[::2], flat[1::2]
-    end, found = len(sizes), None
-
-    def fail_at(j: int, message: str) -> None:
-        nonlocal end, found
-        end, found = int(np.searchsorted(support, j, "right")) - 1, message
-
-    j = _first_of_type(probs_in, {int, float})
-    if j is not None:
-        fail_at(j, f"{probs_in[j]!r} is not a number")
-    probs, failure = _as_array(probs_in[:support[end]], np.float64)
-    if failure:
-        fail_at(*failure)
-    j = _first_of_type(ids_in[:support[end]], {int})
-    if j is not None:
-        fail_at(j, f"{ids_in[j]!r} is not an integer")
-    ids, failure = _as_array(ids_in[:support[end]], np.int64)
-    if failure:
-        fail_at(*failure)
-    failure = _first_bad_support(ids[:support[end]], probs[:support[end]], support[:end + 1])
-    if failure:
-        end, found = failure
-    if found is not None:
-        record = int(np.searchsorted(line_words, end, "right")) - 1
-        failures.append(((end, 0), record, found))
-    if failures:
-        _, record, message = min(failures)
-        raise _BadRecord(record, message)
-    if shape_error:
-        raise shape_error
-
-    soft_at = np.array(soft_at, dtype=np.int64)
-    if np.any(soft_at[1:] <= soft_at[:-1]):
-        # A record may list its soft positions in any order.
-        order = np.argsort(soft_at, kind="stable")
-        moved = _offsets(np.diff(support)[order])
-        source = np.repeat(support[:-1][order] - moved[:-1], np.diff(moved)) + np.arange(len(ids))
-        soft_at, support, ids, probs = soft_at[order], moved, ids[source], probs[source]
-    return SoftCorpus(tokens, np.array(line_starts, dtype=np.int64), soft_at, support, ids, probs)
 
 
 def parse_soft_line(line: str) -> SoftSentence:
@@ -696,22 +537,140 @@ def parse_soft_line(line: str) -> SoftSentence:
     ids within int64) and probabilities JSON numbers, and no object may
     repeat a key.  Each soft position must be written as a plain index
     into ``toks``, its ``orig`` must equal the token there, and its
-    entries must form a valid distribution.  This is ``read_soft_corpus``
-    on a one-line file.
+    entries must form a valid distribution (``Dist.validate``).
+
+    The checks run in record order, and the first failure's message is
+    raised: the JSON, the tokens (each one's type, then its int64 fit),
+    then each soft position in turn: its index, ``orig``, the [id, p]
+    pair shapes, the probabilities' types and fit, the ids' types and fit
+    and the distribution.  This is the rule ``read_soft_corpus`` holds a
+    file to, and the message it reports for a malformed line.
     """
-    return _soft_records([line])[0]
+    try:
+        if not line:
+            raise ValueError("blank line")
+        obj = json.loads(line, object_pairs_hook=_unique_keys)
+        out = list(obj["toks"])
+        # A token that does not fit comes before a later one of the wrong type.
+        ints = list(itertools.takewhile(lambda t: type(t) is int, out))
+        np.array(ints, dtype=np.int64)
+        if len(ints) < len(out):
+            raise ValueError(f"{out[len(ints)]!r} is not an integer")
+        for pos_text, entry in obj.get("soft", {}).items():
+            pos, orig = int(pos_text), _integer(entry["orig"])
+            if pos_text != str(pos) or not 0 <= pos < len(out):
+                raise ValueError(
+                    f"soft position {pos_text!r} is not an index of a {len(out)}-token sentence"
+                )
+            if out[pos] != orig:
+                raise ValueError(f"soft position {pos}: orig {orig} is not its token {out[pos]}")
+            pairs = entry["p"]
+            # Flattening would regroup the items of entries not of length
+            # 2.  One of length 2 that is not a list is a string or an
+            # object, whose items are strings, so a type check refuses it.
+            if not set(map(len, pairs)) <= {2}:
+                raise ValueError(f"soft position {pos}: an entry is not an [id, p] pair")
+            flat = list(itertools.chain.from_iterable(pairs))
+            probs = _typed(flat[1::2], (int, float), "a number", np.float64)
+            dist = Dist(probs, _typed(flat[::2], (int,), "an integer", np.int64))
+            dist.validate()
+            out[pos] = SoftWord(dist, orig)
+    except (KeyError, TypeError, IndexError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed soft corpus line ({type(exc).__name__}: {exc})") from exc
+    return out
+
+
+def _supports_pass(ids: np.ndarray, probs: np.ndarray, support: np.ndarray,
+                   tol: float = 1e-9) -> bool:
+    """Whether every support ``ids[support[j]:support[j + 1]]`` (with the
+    same slice of *probs*) passes ``Dist.validate``'s checks, run as array
+    passes; each sum is numpy's sum of the slice, bit for bit."""
+    if not (np.isfinite(probs).all() and (probs >= 0).all() and (ids >= 0).all()):
+        return False
+    sizes = np.diff(support)
+    # Supports of one size form a matrix whose row sums are each slice's sum.
+    for size in np.unique(sizes).tolist():
+        grid = support[:-1][sizes == size][:, None] + np.arange(size)
+        by_id = np.sort(ids[grid], axis=1)
+        if ((np.abs(probs[grid].sum(axis=1) - 1.0) > tol).any()
+                or (by_id[:, 1:] == by_id[:, :-1]).any()):
+            return False
+    return True
+
+
+def _soft_records(lines: list[str]) -> SoftCorpus | None:
+    """The soft corpus of *lines*, one JSON Lines record each, or None if
+    any record is malformed; it accepts what ``parse_soft_line`` accepts.
+
+    One pass over the lines parses the JSON and checks each record's
+    shape.  The tokens, ids and probabilities are then each one type-set
+    test and one array, and the supports are checked by ``_supports_pass``.
+    """
+    toks: list = []
+    starts = [0]
+    soft_at: list[int] = []
+    sizes: list[int] = []
+    pairs: list = []
+    try:
+        for line in lines:
+            obj = json.loads(line, object_pairs_hook=_unique_keys)
+            out = list(obj["toks"])
+            base = len(toks)
+            toks.extend(out)
+            starts.append(len(toks))
+            for pos_text, entry in obj.get("soft", {}).items():
+                pos, entry_pairs = int(pos_text), entry["p"]
+                if (pos_text != str(pos) or not 0 <= pos < len(out)
+                        or out[pos] != _integer(entry["orig"])
+                        or not set(map(len, entry_pairs)) <= {2}):
+                    return None
+                soft_at.append(base + pos)
+                sizes.append(len(entry_pairs))
+                pairs.extend(entry_pairs)
+        # Every entry has two items, so the flat list alternates id, p.
+        flat = list(itertools.chain.from_iterable(pairs))
+        ids_in, probs_in = flat[::2], flat[1::2]
+        if not (set(map(type, toks)) <= {int} and set(map(type, ids_in)) <= {int}
+                and set(map(type, probs_in)) <= {int, float}):
+            return None
+        tokens = np.array(toks, dtype=np.int64)
+        ids = np.array(ids_in, dtype=np.int64)
+        probs = np.array(probs_in, dtype=np.float64)
+    except Exception:
+        # Whatever failed, the caller's parse_soft_line says what.
+        return None
+    support = _offsets(sizes)
+    if not _supports_pass(ids, probs, support):
+        return None
+    soft_at = np.array(soft_at, dtype=np.int64)
+    if np.any(soft_at[1:] <= soft_at[:-1]):
+        # A record may list its soft positions in any order.
+        order = np.argsort(soft_at, kind="stable")
+        moved = _offsets(np.diff(support)[order])
+        source = np.repeat(support[:-1][order] - moved[:-1], np.diff(moved)) + np.arange(len(ids))
+        soft_at, support, ids, probs = soft_at[order], moved, ids[source], probs[source]
+    return SoftCorpus(tokens, np.array(starts, dtype=np.int64), soft_at, support, ids, probs)
 
 
 def read_soft_corpus(path: str) -> SoftCorpus:
     """One soft sentence per line, as a ``SoftCorpus``, parsed and checked
-    a chunk of lines at a time.  A blank line is refused: dropping it
-    would shift every later sentence one place off its label.  An error
-    names the first malformed line."""
+    a chunk of lines at a time by ``_soft_records``.  A blank line is
+    refused: dropping it would shift every later sentence one place off
+    its label.  A chunk that it refuses is parsed again line by line by
+    ``parse_soft_line``, and the first line that fails is named with its
+    message."""
     lines = split_lines(read_text(path))
     parts = []
     for first in range(0, len(lines), _CHUNK_SENTENCES):
-        try:
-            parts.append(_soft_records(lines[first:first + _CHUNK_SENTENCES]))
-        except _BadRecord as exc:
-            raise ValueError(f"line {first + exc.index + 1} of {path}: {exc}") from exc
+        chunk = lines[first:first + _CHUNK_SENTENCES]
+        part = _soft_records(chunk)
+        if part is None:
+            sentences = []
+            for lineno, line in enumerate(chunk, first + 1):
+                try:
+                    sentences.append(parse_soft_line(line))
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno} of {path}: {exc}") from exc
+            part = SoftCorpus.from_sentences(sentences)
+        parts.append(part)
     return SoftCorpus.concat(parts) if parts else _soft_records([])

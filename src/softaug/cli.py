@@ -107,7 +107,6 @@ def cmd_ppl(args) -> int:
 def cmd_augment(args) -> int:
     seed_defaulted = _resolve_seed(args)
     _echo_config("augment", args, seed_defaulted)
-    _checked(check_seed, args.seed)
     config = aug.AugmentConfig(
         strategy=args.strategy,
         gamma=args.gamma,

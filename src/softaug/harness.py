@@ -152,6 +152,7 @@ class SweepSpec:
         ``AugmentConfig.validate`` and the LM fields by
         ``lm.check_params``, the checks every other caller runs.
         """
+        check_seed(self.seed)
         if not self.strategies:
             raise ValueError("empty strategy list")
         if not self.gammas:

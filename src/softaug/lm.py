@@ -164,9 +164,9 @@ class NGramLM:
         Returns (ids, probs): ids by probability descending, ties by id
         ascending, and probs equal to ``next_dist(prefix)[ids]`` bitwise.
         The dense vector is evaluated and, for k < |V|, only the ids at or
-        above its k-th largest value are sorted.  Returns fresh arrays;
-        results are cached per (history, k) for k < |V| only, since a full
-        result holds 2|V| numbers.
+        above its k-th largest value are sorted.  Returns read-only arrays,
+        shared with the cache: results are cached per (history, k) for
+        k < |V| only, since a full result holds 2|V| numbers.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -176,7 +176,7 @@ class NGramLM:
             cached = self._top_k_for_history(*key)
             if len(self._top_cache) < _CACHE_LIMIT and k < len(self._p0):
                 self._top_cache[key] = cached
-        return cached[0].copy(), cached[1].copy()
+        return cached
 
     def _top_k_for_history(self, hist: tuple, k: int) -> tuple[np.ndarray, np.ndarray]:
         p = self._dist(hist)
@@ -187,7 +187,9 @@ class NGramLM:
         else:
             cand = np.arange(len(p))
         top = cand[np.lexsort((cand, -p[cand]))[:k]]
-        return top, p[top]
+        probs = p[top]
+        top.flags.writeable = probs.flags.writeable = False
+        return top, probs
 
     def logprob(self, prefix: Sequence[int], token: int) -> float:
         """log P(*token* | *prefix*), from the dense vector: O(|V|)."""

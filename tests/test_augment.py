@@ -424,6 +424,15 @@ class TestDriver:
         with pytest.raises(ValueError):
             sa.AugmentConfig(gamma=1.5).validate()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_range_rejected(self, seed):
+        # Streams take seeds mod 2^64: -1 would give the corpus of 2^64 - 1.
+        config = sa.AugmentConfig(strategy="blank", gamma=0.5, seed=seed)
+        with pytest.raises(ValueError, match=re.escape(f"seed must lie in [0, 2^64), not {seed}")):
+            config.validate()
+        with pytest.raises(ValueError, match="seed must lie in"):
+            sa.augment_corpus([[5, 6, 7]], config)
+
 
 class TestDist:
     @pytest.mark.parametrize("probs, ids", [([0.5, 0.5], [1]), ([1.0], [1, 2]), ([], [1])])
@@ -604,6 +613,20 @@ def soft_words(draw):
                        draw(st.integers(0, 2**40)))
 
 
+@st.composite
+def near_soft_words(draw):
+    """A SoftWord that is a distribution or only just fails one check: ids
+    from a small range, so that some repeat, and probabilities whose sum
+    may be off 1 by about the 1e-9 tolerance."""
+    n = draw(st.integers(1, 5))
+    ids = draw(st.lists(st.integers(-1, 6), min_size=n, max_size=n))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    assume(weights.sum() > 0)
+    probs = weights / weights.sum()
+    probs[0] += draw(st.sampled_from([0.0, 5e-10, -5e-10, 2e-9, -2e-9]))
+    return sa.SoftWord(sa.Dist(probs, np.array(ids, dtype=np.int64)), draw(st.integers(0, 99)))
+
+
 TOKS_RESHAPES = ["object toks", "string toks", "empty string toks", "empty object toks"]
 SOFT_RESHAPES = TOKS_RESHAPES + [
     "entry of length 1", "entry of length 3", "empty entry", "string entry", "object entry",
@@ -718,6 +741,82 @@ def _refusal(parse, line) -> str | None:
     except ValueError as exc:
         return str(exc)
     return None
+
+
+def _same_verdict(line):
+    """``_soft_records`` on the one line *line* refuses it exactly when
+    ``parse_soft_line`` does, and otherwise reads the same corpus."""
+    corpus = ag._soft_records([line])
+    try:
+        sentence = ag.parse_soft_line(line)
+    except ValueError:
+        assert corpus is None
+    else:
+        assert corpus is not None
+        assert corpus == ag.SoftCorpus.from_sentences([sentence])
+
+
+class TestArrayPassFollowsTheLineRule:
+    """The reader decides a chunk with array passes and reports through
+    ``parse_soft_line``: the two must accept the same lines."""
+
+    @pytest.mark.parametrize("kind", SOFT_CORRUPTIONS + SOFT_RESHAPES)
+    @settings(max_examples=25, deadline=None)
+    @given(line=soft_lines(gamma=1.0), data=st.data())
+    def test_on_a_broken_line(self, line, kind, data):
+        obj = json.loads(line)
+        assume(obj["soft"] or kind in TOKS_RESHAPES)
+        if kind in SOFT_CORRUPTIONS:
+            _corrupt_soft(kind, obj, data.draw)
+        else:
+            _reshape_soft(kind, obj, data.draw)
+        _same_verdict(json.dumps(obj))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 2**40), soft_words(), near_soft_words()), max_size=6))
+    def test_on_drawn_supports(self, sentence):
+        _same_verdict(ag._soft_line(sentence))
+
+    @settings(max_examples=50, deadline=None)
+    @given(soft_lines())
+    def test_on_every_truncation(self, line):
+        for cut in range(len(line) + 1):
+            _same_verdict(line[:cut])
+
+
+class TestFirstFaultInRecordOrder:
+    """On a line with two faults, the one met first in record order names
+    it: the tokens, then each soft position in turn, and within one
+    support its probabilities before its ids."""
+
+    @pytest.mark.parametrize("line, pattern", [
+        # A bad token wins over a bad soft position.
+        ('{"toks":[5,6.5],"soft":{"7":{"orig":5,"p":[[5,1.0]]}}}', r"6\.5 is not an integer"),
+        ('{"toks":[5,6.5],"soft":{"0":{"orig":5,"p":[[5,"x"]]}}}', r"6\.5 is not an integer"),
+        # A bad support at position 0 wins over a bad index at position 1.
+        ('{"toks":[5,6],"soft":{"0":{"orig":5,"p":[[5,0.5]]},"2":{"orig":6,"p":[[6,1.0]]}}}',
+         "probabilities do not sum to 1"),
+        ('{"toks":[5,6],"soft":{"0":{"orig":5,"p":[[5,0.5],[5,0.5]]},"1":{"orig":5,"p":[[6,1.0]]}}}',
+         "duplicate ids in distribution"),
+        # Positions are checked in the order the record lists them.
+        ('{"toks":[5,6],"soft":{"1":{"orig":6,"p":[[6,0.5]]},"0":{"orig":5,"p":[[-5,1.0]]}}}',
+         "probabilities do not sum to 1"),
+        # A string probability wins over a negative id in the same support.
+        ('{"toks":[5,6],"soft":{"1":{"orig":6,"p":[[-6,0.5],[7,"0.5"]]}}}', r"'0\.5' is not a number"),
+        ('{"toks":[5,6],"soft":{"1":{"orig":6,"p":[[-6,"0.5"],[7,0.5]]}}}', r"'0\.5' is not a number"),
+        # A token that does not fit int64 wins over a later one of the wrong type.
+        ('{"toks":[99999999999999999999,6.5]}', r"malformed soft corpus line \(OverflowError: .*\)"),
+        # A probability that does not fit a float64 wins over an id of the wrong type.
+        ('{"toks":[5,6],"soft":{"1":{"orig":6,"p":[[6,1%s],[7.5,0.5]]}}}' % ("0" * 400),
+         r"malformed soft corpus line \(OverflowError: .*\)"),
+    ])
+    def test_message(self, tmp_path, line, pattern):
+        refused = _refusal(ag.parse_soft_line, line)
+        assert refused is not None and re.fullmatch(pattern, refused)
+        path = tmp_path / "soft.jsonl"
+        path.write_text('{"toks":[5],"soft":{}}\n' + line + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'line 2 of {path}: {refused}')}$"):
+            sa.read_soft_corpus(path)
 
 
 class TestSoftFileReader:

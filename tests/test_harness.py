@@ -177,6 +177,9 @@ class TestRunSweep:
             ("gammas", (0.653259, 0.6532595), "repeated gamma: 0.6532595"),
             # One cell seed (0), two report labels.
             ("gammas", (0.0, 1e-7), "repeated gamma: 1e-07"),
+            # Streams take seeds mod 2^64: -1 would alias 2^64 - 1.
+            ("seed", -1, r"seed must lie in \[0, 2\^64\), not -1"),
+            ("seed", 2**64, "seed must lie in"),
         ],
     )
     def test_bad_recipe_rejected(self, field, value, message):

@@ -818,11 +818,13 @@ class TestTopK:
         with pytest.raises(ValueError):
             tiny_lm[0].top_k([5], 0)
 
-    def test_cached_result_is_not_shared(self, tiny_lm):
+    def test_cached_result_is_read_only(self, tiny_lm):
         model = copy.deepcopy(tiny_lm[0])
         ids, probs = model.top_k([5], 3)
-        ids[:] = 0
-        probs[:] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            ids[:] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            probs[:] = 0.0
         assert_top_k_exact(model, [5], 3)
 
     def test_full_vocabulary_result_is_not_cached(self, tiny_lm):
