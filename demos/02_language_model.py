@@ -38,7 +38,7 @@ rng = SplitMix64(7)
 for _ in range(3):
     toks = vocab.encode_tokens(["the"])
     for _ in range(5):
-        toks.append(model.sample(toks, rng))
+        toks.append(model.sample(toks, rng.random()))
         if toks[-1] == sa.EOS:
             break
     print(" ", " ".join(vocab.surface(t) for t in toks if t != sa.EOS))

@@ -6,20 +6,22 @@ Seven strategies: ``base`` (identity), ``swap`` (bounded local shuffle),
 resampling) and ``soft`` (replace the token by its next-token
 distribution, to be mixed in embedding space downstream).  ``dropout``
 and the last four share one driver: it draws the selection mask, then
-replaces or drops the selected positions and counts them.  ``blank``
-and ``dropout`` are array passes; the others ask the strategy for a
-replacement at each selected position in order.
+replaces or drops the selected positions and counts them.  Every
+strategy draws as array passes; only the language model strategies
+query the model once per selected position.
 
 Selection is an independent Bernoulli(gamma) event per position, computed
 on the original sentence; prefixes handed to the language model likewise
 use original tokens, so positions never interact and any number of workers
 produces byte-identical output.  Sentence i always draws from the stream
-``SplitMix64(derive(seed, i))``, and every strategy consumes one selection
-uniform per position before any replacement draws.  ``augment_corpus``
-is the one way in: it draws those uniforms and the masks for a bounded
-block of sentences in one array pass, bit for bit the scalar stream's
-draws.  To reproduce one sentence's augmentation, take sentence i of an
-``augment_corpus`` run with the same seed.
+``SplitMix64(derive(seed, i))``: one selection uniform per position, then
+one draw per replacement, in position order.  A replacement is a
+``smooth`` or ``lm_sample`` replacement, or the token that ``dropout``
+keeps when it would drop every token; ``soft`` draws none.
+``augment_corpus`` is the one way in: it takes each kind of draw for a
+bounded block of sentences in one array pass, bit for bit the scalar
+stream's draws.  To reproduce one sentence's augmentation, take sentence
+i of an ``augment_corpus`` run with the same seed.
 
 Every strategy's result is a ``SoftCorpus``: flat arrays of token ids,
 sentence offsets and the soft positions' supports (ids and
@@ -38,7 +40,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, fields
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -47,8 +49,8 @@ from .corpus import (
     BLANK, BOS, EOS, NUM_SPECIALS, Sentence, read_text, sentence_blocks, split_lines,
 )
 from .lm import NGramLM
-from .parallel import fork_map
-from .rng import SplitMix64, check_seed, derive_block, stream_block
+from .parallel import check_threads, fork_map
+from .rng import check_seed, derive_block, stream_block
 
 STRATEGIES = ("base", "swap", "dropout", "blank", "smooth", "lm_sample", "soft")
 LM_STRATEGIES = ("lm_sample", "soft")
@@ -272,45 +274,6 @@ def _mask(tokens: np.ndarray, u: np.ndarray, gamma: float) -> np.ndarray:
     return (u < gamma) & _selectable(tokens)
 
 
-def _unigram_at(cum: Callable[[], np.ndarray], sentence: Sentence, pos: int,
-                rng: SplitMix64) -> int:
-    table = cum()
-    return int(np.searchsorted(table, rng.random() * table[-1], side="right"))
-
-
-def _lm_sample_at(lm: NGramLM, sentence: Sentence, pos: int, rng: SplitMix64) -> int:
-    return lm.sample(sentence[:pos], rng)
-
-
-def _soft_at(lm: NGramLM, topk: int, sentence: Sentence, pos: int, rng: SplitMix64
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """The contextual distribution at *pos* as (ids, probs) from
-    ``lm.top_k``, with probabilities bitwise equal to ``next_dist``: with
-    topk > 0 the k most probable, renormalized; topk = 0 keeps every
-    token, not renormalized.  Either way a position evaluates the dense
-    distribution, O(|V|)."""
-    ids, probs = lm.top_k(sentence[:pos], topk or len(lm.vocab))
-    return ids, probs / probs.sum() if topk else probs
-
-
-def _replacement(strategy: str, lm: NGramLM | None = None,
-                 unigram: Callable[[], np.ndarray] | None = None, topk: int = 0):
-    """The per-position replacement ``replace(sentence, pos, rng)`` of a
-    strategy that draws or queries per selected position, or None.
-
-    ``smooth`` takes a function that builds its unigram; the cumulative
-    table is made at the first selected position, so a corpus with none
-    needs no unigram.
-    """
-    if strategy == "smooth":
-        return partial(_unigram_at, cache(lambda: np.cumsum(unigram())))
-    if strategy == "lm_sample":
-        return partial(_lm_sample_at, lm)
-    if strategy == "soft":
-        return partial(_soft_at, lm, topk)
-    return None
-
-
 def _corpus_unigram(sentences: list[Sentence], size: int | None) -> np.ndarray:
     if size is None:
         size = max((max(s) for s in sentences if s), default=NUM_SPECIALS - 1) + 1
@@ -318,22 +281,27 @@ def _corpus_unigram(sentences: list[Sentence], size: int | None) -> np.ndarray:
 
 
 def _augment_block(sentences: list[Sentence], start: int, config: AugmentConfig,
-                   replace: Callable | None) -> tuple[SoftCorpus, int, int]:
+                   lm: NGramLM | None, cumulative: Callable[[], np.ndarray] | None
+                   ) -> tuple[SoftCorpus, int, int]:
     """Augment corpus sentences start, start + 1, ... (given as
     *sentences*); returns their columns and the replaced and eligible
-    (selectable) position counts.
+    (selectable) position counts.  ``smooth`` calls *cumulative* for its
+    cumulative unigram, and only once a position is selected.
 
     Sentence i draws from ``SplitMix64(derive(seed, i))``: first one
-    uniform per position, for the swap keys or the mask, then any
-    replacement draws.  The block's uniforms and masks are computed in one
-    array pass, equal to each stream's scalar draws bit for bit; a
-    sentence's remaining draws come from its stream advanced past them.
-    ``blank``, ``dropout`` and ``swap`` are array passes throughout.
+    uniform per position, for the swap keys or the mask, then one draw per
+    replacement in position order.  Each kind of draw is one array pass
+    over the block, equal to each stream's scalar draws bit for bit.
     """
     lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
     starts = _offsets(lengths)
     tokens = np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.int64,
                          count=int(starts[-1]))
+    if config.strategy in LM_STRATEGIES:
+        # The model's prefix queries would back off past an unknown id.
+        outside = tokens[(tokens < 0) | (tokens >= len(lm.vocab))]
+        if len(outside):
+            raise ValueError(f"id out of range: {outside[0]}")
     selectable = _selectable(tokens)
     eligible = int(np.count_nonzero(selectable))
     if config.strategy == "base" or config.gamma == 0.0:
@@ -353,47 +321,42 @@ def _augment_block(sentences: list[Sentence], start: int, config: AugmentConfig,
         # uniformly chosen token survives, by a draw that follows the mask.
         keep = ~mask
         kept = np.bincount(sentence_of[keep], minlength=len(sentences))
-        for i in np.flatnonzero((kept == 0) & (lengths > 0)).tolist():
-            rng = SplitMix64(int(seeds[i]))
-            rng.skip(int(lengths[i]))
-            keep[starts[i] + rng.randint(int(lengths[i]))] = True
-            kept[i] = 1
-            replaced -= 1
-        return SoftCorpus.hard(tokens[keep], _offsets(kept)), replaced, eligible
+        emptied = (kept == 0) & (lengths > 0)
+        draws = stream_block(seeds, emptied, skip=lengths)
+        keep[starts[:-1][emptied] + (draws * lengths[emptied]).astype(np.int64)] = True
+        kept[emptied] = 1
+        return SoftCorpus.hard(tokens[keep], _offsets(kept)), replaced - len(draws), eligible
     if config.strategy == "blank":
         out = tokens.copy()
         out[mask] = BLANK
         return SoftCorpus.hard(out, starts), replaced, eligible
     hits = np.flatnonzero(mask)
-    values = _replacements(sentences, seeds, starts, hits, replace)
+    owner = sentence_of[hits]
+    at = (hits - starts[owner]).tolist()
     if config.strategy != "soft":
+        draws = stream_block(seeds, np.bincount(owner, minlength=len(sentences)), skip=lengths)
         out = tokens.copy()
-        out[hits] = list(values)
+        if config.strategy == "lm_sample":
+            out[hits] = [lm.sample(sentences[i][:pos], x)
+                         for i, pos, x in zip(owner.tolist(), at, draws.tolist())]
+        elif len(hits):
+            cum = cumulative()
+            out[hits] = np.searchsorted(cum, draws * cum[-1], side="right")
         return SoftCorpus.hard(out, starts), replaced, eligible
-    # top_k gives every soft position the same number of entries, so the
-    # supports fill the rows of two matrices.
-    ids, probs = np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0))
-    for j, (row_ids, row_probs) in enumerate(values):
-        if not j:
-            shape = (len(hits), len(row_ids))
-            ids, probs = np.empty(shape, dtype=np.int64), np.empty(shape)
-        ids[j], probs[j] = row_ids, row_probs
+    # top_k gives every soft position min(k, |V|) entries, so the supports
+    # fill the rows of two matrices, a row at a time: a list of the rows
+    # would hold them twice over, |V| numbers each at topk = 0.  With
+    # topk > 0 a row is the k most probable, renormalized; topk = 0 keeps
+    # every token, bitwise ``next_dist``.
+    k = config.topk or len(lm.vocab)
+    ids = np.empty((len(hits), min(k, len(lm.vocab))), dtype=np.int64)
+    probs = np.empty(ids.shape)
+    for j, (i, pos) in enumerate(zip(owner.tolist(), at)):
+        ids[j], probs[j] = lm.top_k(sentences[i][:pos], k)
+    if config.topk:
+        probs /= probs.sum(axis=1, keepdims=True)
     support = np.arange(len(hits) + 1, dtype=np.int64) * ids.shape[1]
     return SoftCorpus(tokens, starts, hits, support, ids.ravel(), probs.ravel()), replaced, eligible
-
-
-def _replacements(sentences: list[Sentence], seeds: np.ndarray, starts: np.ndarray,
-                  hits: np.ndarray, replace: Callable) -> Iterator:
-    """``replace(sentence, pos, rng)`` at each selected flat position in
-    *hits*, in order; each sentence's ``rng`` continues its stream past its
-    mask uniforms."""
-    current, rng = -1, None
-    firsts = starts.tolist()
-    for i, at in zip((np.searchsorted(starts, hits, "right") - 1).tolist(), hits.tolist()):
-        if i != current:
-            current, rng = i, SplitMix64(int(seeds[i]))
-            rng.skip(firsts[i + 1] - firsts[i])
-        yield replace(sentences[i], at - firsts[i], rng)
 
 
 def augment_corpus(
@@ -411,22 +374,27 @@ def augment_corpus(
     Output depends only on (sentences, config); the worker count changes
     scheduling, never bytes.  ``smooth`` builds its unigram from
     *sentences* over *vocab_size* ids unless one is given, and only once
-    a position is selected.  With ``return_stats=True`` also returns
-    (replaced, eligible) position totals.
+    a position is selected; ``lm_sample`` and ``soft`` refuse an id
+    outside *lm*'s vocabulary, as ``perplexity`` does.  With
+    ``return_stats=True`` also returns (replaced, eligible) position
+    totals.
 
     Sentences go to ``_augment_block`` in bounded blocks of consecutive
     sentences, about four per worker when there are several; the blocks'
     columns are concatenated.
     """
     config.validate()
+    # The identity paths start no pool, but take the same worker counts.
+    check_threads(threads)
     if config.strategy in LM_STRATEGIES and lm is None:
         raise ValueError(f"strategy {config.strategy!r} requires a language model")
     if config.strategy == "base" or config.gamma == 0.0:
-        parts = [_augment_block(sentences, 0, config, None)]
+        parts = [_augment_block(sentences, 0, config, lm, None)]
     else:
-        build_unigram = (partial(_corpus_unigram, sentences, vocab_size) if unigram is None
-                         else lambda: unigram)
-        replace = _replacement(config.strategy, lm, build_unigram, config.topk)
+        @cache
+        def cumulative() -> np.ndarray:
+            return np.cumsum(_corpus_unigram(sentences, vocab_size) if unigram is None else unigram)
+
         tokens = sum(len(s) + 1 for s in sentences)
         budget = _BLOCK_TOKENS if threads <= 1 else min(_BLOCK_TOKENS, -(-tokens // (4 * threads)))
         ranges = []
@@ -434,8 +402,9 @@ def augment_corpus(
             start = ranges[-1][1] if ranges else 0
             ranges.append((start, start + len(block)))
         parts = fork_map(
-            lambda r: _augment_block(sentences[r[0]:r[1]], r[0], config, replace), ranges, threads
-        ) or [_augment_block([], 0, config, replace)]
+            lambda r: _augment_block(sentences[r[0]:r[1]], r[0], config, lm, cumulative),
+            ranges, threads,
+        ) or [_augment_block([], 0, config, lm, cumulative)]
     out = SoftCorpus.concat([corpus for corpus, _, _ in parts])
     if not return_stats:
         return out

@@ -45,7 +45,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import BLANK, BOS, EOS, UNK, Sentence, Vocabulary, sentence_blocks, split_lines
-from .rng import SplitMix64
 
 # Entries in the top-k cache.  An entry holds 2k numbers, never 2|V|.
 _CACHE_LIMIT = 4096
@@ -200,15 +199,16 @@ class NGramLM:
         with np.errstate(divide="ignore"):
             return float(np.log(p))
 
-    def sample(self, prefix: Sequence[int], rng: SplitMix64) -> int:
-        """Inverse-CDF draw in id order; BOS/UNK/BLANK are never emitted."""
+    def sample(self, prefix: Sequence[int], u: float) -> int:
+        """The next token after *prefix* at the uniform *u* in [0, 1): an
+        inverse-CDF draw in id order; BOS/UNK/BLANK are never emitted.  The
+        caller draws *u*, so the model stays a pure query."""
         # Through the public next_dist, so that a per-instance wrapper of it
         # (the benchmark's trace) counts lm_sample's queries.
         p = self.next_dist(prefix)
         p[[BOS, UNK, BLANK]] = 0.0
         cum = np.cumsum(p)
-        u = rng.random() * cum[-1]
-        idx = int(np.searchsorted(cum, u, side="right"))
+        idx = int(np.searchsorted(cum, u * cum[-1], side="right"))
         return min(idx, len(p) - 1)
 
 

@@ -125,12 +125,12 @@ def derive_block(seed: int, start: int, n: int) -> np.ndarray:
     return _u64_block(derive(seed), start, n)
 
 
-def stream_block(seeds: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The first ``lengths[j]`` ``random()`` draws of each
-    ``SplitMix64(seeds[j])``, concatenated in order, bit for bit, as one
-    float64 array."""
+def stream_block(seeds: np.ndarray, lengths: np.ndarray, skip: np.ndarray | int = 0) -> np.ndarray:
+    """The ``lengths[j]`` ``random()`` draws of each ``SplitMix64(seeds[j])``
+    that follow its first ``skip[j]`` (none by default), concatenated in
+    order, bit for bit, as one float64 array."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    firsts = np.cumsum(lengths) - lengths
+    firsts = np.cumsum(lengths) - lengths - np.asarray(skip, dtype=np.int64)
     steps = np.arange(1, int(lengths.sum()) + 1, dtype=np.int64) - np.repeat(firsts, lengths)
     state = np.repeat(np.asarray(seeds, dtype=np.uint64), lengths) + np.uint64(_GOLDEN) * steps.astype(np.uint64)
     return _uniforms(_mix(state))

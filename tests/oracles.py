@@ -455,7 +455,7 @@ def augment_per_draw(sentence, index, config, lm=None, unigram=None):
             cum = np.cumsum(unigram)
             out[pos] = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
         elif s == "lm_sample":
-            out[pos] = lm.sample(sentence[:pos], rng)
+            out[pos] = lm.sample(sentence[:pos], rng.random())
         else:
             ids, probs = lm.top_k(sentence[:pos], config.topk or len(lm.vocab))
             out[pos] = SoftWord(Dist(probs / probs.sum() if config.topk else probs, ids),

@@ -248,7 +248,7 @@ class TestBlockDraws:
         cfg = sa.AugmentConfig(strategy=strategy, gamma=0.6, topk=3, seed=seed)
         uni = ag.unigram_dist(sents, 10) if strategy == "smooth" else None
         corpus, replaced, eligible = ag._augment_block(
-            sents, start, cfg, ag._replacement(strategy, model, lambda: uni, 3))
+            sents, start, cfg, model, lambda: np.cumsum(uni))
         expected = [oracles.augment_per_draw(s, start + i, cfg, model, uni)
                     for i, s in enumerate(sents)]
         assert corpus == [r[0] for r in expected]
@@ -313,10 +313,10 @@ class TestSoftCorpus:
         cut = min(cut, len(sents))
         cfg = sa.AugmentConfig(strategy=strategy, gamma=0.6, topk=3, seed=seed)
         uni = ag.unigram_dist(sents, 10) if strategy == "smooth" else None
-        replace = ag._replacement(strategy, model, lambda: uni, 3)
-        parts = [ag._augment_block(sents[:cut], 0, cfg, replace),
-                 ag._augment_block(sents[cut:], cut, cfg, replace)]
-        whole = ag._augment_block(sents, 0, cfg, replace)
+        cumulative = lambda: np.cumsum(uni)
+        parts = [ag._augment_block(sents[:cut], 0, cfg, model, cumulative),
+                 ag._augment_block(sents[cut:], cut, cfg, model, cumulative)]
+        whole = ag._augment_block(sents, 0, cfg, model, cumulative)
         assert sa.SoftCorpus.concat([p[0] for p in parts]) == whole[0]
         assert [sum(p[k] for p in parts) for k in (1, 2)] == list(whole[1:])
 
@@ -362,9 +362,29 @@ class TestDriver:
         cfg = sa.AugmentConfig(strategy="smooth", gamma=0.4, seed=4)
         uni = ag.unigram_dist(sents, len(model.vocab))
         full = sa.augment_corpus(sents, cfg, unigram=uni)
-        replace = ag._replacement("smooth", unigram=lambda: uni)
         for i in (0, 3, 11):
-            assert ag._augment_block([sents[i]], i, cfg, replace)[0][0] == full[i]
+            alone = ag._augment_block([sents[i]], i, cfg, None, lambda: np.cumsum(uni))
+            assert alone[0][0] == full[i]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("bad", [-1, 999])
+    @pytest.mark.parametrize("strategy", ["lm_sample", "soft"])
+    def test_id_outside_the_models_vocabulary_is_refused(self, tiny_lm, strategy, bad, threads):
+        """As ``perplexity`` refuses it: the model's queries would back
+        off past it as if it were an unseen id."""
+        model, sents, _ = tiny_lm
+        cfg = sa.AugmentConfig(strategy=strategy, gamma=1.0, seed=1)
+        with pytest.raises(ValueError, match=f"^id out of range: {bad}$"):
+            sa.augment_corpus(sents[:20] + [[4, bad, 5, 6]], cfg, lm=model, threads=threads)
+
+    @pytest.mark.parametrize("strategy", ["base", "blank"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    def test_out_of_range_worker_count_is_refused(self, tiny_lm, strategy, gamma):
+        """Also where no pool would start: base, and gamma 0."""
+        _, sents, _ = tiny_lm
+        cfg = sa.AugmentConfig(strategy=strategy, gamma=gamma, seed=1)
+        with pytest.raises(ValueError, match="^threads must lie in .*, not 0$"):
+            sa.augment_corpus(sents, cfg, threads=0)
 
     def test_missing_lm_is_configuration_error(self, tiny_lm):
         _, sents, _ = tiny_lm
@@ -402,7 +422,7 @@ class TestDriver:
         # The mask does not depend on the strategy: blank, run on each
         # sentence alone at its index, replaces the positions it selects.
         blank = dataclasses.replace(cfg, strategy="blank")
-        replay = sum(ag._augment_block([s], i, blank, None)[1] for i, s in enumerate(sents))
+        replay = sum(ag._augment_block([s], i, blank, None, None)[1] for i, s in enumerate(sents))
         assert replay > 0
         assert replaced == replay
 

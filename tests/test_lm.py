@@ -356,7 +356,7 @@ class TestSample:
         a = vocab.id_of("a")
         model = lmm.NGramLM(1, 0.5, 0.0, vocab, [[a]], [5])
         rng = SplitMix64(0)
-        assert all(model.sample([], rng) == a for _ in range(200))
+        assert all(model.sample([], rng.random()) == a for _ in range(200))
 
     def test_empirical_frequencies_match_next_dist(self, tiny_lm):
         model, _, vocab = tiny_lm
@@ -366,21 +366,21 @@ class TestSample:
         rng = SplitMix64(123)
         n = 100_000
         for _ in range(n):
-            counts[model.sample(prefix, rng)] += 1
+            counts[model.sample(prefix, rng.random())] += 1
         assert np.max(np.abs(counts / n - dist)) <= 0.01
 
     def test_specials_never_emitted(self, tiny_lm):
         model, _, _ = tiny_lm
         rng = SplitMix64(9)
-        draws = {model.sample([4], rng) for _ in range(2000)}
+        draws = {model.sample([4], rng.random()) for _ in range(2000)}
         assert not draws & {BOS, sa.UNK, sa.BLANK}
 
     def test_seeded_determinism(self, tiny_lm):
         model, _, _ = tiny_lm
         a = SplitMix64(42)
         b = SplitMix64(42)
-        assert [model.sample([5], a) for _ in range(50)] == [
-            model.sample([5], b) for _ in range(50)
+        assert [model.sample([5], a.random()) for _ in range(50)] == [
+            model.sample([5], b.random()) for _ in range(50)
         ]
 
 
@@ -715,7 +715,7 @@ class TestImmutability:
         rng = SplitMix64(4)
         for _ in range(200):
             model.next_dist([4 + rng.randint(8)])
-            model.sample([5], rng)
+            model.sample([5], rng.random())
         model.logprob([6], 4)
         lmm.perplexity(model, sents[:10])
         after = hashlib.sha256(lmm.dump_lm(model).encode()).hexdigest()

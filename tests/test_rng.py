@@ -29,14 +29,22 @@ class TestDeriveBlock:
         assert block.tolist() == [derive(seed, i) for i in range(start, start + 300)]
 
     def test_stream_block_concatenates_each_streams_first_draws(self):
+        """Each stream's first lengths[j] draws, and with skips its
+        lengths[j] draws past its first skips[j]; zero lengths and zero
+        skips among them."""
         seeds = derive_block(2**64 - 1, 0, 40)
         lengths = [i % 5 for i in range(40)]
-        scalar = []
-        for seed, n in zip(seeds.tolist(), lengths):
-            rng = SplitMix64(seed)
-            scalar += [rng.random() for _ in range(n)]
-        block = stream_block(seeds, np.array(lengths))
-        assert block.tobytes() == np.array(scalar).tobytes()
+        for skips in (None, [(3 * i) % 7 for i in range(40)]):
+            scalar = []
+            for seed, n, k in zip(seeds.tolist(), lengths, skips or [0] * 40):
+                rng = SplitMix64(seed)
+                rng.skip(k)
+                scalar += [rng.random() for _ in range(n)]
+            if skips is None:
+                block = stream_block(seeds, np.array(lengths))
+            else:
+                block = stream_block(seeds, np.array(lengths), skip=np.array(skips))
+            assert block.tobytes() == np.array(scalar).tobytes()
 
 
 class TestStreamPosition:
