@@ -268,10 +268,11 @@ def _selectable(tokens: np.ndarray) -> np.ndarray:
     return (tokens != BOS) & (tokens != EOS) & (tokens != BLANK)
 
 
-def _mask(tokens: np.ndarray, u: np.ndarray, gamma: float) -> np.ndarray:
+def _mask(selectable: np.ndarray, u: np.ndarray, gamma: float) -> np.ndarray:
     """The selection rule: a position is selected when its uniform is below
-    gamma and its token is not BOS, EOS or BLANK."""
-    return (u < gamma) & _selectable(tokens)
+    gamma and its token is selectable (``_selectable``: not BOS, EOS or
+    BLANK)."""
+    return (u < gamma) & selectable
 
 
 def _corpus_unigram(sentences: list[Sentence], size: int | None) -> np.ndarray:
@@ -314,7 +315,7 @@ def _augment_block(sentences: list[Sentence], start: int, config: AugmentConfig,
         # stable sort of the keys within each sentence is the permutation.
         keys = np.arange(len(tokens)) - starts[sentence_of] + u * (config.window_k + 1)
         return SoftCorpus.hard(tokens[np.lexsort((keys, sentence_of))], starts), 0, eligible
-    mask = (u < config.gamma) & selectable
+    mask = _mask(selectable, u, config.gamma)
     replaced = int(np.count_nonzero(mask))
     if config.strategy == "dropout":
         # A sentence is never emptied: if every token would be dropped, one

@@ -17,9 +17,10 @@ derive from (base seed, gamma, repetition) only, so the cells of one
 (gamma, repetition) share the initial model and the SGD draws, and two
 strategies whose augmented splits pack to the same bags (every strategy
 at gamma = 0, ``swap`` and ``base`` always) run the exact same
-training.  The sweep runs it once, trains the distinct ones of a
-(gamma, repetition) in lockstep on their shared SGD draws, and any cell
-can still be recomputed in isolation.
+training.  The sweep runs it once.  A sweep job takes a run of
+consecutive (gamma, repetition) groups and trains the distinct trainings
+of all of them in one lockstep, each model on its own group's SGD
+stream, so any cell can still be recomputed in isolation.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from .augment import AugmentConfig, augment_corpus
 from .corpus import Sentence, Vocabulary, split_lines
 from .lm import NGramLM, check_params, train_lm
-from .parallel import fork_map
+from .parallel import check_threads, fork_map
 from .rng import SplitMix64, check_seed, derive
 from .softmix import PackedCorpus, evaluate_packed, init_model, pack_corpus, train_packed
 
@@ -46,6 +47,10 @@ CLASS_REPEAT_PROB = 0.75
 # Uniforms drawn per block while generating a task: its memory stays
 # bounded at any size.
 _TASK_BLOCK_DRAWS = 1 << 16
+# Models that one sweep job trains in lockstep at most.  A step's cost
+# per model falls as the lockstep grows and has mostly levelled off by
+# here, while a job's memory keeps growing with its models and splits.
+_JOB_MODELS = 24
 
 
 def check_task_dims(vocab_size: int, classes: int, sentences: int, length: int) -> None:
@@ -289,42 +294,53 @@ def _distinct_splits(
     return splits, split_of, seconds
 
 
-def _run_group(
-    spec: SweepSpec, task: SyntheticTask, lm: NGramLM, strategies, gamma: float, rep: int
+def _run_job(
+    spec: SweepSpec, task: SyntheticTask, lm: NGramLM, strategies, groups: list[tuple[float, int]]
 ) -> tuple[list[CellResult], int]:
-    """The cells of *strategies* at one (gamma, rep), and the trainings run.
+    """The cells of *strategies* at each (gamma, rep) of *groups*, in that
+    order, and the trainings run.
 
-    The cells share their seed, so strategies whose augmented training
-    splits pack to the same bytes share one training, and the distinct
-    trainings run in lockstep in one ``train_packed`` call.  A row's
+    The cells of one group share their seed, so strategies whose augmented
+    training splits pack to the same bytes share one training.  Every
+    distinct training of every group runs in lockstep in one
+    ``train_packed`` call, the models of a group on their group's one SGD
+    stream, and all are scored in one ``evaluate_packed`` call.  A row's
     seconds are its own augment and pack time.  The job's training and
     evaluation time is split evenly over the rows that own a distinct
-    training (the first row, in strategy order, with each packed
-    content), and the first row also carries the test split's packing,
-    so the rows of a job sum to its busy time.
+    training (the first row of its group, in strategy order, with each
+    packed content), and the job's first row also carries the test
+    split's packing, so the rows of a job sum to its busy time.
     """
     start = time.perf_counter()
     train_x, train_y, test_x, test_y = split_task(task, spec.test_fraction)
     vocab_size = len(task.vocab)
-    seed = _cell_seed(spec.seed, gamma, rep)
     test_split = pack_corpus(test_x, vocab_size)
     setup_s = time.perf_counter() - start
-    splits, split_of, seconds = _distinct_splits(
-        spec, lm, train_x, vocab_size, strategies, gamma, seed
-    )
+    splits, seeds, cells = [], [], []
+    for gamma, rep in groups:
+        seed = _cell_seed(spec.seed, gamma, rep)
+        group_splits, split_of, seconds = _distinct_splits(
+            spec, lm, train_x, vocab_size, strategies, gamma, seed
+        )
+        cells += [(strategy, gamma, rep, len(splits) + split_of[strategy], seconds[strategy])
+                  for strategy in strategies]
+        splits += group_splits
+        seeds += [seed] * len(group_splits)
     start = time.perf_counter()
-    first = init_model(vocab_size, spec.dim, 2, derive(seed, 2))
-    models = [first.copy() for _ in splits]
-    train_packed(models, splits, train_y, spec.lr, spec.steps, SplitMix64(derive(seed, 3)))
+    # Made once every group is augmented, so no group's models are held
+    # while a later group augments.
+    models = [init_model(vocab_size, spec.dim, 2, derive(seed, 2)) for seed in seeds]
+    streams = {seed: SplitMix64(derive(seed, 3)) for seed in seeds}
+    train_packed(models, splits, train_y, spec.lr, spec.steps, [streams[seed] for seed in seeds])
     accuracies = evaluate_packed(models, test_split, test_y)
     shared_s = (time.perf_counter() - start) / len(splits)
     rows, owned = [], set()
-    for strategy in strategies:
-        own_s = seconds[strategy] + (0.0 if rows else setup_s)
-        if split_of[strategy] not in owned:
-            owned.add(split_of[strategy])
+    for strategy, gamma, rep, model, own_s in cells:
+        own_s += 0.0 if rows else setup_s
+        if model not in owned:
+            owned.add(model)
             own_s += shared_s
-        rows.append(CellResult(strategy, gamma, rep, accuracies[split_of[strategy]], round(own_s, 3)))
+        rows.append(CellResult(strategy, gamma, rep, accuracies[model], round(own_s, 3)))
     return rows, len(splits)
 
 
@@ -337,21 +353,25 @@ def run_cell(
     rep: int,
 ) -> CellResult:
     """Augment, train and evaluate one grid cell."""
-    return _run_group(spec, task, lm, (strategy,), gamma, rep)[0][0]
+    return _run_job(spec, task, lm, (strategy,), [(gamma, rep)])[0][0]
 
 
 def run_sweep(spec: SweepSpec, task: SyntheticTask, lm: NGramLM, threads: int = 1) -> SweepResult:
     """Every (strategy, gamma, repetition) cell, in that order.
 
-    One pool job per (gamma, rep) runs all strategies' cells, so each
-    distinct packed training split is trained once.  Fewer (gamma, rep)
-    pairs than *threads* leave workers idle.
+    A pool job runs all strategies' cells of a run of consecutive
+    (gamma, rep) groups, so each distinct packed training split is
+    trained once and a job's trainings share one lockstep.  A job holds
+    at most ceil(groups / threads) groups, so every worker gets one, and
+    at most ``_JOB_MODELS`` models, counting one per strategy and group.
+    Fewer groups than *threads* leave workers idle.
     """
     spec.validate()
+    check_threads(threads)
     groups = [(gamma, rep) for gamma in spec.gammas for rep in range(spec.reps)]
-    done = fork_map(
-        lambda group: _run_group(spec, task, lm, spec.strategies, *group), groups, threads
-    )
+    size = max(1, min(-(-len(groups) // threads), _JOB_MODELS // len(spec.strategies)))
+    jobs = [groups[first:first + size] for first in range(0, len(groups), size)]
+    done = fork_map(lambda job: _run_job(spec, task, lm, spec.strategies, job), jobs, threads)
     cell = {(r.strategy, r.gamma, r.rep): r for rows, _ in done for r in rows}
     return SweepResult(
         [cell[s, g, r] for s in spec.strategies for g in spec.gammas for r in range(spec.reps)],

@@ -19,19 +19,22 @@ A minimal linear classifier (softmax cross-entropy) sits on the pooled
 vector.  ``pack_corpus`` stores the corpus's bags flat, as one
 ``PackedCorpus``.
 
-``train_packed`` trains K models of one shape, one packed corpus each,
-in lockstep on one shared stream of sample indexes, and
-``evaluate_packed`` scores K models on one corpus the same way: a step
-runs each operation once over all K models stacked (``_Lockstep``),
-except the pooling product, which runs once per model.  Each model ends
-bit for bit as it would alone, since every model's share of an operation
-computes what that model's own call computes, NaN bits included
-(``_RowSoftmax``).  ``_Lockstep.forward`` and ``_Lockstep.gradients``
-are the one forward-backward: a training step is ``gradients`` scaled
-by the learning rate, and ``forward``, ``loss``, ``backward``,
-``grad_check``, ``train_toy``, ``evaluate`` and a sweep cell are all its
-K = 1 case, so the finite-difference check verifies the very step that
-training applies.
+``train_packed`` trains K models of one shape in lockstep, model k on
+packed corpus k and on its own stream of sample indexes (several models
+may share one stream), and ``evaluate_packed`` scores K models on one
+corpus the same way.  ``_Lockstep.schedule`` lays out a bounded chunk of
+steps at a time, step t running sentence ``index[t, k]`` of corpus k
+through model k (evaluation: ``index[t, k] = t``), and a step runs each
+operation once over all K models stacked, except the pooling product,
+which runs once per model.  Each model ends bit for bit as it would
+alone, since every model's share of an operation computes what that
+model's own call computes, NaN bits included (``_RowSoftmax``).
+``_Lockstep.forward`` and ``_Lockstep.gradients`` are the one
+forward-backward: a training step is ``gradients`` scaled by the
+learning rate, and ``forward``, ``loss``, ``backward``, ``grad_check``,
+``train_toy``, ``evaluate`` and a sweep cell are all its K = 1 case, so
+the finite-difference check verifies the very step that training
+applies.
 
 All arithmetic is float64.  A hard token and a point-mass soft word pack
 to the same bag, so their forward values, gradients and training runs
@@ -55,6 +58,9 @@ GRAD_STEP = 1e-5
 # Sentences that ``pack_corpus`` packs at a time: a pass holds about ten
 # arrays the size of its entries, so its peak memory stays bounded.
 _PACK_SENTENCES = 256
+# Bag entries that one chunk of a lockstep schedule holds, on average:
+# the schedule's arrays stay bounded at any corpus size and model count.
+_SCHEDULE_ENTRIES = 1 << 14
 
 
 @dataclass
@@ -167,8 +173,10 @@ class _RowSoftmax:
 
 
 def _alone(model: ToyModel, sentences: list[SoftSentence], labels: list[int]) -> _Lockstep:
-    """The K = 1 lockstep of *model* over *sentences*."""
-    return _Lockstep([model], [pack_corpus(sentences, len(model.emb))], labels)
+    """The K = 1 lockstep of *model*, step i scheduled on sentence i."""
+    run = _Lockstep([model], [pack_corpus(sentences, len(model.emb))], labels)
+    run.schedule(_in_order(0, len(sentences), 1))
+    return run
 
 
 def _loss(run: _Lockstep, i: int) -> float:
@@ -357,41 +365,28 @@ def pack_corpus(corpus: SoftCorpus | list[SoftSentence], vocab_size: int) -> Pac
     return PackedCorpus(ids, weights, starts, np.diff(corpus.starts))
 
 
-def _interleave(corpora: list[PackedCorpus], vocab_size: int):
-    """The K corpora as one flat corpus over the stacked embedding.
-
-    Block i * K + k holds sentence i of corpus k, its ids offset by
-    k * vocab_size, so sentence i of all K is one contiguous run.
-    Returns the ids, the weights, the block offsets (a list), each
-    block's entry count as an (N, K) array and the divisors as (N, K, 1).
-    """
-    k_models = len(corpora)
-    counts = np.stack([np.diff(corpus.starts) for corpus in corpora], axis=1)
-    offsets = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    ids = np.empty(offsets[-1], dtype=np.int64)
-    weights = np.empty(offsets[-1])
-    for k, corpus in enumerate(corpora):
-        shift = np.repeat(offsets[k:-1:k_models] - corpus.starts[:-1], counts[:, k])
-        slots = shift + np.arange(len(corpus.ids))
-        ids[slots] = corpus.ids + k * vocab_size
-        weights[slots] = corpus.weights
-    lengths = np.stack([corpus.lengths for corpus in corpora], axis=1).astype(np.float64)
-    return ids, weights, offsets.tolist(), counts, lengths[:, :, None]
+def _distinct(items: list) -> tuple[list, np.ndarray]:
+    """The distinct objects of *items*, by identity, in order of first
+    appearance, and each item's place among them."""
+    by_id = {id(item): item for item in items}
+    place = {key: i for i, key in enumerate(by_id)}
+    return list(by_id.values()), np.array([place[id(item)] for item in items], dtype=np.int64)
 
 
 class _Lockstep:
-    """K models of one shape, stacked, stepping over K corpora of N sentences.
+    """K models of one shape, stacked, stepping through a schedule of
+    sentences of their K corpora.
 
     The embeddings stack to one (K * |V|, d) array and the classifiers to
-    (K, c, d) and (K, c); the corpora are ``_interleave``d.  ``forward(i)``
-    runs sentence i of every corpus through its model: one ``take`` of
-    all K bags' rows, one matrix-vector product per model (the one
+    (K, c, d) and (K, c).  ``schedule(index)`` lays out a chunk of steps:
+    step t runs sentence ``index[t, k]`` of corpus k through model k.
+    ``forward(t)`` then takes all K bags' rows at once, runs one
+    matrix-vector product per model (``np.dot``, the product that
     ``weights @ rows`` makes) and every other operation once over all K,
     the classifier as a stacked product that computes each model's
-    product as its own call would.  ``gradients(i)`` then runs the
-    backward pass once over all K.  Each model's numbers are therefore
-    bit for bit those of running it alone.
+    product as its own call would.  ``gradients(t)`` runs the backward
+    pass once over all K.  Each model's numbers are therefore bit for bit
+    those of running it alone.
     """
 
     def __init__(self, models: list[ToyModel], corpora: list[PackedCorpus], labels: list[int]):
@@ -409,9 +404,19 @@ class _Lockstep:
         vocab_size, dim = models[0].emb.shape
         self.k = len(models)
         self.labels = labels
-        self.ids, self.weights, self.offsets, counts, self.lengths = _interleave(corpora, vocab_size)
-        # One model's gradient broadcasts over its rows as it is.
-        self._counts = counts if self.k > 1 else None
+        self.corpora = corpora
+        # Each distinct corpus's starts and lengths, as one row of a flat
+        # table; model k reads the row of its own corpus.
+        distinct, row_of = _distinct(corpora)
+        self._starts = np.concatenate([c.starts for c in distinct])
+        self._lengths = np.concatenate([c.lengths for c in distinct]).astype(np.float64)
+        self._start_row = row_of * (len(labels) + 1)
+        self._length_row = row_of * len(labels)
+        self._label_array = np.asarray(labels, dtype=np.int64)
+        self._shift = np.arange(self.k) * vocab_size
+        self._eye = np.eye(classes)
+        self._class_row = np.arange(self.k) * classes
+        self._entries = sum(len(c.ids) for c in corpora)
         self.emb = np.concatenate([m.emb for m in models])
         self.w = np.stack([m.w for m in models])
         self.b = np.stack([m.b for m in models])
@@ -419,52 +424,99 @@ class _Lockstep:
         self._pooled_rows = list(self.pooled)
         self._pooled_col = self.pooled[:, :, None]
         self.softmax = _RowSoftmax(self.k, classes)
+        self.flat_probs = self.softmax.probs.reshape(-1)
         self._raw_col = self.softmax.raw[:, :, None]
-        self._weight_column = self.weights[:, None]
         self._w_t = self.w.transpose(0, 2, 1)
         self._probs_col = self.softmax.probs[:, :, None]
-        self._one_hot = list(np.eye(classes))
         self._dpos = np.empty_like(self.pooled)
         self._dpos_col = self._dpos[:, :, None]
         self._dw = np.empty_like(self.w)
         self._pooled_row = self.pooled[:, None, :]
         self._dw_by_model = list(zip(self._dw, self._probs_col, self._pooled_row))
 
-    def forward(self, i: int) -> None:
-        """Leave sentence i's class probabilities in ``softmax.probs``.
+    @property
+    def chunk(self) -> int:
+        """Steps per schedule chunk: those whose mean entry count over the
+        K corpora fills ``_SCHEDULE_ENTRIES``."""
+        return max(1, _SCHEDULE_ENTRIES * len(self.labels) // max(self._entries, 1))
+
+    def schedule(self, index: np.ndarray) -> None:
+        """Lay out the steps of *index*, a (T, K) array: step t runs
+        sentence ``index[t, k]`` of corpus k through model k.
+
+        Block t * K + k holds that bag, its ids offset by k * |V|, so the
+        K bags of step t are one contiguous run.  Also lays out each
+        step's (K,) entry counts, (K, 1) divisors, (K, c) one-hot labels
+        and the flat indexes of the labels' probabilities, ``loss_index``.
+        """
+        steps, k = index.shape
+        at = index + self._start_row
+        first = self._starts[at]
+        counts = self._starts[at + 1] - first
+        by_model = counts.T.ravel()
+        model_offsets = np.zeros(len(by_model) + 1, dtype=np.int64)
+        np.cumsum(by_model, out=model_offsets[1:])
+        step_offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts.ravel(), out=step_offsets[1:])
+        # Every entry in model-major order: its place in its model's own
+        # corpus and its place in the step-major chunk.
+        source = np.arange(step_offsets[-1])
+        dest = source + np.repeat(step_offsets[:-1].reshape(steps, k).T.ravel() - model_offsets[:-1], by_model)
+        source += np.repeat(first.T.ravel() - model_offsets[:-1], by_model)
+        self.ids = ids = np.empty(len(source), dtype=np.int64)
+        self.weights = weights = np.empty(len(source))
+        ends = model_offsets[::steps].tolist()
+        # The splits stay separate arrays, never copied into one, so each
+        # model's entries are taken from its own.
+        for corpus, a, z in zip(self.corpora, ends, ends[1:]):
+            src, dst = source[a:z], dest[a:z]
+            ids[dst] = corpus.ids.take(src)
+            weights[dst] = corpus.weights.take(src)
+        ids += np.repeat(np.tile(self._shift, steps), counts.ravel())
+        self._weight_column = self.weights[:, None]
+        self.offsets = step_offsets.tolist()
+        # One model's gradient broadcasts over its rows as it is.
+        self._counts = counts if k > 1 else None
+        self.divisors = self._lengths[index + self._length_row][:, :, None]
+        step_labels = self._label_array[index]
+        self.one_hot = self._eye[step_labels]
+        self.loss_index = step_labels + self._class_row
+
+    def forward(self, t: int) -> None:
+        """Leave step t's class probabilities in ``softmax.probs``.
 
         Also leaves the gathered ``rows`` and their ``row_ids`` into the
         stacked embedding.
         """
         k, offsets, weights = self.k, self.offsets, self.weights
-        block = i * k
+        block = t * k
         start, end = offsets[block], offsets[block + k]
         self.row_ids = self.ids[start:end]
         self.rows = rows = self.emb.take(self.row_ids, axis=0)
         bounds = offsets[block:block + k + 1]
         for out, a, z in zip(self._pooled_rows, bounds, bounds[1:]):
-            np.matmul(weights[a:z], rows[a - start:z - start], out=out)
+            np.dot(weights[a:z], rows[a - start:z - start], out=out)
         self._row_weights = self._weight_column[start:end]
-        self._divisors = self.lengths[i]
+        self._divisors = self.divisors[t]
         self.pooled /= self._divisors
         np.matmul(self.w, self._pooled_col, out=self._raw_col)
         self._finite = self.softmax(self.b)
 
-    def gradients(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """After ``forward(i)``: the loss gradients of sentence i, not
-        scaled by a learning rate.
+    def gradients(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """After ``forward(t)``: the loss gradients of step t, not scaled
+        by a learning rate.
 
         Returns the gradient of each of ``rows`` (a fresh array), dW as
         (K, c, d) and db as (K, c); the last two live in buffers, db in
         ``softmax.probs``, that the next step overwrites.
         """
         probs = self.softmax.probs
-        probs -= self._one_hot[self.labels[i]]
+        probs -= self.one_hot[t]
         np.matmul(self._w_t, self._probs_col, out=self._dpos_col)
         dpos = self._dpos
         dpos /= self._divisors
         counts = self._counts
-        model_grads = dpos if counts is None else np.repeat(dpos, counts[i], axis=0)
+        model_grads = dpos if counts is None else dpos.repeat(counts[t], axis=0)
         if self._finite:
             np.multiply(self._probs_col, self._pooled_row, out=self._dw)
         else:
@@ -474,45 +526,60 @@ class _Lockstep:
         return self._row_weights * model_grads, self._dw, probs
 
 
+def _in_order(first: int, count: int, k: int) -> np.ndarray:
+    """The schedule index of sentences first .. first + count - 1 for all K."""
+    return np.repeat(np.arange(first, first + count)[:, None], k, axis=1)
+
+
 def train_packed(
     models: list[ToyModel],
     corpora: list[PackedCorpus],
     labels: list[int],
     lr: float,
     steps: int,
-    rng: SplitMix64,
+    rngs: list[SplitMix64],
 ) -> np.ndarray:
-    """Train K models of one shape, model k on packed corpus k, in lockstep.
+    """Train K models of one shape, model k on packed corpus k with
+    sample stream ``rngs[k]``, in lockstep.
 
-    All K share one block draw of sample indexes, so step t visits
-    sentence i of every corpus.  A step is ``_Lockstep.gradients`` times
+    Step t visits, for each model, the t-th index its own stream draws;
+    a stream object that several models share is drawn once, so they
+    visit the same sentences, and each stream ends where a solo run of
+    one of its models leaves it.  Chunks of steps are drawn and laid out
+    by ``_Lockstep.schedule``.  A step is ``_Lockstep.gradients`` times
     *lr*, subtracted once over all K: the row update is scattered back
     into the stacked embedding.  Model k ends bit for bit as training it
-    alone would leave it.  Updates the models in place; returns the
-    (steps, K) pre-update losses.  Every corpus and label is checked
-    before the first step.
+    alone would leave it.  Each model's parameters become its slice of
+    the stacked arrays, so the K models are held once while they train.
+    Returns the (steps, K) pre-update losses.  Every corpus, label and
+    stream count is checked before the first draw.
     """
     run = _Lockstep(models, corpora, labels)
+    if len(rngs) != run.k:
+        raise ValueError("need one sample stream per model")
+    streams, stream_of = _distinct(rngs)
     emb, w, b = run.emb, run.w, run.b
-    prob_columns = list(run.softmax.probs.T)
-    losses = np.empty((steps, run.k))
-    for step, i in enumerate(rng.randint_block(len(labels), steps).tolist()):
-        run.forward(i)
-        losses[step] = prob_columns[labels[i]]
-        grows, dw, db = run.gradients(i)
-        grows *= lr
-        rows = run.rows
-        rows -= grows
-        emb[run.row_ids] = rows
-        dw *= lr
-        w -= dw
-        db *= lr
-        b -= db
-    vocab_size = len(models[0].emb)
+    vocab_size = len(emb) // run.k
     for k, model in enumerate(models):
-        model.emb[...] = emb[k * vocab_size:(k + 1) * vocab_size]
-        model.w[...] = w[k]
-        model.b[...] = b[k]
+        model.emb, model.w, model.b = emb[k * vocab_size:(k + 1) * vocab_size], w[k], b[k]
+    losses = np.empty((steps, run.k))
+    chunk = run.chunk
+    for first in range(0, steps, chunk):
+        count = min(chunk, steps - first)
+        draws = np.stack([rng.randint_block(len(labels), count) for rng in streams], axis=1)
+        run.schedule(draws[:, stream_of])
+        for t, loss_row in enumerate(losses[first:first + count]):
+            run.forward(t)
+            run.flat_probs.take(run.loss_index[t], out=loss_row)
+            grows, dw, db = run.gradients(t)
+            grows *= lr
+            rows = run.rows
+            rows -= grows
+            emb[run.row_ids] = rows
+            dw *= lr
+            w -= dw
+            db *= lr
+            b -= db
     np.log(losses, out=losses)
     np.negative(losses, out=losses)
     return losses
@@ -528,11 +595,11 @@ def train_toy(
 ) -> tuple[ToyModel, list[float]]:
     """Plain SGD, one uniformly drawn sample per step.
 
-    Updates the model in place and records the pre-update loss of each
-    visited sample.  Every sentence and label is checked before the
-    first step.
+    Trains *model*, whose parameters end as new arrays, and records the
+    pre-update loss of each visited sample.  Every sentence and label is
+    checked before the first step.
     """
-    losses = train_packed([model], [pack_corpus(corpus, len(model.emb))], labels, lr, steps, rng)
+    losses = train_packed([model], [pack_corpus(corpus, len(model.emb))], labels, lr, steps, [rng])
     return model, losses[:, 0].tolist()
 
 
@@ -543,9 +610,13 @@ def evaluate_packed(models: list[ToyModel], corpus: PackedCorpus, labels: list[i
     if not len(corpus):
         raise ValueError("empty corpus")
     hits = np.zeros(run.k, dtype=np.int64)
-    for i, label in enumerate(labels):
-        run.forward(i)
-        hits += run.softmax.probs.argmax(axis=1) == label
+    chunk = run.chunk
+    for first in range(0, len(corpus), chunk):
+        count = min(chunk, len(corpus) - first)
+        run.schedule(_in_order(first, count, run.k))
+        for t, label in enumerate(labels[first:first + count]):
+            run.forward(t)
+            hits += run.softmax.probs.argmax(axis=1) == label
     return (hits / len(corpus)).tolist()
 
 

@@ -235,7 +235,7 @@ class TestBlockDraws:
         tokens = np.array([t for s in sents for t in s], dtype=np.int64)
         masks = [oracles.mask_per_draw(s, gamma, SplitMix64(derive(seed, start + i)))
                  for i, s in enumerate(sents)]
-        assert ag._mask(tokens, u, gamma).tolist() == [m for mask in masks for m in mask]
+        assert ag._mask(ag._selectable(tokens), u, gamma).tolist() == [m for mask in masks for m in mask]
 
     # ``augment_corpus`` copies base sentences without drawing.
     @pytest.mark.parametrize("strategy", sa.STRATEGIES[1:])

@@ -123,13 +123,18 @@ class TestRunSweep:
     def test_each_distinct_packed_split_is_trained_once(self, small_task, monkeypatch):
         task, lm = small_task
         spec = sa.SweepSpec(**self.SHARED)
-        trainings = []
+        trainings, calls = [], []
         real = hn.train_packed
-        # Count models, not calls: one call trains a job's distinct splits in lockstep.
-        monkeypatch.setattr(
-            hn, "train_packed", lambda models, *args: trainings.extend(models) or real(models, *args)
-        )
+
+        def counted(models, *args):
+            calls.append(len(models))
+            trainings.extend(models)
+            return real(models, *args)
+
+        monkeypatch.setattr(hn, "train_packed", counted)
         result = sa.run_sweep(spec, task, lm)
+        # One serial job holds all four (gamma, rep) groups: one lockstep call.
+        assert calls == [6]
 
         train_x = sa.split_task(task, spec.test_fraction)[0]
         distinct = set()
@@ -144,6 +149,34 @@ class TestRunSweep:
         # Per rep: one training at gamma 0, base/swap and soft at gamma 0.15.
         assert len(trainings) == len(distinct) == result.trainings == 6
         assert sa.run_sweep(spec, task, lm, threads=2).trainings == 6
+
+    # Three strategies and more groups than one job holds; the gamma-0
+    # groups train one model each, the others two.
+    LAYOUT = dict(strategies=("base", "swap", "soft"), gammas=(0.0, 0.15),
+                  reps=hn._JOB_MODELS // 3 // 2 + 1, steps=100, test_fraction=0.25)
+
+    def test_job_layout_changes_no_row(self, small_task, monkeypatch):
+        task, lm = small_task
+        spec = sa.SweepSpec(**self.LAYOUT)
+        jobs = []
+        real = hn._run_job
+        monkeypatch.setattr(hn, "_run_job", lambda *args: jobs.append(args[-1]) or real(*args))
+        serial = sa.run_sweep(spec, task, lm, threads=1)
+        groups = [(g, r) for g in spec.gammas for r in range(spec.reps)]
+        assert len(jobs) > 1 and [group for job in jobs for group in job] == groups
+        assert max(map(len, jobs)) * len(spec.strategies) <= hn._JOB_MODELS
+        assert serial.trainings == 3 * spec.reps
+        for threads in (2, 3):
+            result = sa.run_sweep(spec, task, lm, threads=threads)
+            assert result.rows == [
+                hn.CellResult(r.strategy, r.gamma, r.rep, r.accuracy, got.seconds)
+                for r, got in zip(serial.rows, result.rows, strict=True)
+            ]
+            assert result.trainings == serial.trainings
+        for row in serial.rows:
+            alone = sa.run_cell(spec, task, lm, row.strategy, row.gamma, row.rep)
+            assert (alone.strategy, alone.gamma, alone.rep, alone.accuracy) == (
+                row.strategy, row.gamma, row.rep, row.accuracy)
 
     def test_empty_strategies_rejected(self):
         with pytest.raises(ValueError, match="empty strategy list"):

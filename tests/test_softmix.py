@@ -584,26 +584,30 @@ class TestCsvOutputs:
 
 @st.composite
 def lockstep_runs(draw):
-    """(model, corpora, labels, lr, steps, rng seed) for K = 1-3 models
+    """(model, corpora, labels, lr, steps, seeds) for K = 1-4 models
     started from one model: sentence i of each corpus is drawn on its own,
-    so its bag and length differ across models; 1, 2 or 9 classes and
-    d = 1 to 5."""
+    so its bag and length differ across models, and model k draws its
+    samples from seed k, which 1-3 distinct seeds share out; 1, 2 or 9
+    classes and d = 1 to 5."""
     seed = draw(st.integers(0, 2**64 - 1))
     classes = draw(st.sampled_from([1, 2, 9]))
     vocab_size = draw(st.integers(1, 12))
     n = draw(st.integers(1, 6))
     rng = SplitMix64(seed)
+    k_models = draw(st.integers(1, 4))
     corpora = [
         [
             random_sentence(rng, vocab_size, 1 + rng.randint(6), 0.5, 1 + rng.randint(vocab_size))
             for _ in range(n)
         ]
-        for _ in range(draw(st.integers(1, 3)))
+        for _ in range(k_models)
     ]
     labels = [rng.randint(classes) for _ in range(n)]
     model = random_model(seed, vocab_size, draw(st.sampled_from([1, 2, 5])), classes)
     steps = draw(st.one_of(st.just(0), st.integers(1, 120)))
-    return model, corpora, labels, draw(st.sampled_from([0.05, 0.5, 3.0])), steps, seed
+    streams = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3, unique=True))
+    seeds = draw(st.lists(st.sampled_from(streams), min_size=k_models, max_size=k_models))
+    return model, corpora, labels, draw(st.sampled_from([0.05, 0.5, 3.0])), steps, seeds
 
 
 def assert_same_bits(a, b):
@@ -643,25 +647,26 @@ class TestLeanTrainingLoop:
         self.check_against_oracle(model, corpus, labels, 1e200, 40, 54)
         assert np.isnan(model.w).any()
 
-    def check_lockstep_against_oracle(self, model, corpora, labels, lr, steps, seed):
-        """K models trained in lockstep equal K runs of the per-step loop,
-        each from a fresh stream of *seed*, and leave the stream where
-        each of those runs leaves it."""
+    def check_lockstep_against_oracle(self, model, corpora, labels, lr, steps, seeds):
+        """K models trained in lockstep, model k on a stream of seed k,
+        which models of one seed share, equal K runs of the per-step loop,
+        each from a fresh stream of its seed; each stream ends where those
+        runs leave it."""
         vocab_size = len(model.emb)
         models = [model.copy() for _ in corpora]
-        rng = SplitMix64(seed)
+        streams = {seed: SplitMix64(seed) for seed in seeds}
         with np.errstate(all="ignore"):
             packed = [sm.pack_corpus(corpus, vocab_size) for corpus in corpora]
-            losses = sm.train_packed(models, packed, labels, lr, steps, rng)
+            losses = sm.train_packed(models, packed, labels, lr, steps, [streams[s] for s in seeds])
             assert losses.shape == (steps, len(corpora))
-            for k, (trained, corpus) in enumerate(zip(models, corpora)):
+            for k, (trained, corpus, seed) in enumerate(zip(models, corpora, seeds)):
                 ref, ref_rng = model.copy(), SplitMix64(seed)
                 want = train_per_step(ref, [sm.pack_corpus([s], vocab_size)[0] for s in corpus], labels, lr,
                                       steps, ref_rng)
                 assert_same_bits(losses[:, k], want)
                 for got, ref_param in ((trained.emb, ref.emb), (trained.w, ref.w), (trained.b, ref.b)):
                     assert_same_bits(got, ref_param)
-        assert rng.next_u64() == ref_rng.next_u64()
+                assert streams[seed].peek(1).tobytes() == ref_rng.peek(1).tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(lockstep_runs())
@@ -671,12 +676,49 @@ class TestLeanTrainingLoop:
     @pytest.mark.parametrize("classes", [2, 9])
     def test_diverging_lockstep_matches_per_step_loop_bitwise(self, classes):
         """One model diverges to NaN while the others' rows stay finite;
-        each still matches its own per-step run."""
+        each still matches its own per-step run, the first two on one
+        shared stream."""
         rng = SplitMix64(55)
-        corpora = [[random_sentence(rng, 10, 1 + rng.randint(6)) for _ in range(6)] for _ in range(3)]
+        corpora = [[random_sentence(rng, 10, 1 + rng.randint(6)) for _ in range(6)] for _ in range(4)]
         labels = [rng.randint(classes) for _ in range(6)]
         model = random_model(56, 10, 4, classes)
-        self.check_lockstep_against_oracle(model, corpora, labels, 1e200, 40, 57)
+        self.check_lockstep_against_oracle(model, corpora, labels, 1e200, 40, [57, 57, 58, 59])
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("steps", [0, 1, 7, 40])
+    def test_chunk_boundaries_do_not_change_the_bits(self, monkeypatch, chunk, steps):
+        """Schedules cut into chunks of 1 or 3 steps train and score as
+        one whole chunk does, and leave the streams at the same place."""
+        rng = SplitMix64(66)
+        corpora = [[random_sentence(rng, 12, 1 + rng.randint(6)) for _ in range(8)] for _ in range(3)]
+        labels = [rng.randint(3) for _ in range(8)]
+        model = random_model(67, 12, 4, 3)
+        packed = [sm.pack_corpus(corpus, 12) for corpus in corpora]
+
+        def run():
+            models = [model.copy() for _ in corpora]
+            shared = SplitMix64(68)
+            streams = [shared, SplitMix64(69), shared]
+            losses = sm.train_packed(models, packed, labels, 0.5, steps, streams)
+            scores = sm.evaluate_packed(models, packed[0], labels)
+            return losses, models, scores, [s.peek(1).tobytes() for s in streams]
+
+        whole = run()
+        monkeypatch.setattr(sm._Lockstep, "chunk", chunk)
+        cut = run()
+        assert_same_bits(cut[0], whole[0])
+        for got, want in zip(cut[1], whole[1]):
+            for a, b in ((got.emb, want.emb), (got.w, want.w), (got.b, want.b)):
+                assert_same_bits(a, b)
+        assert cut[2:] == whole[2:]
+
+    def test_lockstep_needs_one_stream_per_model(self):
+        models = [sa.init_model(10, 4, 2, seed=70) for _ in range(2)]
+        packed = [sm.pack_corpus([[1, 2], [3]], 10)] * 2
+        rng = SplitMix64(71)
+        with pytest.raises(ValueError, match="one sample stream per model"):
+            sm.train_packed(models, packed, [0, 1], 0.5, 5, [rng])
+        assert rng.peek(1).tobytes() == SplitMix64(71).peek(1).tobytes()
 
     @pytest.mark.parametrize(
         "shape, match",
@@ -688,7 +730,7 @@ class TestLeanTrainingLoop:
         snapshot = [m.copy() for m in models]
         packed = [sm.pack_corpus([[1, 2], [3]], 10)] * 2
         with pytest.raises(ValueError, match=match):
-            sm.train_packed(models, packed, [0, 1], 0.5, 5, SplitMix64(59))
+            sm.train_packed(models, packed, [0, 1], 0.5, 5, [SplitMix64(59)] * 2)
         for model, before in zip(models, snapshot):
             assert np.array_equal(model.emb, before.emb) and np.array_equal(model.w, before.w)
 
@@ -706,13 +748,13 @@ class TestLeanTrainingLoop:
         snapshot = [m.copy() for m in models]
         packed = [sm.pack_corpus(corpus, 10) for corpus in corpora]
         with pytest.raises(ValueError, match=match):
-            sm.train_packed(models, packed, labels, 0.5, 5, SplitMix64(61))
+            sm.train_packed(models, packed, labels, 0.5, 5, [SplitMix64(61)] * len(packed))
         for model, before in zip(models, snapshot):
             assert np.array_equal(model.emb, before.emb) and np.array_equal(model.w, before.w)
 
     def test_lockstep_needs_a_model(self):
         with pytest.raises(ValueError, match="at least one model"):
-            sm.train_packed([], [], [0], 0.5, 1, SplitMix64(62))
+            sm.train_packed([], [], [0], 0.5, 1, [])
 
     # inf - inf makes x86's default NaN, whose sign bit differs from a
     # NaN that numpy's max propagates.  Below 8 classes the max and sum run
