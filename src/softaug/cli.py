@@ -85,7 +85,8 @@ def cmd_train_lm(args) -> int:
     _checked(lmmod.check_params, args.order, args.discount, args.alpha)
     lines = cp.split_lines(cp.read_text(args.input))
     vocab = cp.build_vocab(lines)
-    sentences = [vocab.encode_tokens(line.split()) for line in lines]
+    # Encoded as training reads them: no list of every sentence is held.
+    sentences = (vocab.encode_tokens(line.split()) for line in lines)
     model = lmmod.train_lm(sentences, vocab, args.order, args.discount, args.alpha)
     lmmod.save_lm(model, args.output)
     print(
@@ -99,7 +100,7 @@ def cmd_ppl(args) -> int:
     _echo_config("ppl", args)
     model = lmmod.load_lm(args.lm)
     lines = cp.split_lines(cp.read_text(args.input))
-    sentences = [model.vocab.encode_tokens(line.split()) for line in lines]
+    sentences = (model.vocab.encode_tokens(line.split()) for line in lines)
     print(f"{lmmod.perplexity(model, sentences):.4f}")
     return 0
 

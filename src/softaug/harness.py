@@ -17,10 +17,11 @@ derive from (base seed, gamma, repetition) only, so the cells of one
 (gamma, repetition) share the initial model and the SGD draws, and two
 strategies whose augmented splits pack to the same bags (every strategy
 at gamma = 0, ``swap`` and ``base`` always) run the exact same
-training.  The sweep runs it once.  A sweep job takes a run of
-consecutive (gamma, repetition) groups and trains the distinct trainings
-of all of them in one lockstep, each model on its own group's SGD
-stream, so any cell can still be recomputed in isolation.
+training.  The sweep runs it once.  A sweep job takes (gamma,
+repetition) groups dealt back and forth over the jobs, so the cheap low
+gammas and the dear high ones mix, and trains the distinct trainings of
+all of them in one lockstep, each model on its own group's SGD stream,
+so any cell can still be recomputed in isolation.
 """
 
 from __future__ import annotations
@@ -356,21 +357,38 @@ def run_cell(
     return _run_job(spec, task, lm, (strategy,), [(gamma, rep)])[0][0]
 
 
+def _deal(groups: list, size: int) -> list[list]:
+    """*groups* dealt to ceil(len / *size*) jobs back and forth: the first
+    turn gives one group to each job in order, the next one to each in
+    reverse, and so on, skipping a full job.  Every job but the last holds
+    *size* groups, as consecutive runs would, each job's in *groups*
+    order.  A group's cost grows with its gamma: consecutive runs gave
+    one worker the cheap groups and another the dear ones."""
+    count = -(-len(groups) // size)
+    room = [size] * (count - 1) + [len(groups) - size * (count - 1)]
+    jobs: list[list] = [[] for _ in range(count)]
+    turns = (j for turn in range(size) for j in (range(count)[::-1] if turn % 2 else range(count)))
+    for group in groups:
+        j = next(j for j in turns if len(jobs[j]) < room[j])
+        jobs[j].append(group)
+    return jobs
+
+
 def run_sweep(spec: SweepSpec, task: SyntheticTask, lm: NGramLM, threads: int = 1) -> SweepResult:
     """Every (strategy, gamma, repetition) cell, in that order.
 
-    A pool job runs all strategies' cells of a run of consecutive
-    (gamma, rep) groups, so each distinct packed training split is
-    trained once and a job's trainings share one lockstep.  A job holds
-    at most ceil(groups / threads) groups, so every worker gets one, and
-    at most ``_JOB_MODELS`` models, counting one per strategy and group.
-    Fewer groups than *threads* leave workers idle.
+    A pool job runs all strategies' cells of some (gamma, rep) groups
+    (see ``_deal``), so each distinct packed training split is trained
+    once and a job's trainings share one lockstep.  A job holds at most
+    ceil(groups / threads) groups, so every worker gets one, and at most
+    ``_JOB_MODELS`` models, counting one per strategy and group.  Fewer
+    groups than *threads* leave workers idle.
     """
     spec.validate()
     check_threads(threads)
     groups = [(gamma, rep) for gamma in spec.gammas for rep in range(spec.reps)]
     size = max(1, min(-(-len(groups) // threads), _JOB_MODELS // len(spec.strategies)))
-    jobs = [groups[first:first + size] for first in range(0, len(groups), size)]
+    jobs = _deal(groups, size)
     done = fork_map(lambda job: _run_job(spec, task, lm, spec.strategies, job), jobs, threads)
     cell = {(r.strategy, r.gamma, r.rep): r for rows, _ in done for r in rows}
     return SweepResult(

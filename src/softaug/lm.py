@@ -24,7 +24,10 @@ a block of tokens at once, as array operations, and gets the same bits.
 
 A model is built from order-n grams and their counts alone: ``train_lm``
 passes each padded window of its corpus once, ``load_lm`` the counted
-grams of a file (see ``dump_lm``), so a reload is bit-identical.  An event
+grams of a file (see ``dump_lm``), so a reload is bit-identical.  The
+writer, like the reader, works a bounded block of lines at a time, and
+``train_lm`` reads its sentences in one pass of bounded blocks, so
+neither holds a Python object per gram or per sentence.  An event
 counts toward each suffix of its history: the level for history length k
 holds the marginal of the gram counts over their last k + 1 ids.  Each
 level is one set of flat arrays (see ``Level``), its histories in
@@ -236,14 +239,20 @@ def _count_levels(grams: np.ndarray, counts: np.ndarray, discount: float,
     levels = []
     hist_row = np.zeros(len(grams), dtype=np.int64)
     for k in range(order):
+        # Each temporary is dropped once used: no earlier level's arrays
+        # are live through this level's sorts.
         key = grams[:, order - 1 - k] * len(levels[-1]) + hist_row if k else hist_row
+        del hist_row
         keys, hist_row = np.unique(key, return_inverse=True)
+        del key
         row_key = hist_row * size + grams[:, -1]
         by = np.argsort(row_key)
         # The first gram of each row; no key is -1, so the first gram starts one.
         firsts = np.flatnonzero(np.diff(row_key[by], prepend=-1))
+        del row_key
         row_counts = np.add.reduceat(counts[by], firsts)
         lead = by[firsts]
+        del by, firsts
         starts = hist_row[lead].searchsorted(np.arange(len(keys) + 1))
         heads = starts[:-1]
         # c(h), summed exactly and then converted once, as float(sum).
@@ -254,6 +263,7 @@ def _count_levels(grams: np.ndarray, counts: np.ndarray, discount: float,
             ids=grams[lead, -1], counts=row_counts,
             add=(row_counts - discount) / np.repeat(total, sizes), lam=discount * sizes / total,
         ))
+        del lead, total, sizes
     return levels
 
 
@@ -264,40 +274,47 @@ def train_lm(
     discount: float = 0.75,
     alpha: float = 0.1,
 ) -> NGramLM:
-    """Count every (BOS-padded history, next token) event and freeze the model."""
-    sentences = list(sentences)
-    if not sentences:
-        raise ValueError("empty corpus")
+    """Count every (BOS-padded history, next token) event and freeze the
+    model; *sentences* are read once, so a generator serves."""
     check_params(order, discount, alpha)
     grams = _windows(sentences, order, len(vocab))
     # Each window is one event; the constructor adds up repeated grams.
     return NGramLM(order, discount, alpha, vocab, grams, np.ones(len(grams), dtype=np.int64))
 
 
-def _windows(sentences: list[Sentence], order: int, size: int) -> np.ndarray:
-    """Every window of *order* ids in the BOS-padded, EOS-ended sentences.
+# Tokens per block of ``perplexity`` and of ``_windows``: their memory
+# for Python lists stays bounded at any corpus size.
+_BLOCK_TOKENS = 1 << 16
+
+
+def _windows(sentences: Iterable[Sentence], order: int, size: int) -> np.ndarray:
+    """Every window of *order* ids in the BOS-padded, EOS-ended sentences,
+    read in one pass, a block of ``_BLOCK_TOKENS`` at a time.
 
     The first id outside [0, *size*) raises ValueError, also one that no
-    int64 holds."""
+    int64 holds; so does a corpus of no sentences."""
     pad = (BOS,) * (order - 1)
-    try:
-        tokens = np.fromiter(itertools.chain.from_iterable(pad + tuple(s) + (EOS,) for s in sentences),
-                             dtype=np.int64)
-    except OverflowError:
-        tokens = None
-    if tokens is None or ((tokens < 0) | (tokens >= size)).any():
-        bad = next(t for s in sentences for t in s if not 0 <= t < size)
-        raise ValueError(f"id out of range: {bad}")
+    parts, windows = [], []
+    for block in sentence_blocks(sentences, _BLOCK_TOKENS):
+        try:
+            tokens = np.fromiter(itertools.chain.from_iterable(pad + tuple(s) + (EOS,) for s in block),
+                                 dtype=np.int64)
+        except OverflowError:
+            tokens = None
+        if tokens is None or ((tokens < 0) | (tokens >= size)).any():
+            bad = next(t for s in block for t in s if not 0 <= t < size)
+            raise ValueError(f"id out of range: {bad}")
+        parts.append(tokens)
+        windows.append(np.fromiter((len(s) + 1 for s in block), dtype=np.int64, count=len(block)))
+    if not parts:
+        raise ValueError("empty corpus")
+    tokens = np.concatenate(parts)
+    del parts
+    windows = np.concatenate(windows)
     # Back to back, sentence i holds len + 1 windows, and its first starts
     # (order - 1) * i ids past the windows of the sentences before it.
-    windows = np.array([len(s) + 1 for s in sentences])
     starts = np.arange(windows.sum()) + (order - 1) * np.repeat(np.arange(len(windows)), windows)
     return np.lib.stride_tricks.sliding_window_view(tokens, order)[starts]
-
-
-# Tokens per block of ``perplexity``: its memory stays bounded at any
-# corpus size.
-_BLOCK_TOKENS = 1 << 16
 
 
 def perplexity(lm: NGramLM, sentences: Iterable[Sentence]) -> float:
@@ -353,6 +370,10 @@ def _logprobs(lm: NGramLM, sentences: list[Sentence]) -> np.ndarray:
 
 # -- count-file serialization ----------------------------------------------
 
+# Gram lines per block of the model reader, and histories per block of
+# the writer: their memory stays bounded at any model size.
+_BLOCK_LINES = 1 << 13
+
 
 def _dump_lines(lm: NGramLM) -> Iterable[str]:
     surfaces = lm.vocab.surfaces
@@ -363,11 +384,19 @@ def _dump_lines(lm: NGramLM) -> Iterable[str]:
             raise ValueError(f"surface {surface!r} is empty or holds whitespace")
         yield f"{count}\t{surface}\n"
     top = lm.counts[lm.order - 1]
-    starts, ids, counts = top.starts.tolist(), top.ids.tolist(), top.counts.tolist()
-    for hist, a, b in zip(top.hists.tolist(), starts, starts[1:]):
-        prefix = "".join(surfaces[t] + " " for t in hist)
-        for w, c in zip(ids[a:b], counts[a:b]):
-            yield f"{c}\t{prefix}{surfaces[w]}\n"
+    # A block of histories at a time, so only one block's Python lists are
+    # live; ids become references to the vocabulary's strings, not ints.
+    words = np.array(surfaces, dtype=object)
+    for first in range(0, len(top), _BLOCK_LINES):
+        bounds = top.starts[first : first + _BLOCK_LINES + 1]
+        lo, hi = bounds[0], bounds[-1]
+        starts = (bounds - lo).tolist()
+        nexts, counts = words[top.ids[lo:hi]].tolist(), top.counts[lo:hi].tolist()
+        hists = words[top.hists[first : first + _BLOCK_LINES]].tolist()
+        for hist, a, b in zip(hists, starts, starts[1:]):
+            prefix = "".join(s + " " for s in hist)
+            for w, c in zip(nexts[a:b], counts[a:b]):
+                yield f"{c}\t{prefix}{w}\n"
     yield _END + "\n"
 
 
@@ -386,11 +415,6 @@ def dump_lm(lm: NGramLM) -> str:
 def save_lm(lm: NGramLM, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_dump_lines(lm))
-
-
-# Gram lines per block of the model reader: its memory stays bounded at
-# any model size.
-_BLOCK_LINES = 1 << 13
 
 
 def _parse_lines(lines: Iterable[str], path: str) -> NGramLM:

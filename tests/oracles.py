@@ -152,6 +152,22 @@ def read_count_file(text: str, path: str = "<string>"):
     return order, discount, alpha, entries, grams, counts
 
 
+def dump_whole_level(lm) -> str:
+    """A model's count-file text, the whole top level converted to Python
+    lists at once: the writer's output before it worked a block of
+    histories at a time."""
+    surfaces = lm.vocab.surfaces
+    lines = [f"#ngram-counts v1 order={lm.order} discount={lm.discount!r} alpha={lm.alpha!r} "
+             f"events={lm.total_events} vocab={len(surfaces)}\n"]
+    lines += [f"{count}\t{surface}\n" for surface, count in zip(surfaces, lm.vocab.counts)]
+    top = lm.counts[lm.order - 1]
+    starts, ids, counts = top.starts.tolist(), top.ids.tolist(), top.counts.tolist()
+    for hist, a, b in zip(top.hists.tolist(), starts, starts[1:]):
+        prefix = "".join(surfaces[t] + " " for t in hist)
+        lines += [f"{c}\t{prefix}{surfaces[w]}\n" for w, c in zip(ids[a:b], counts[a:b])]
+    return "".join(lines) + "\\end\\\n"
+
+
 def top_k(dense: np.ndarray, k: int) -> Dist:
     """The k most probable entries of a dense vector (ties id-ascending),
     renormalized: the dense reference for top-k soft words."""

@@ -163,7 +163,11 @@ class TestRunSweep:
         monkeypatch.setattr(hn, "_run_job", lambda *args: jobs.append(args[-1]) or real(*args))
         serial = sa.run_sweep(spec, task, lm, threads=1)
         groups = [(g, r) for g in spec.gammas for r in range(spec.reps)]
-        assert len(jobs) > 1 and [group for job in jobs for group in job] == groups
+        # Ten groups, eight to a job: groups 0 and 1 are dealt forth, 2 and 3
+        # back (to jobs 1 and 0), and 4-9 to job 0, as job 1 is full at two.
+        assert len(groups) == 10 and len(jobs) == 2
+        assert jobs == [[groups[i] for i in (0, 3, 4, 5, 6, 7, 8, 9)], [groups[1], groups[2]]]
+        assert sorted(group for job in jobs for group in job) == groups
         assert max(map(len, jobs)) * len(spec.strategies) <= hn._JOB_MODELS
         assert serial.trainings == 3 * spec.reps
         for threads in (2, 3):
@@ -177,6 +181,20 @@ class TestRunSweep:
             alone = sa.run_cell(spec, task, lm, row.strategy, row.gamma, row.rep)
             assert (alone.strategy, alone.gamma, alone.rep, alone.accuracy) == (
                 row.strategy, row.gamma, row.rep, row.accuracy)
+
+    def test_deal_mixes_low_and_high_gammas(self):
+        groups = [(0.05, 0), (0.1, 0), (0.15, 0), (0.2, 0)]
+        assert hn._deal(groups, 2) == [[(0.05, 0), (0.2, 0)], [(0.1, 0), (0.15, 0)]]
+
+    @given(st.integers(1, 40), st.integers(1, 12))
+    def test_deal_keeps_job_sizes_and_order(self, n, size):
+        jobs = hn._deal(list(range(n)), size)
+        # The sizes of consecutive runs of *size*: only the last is short.
+        assert [len(job) for job in jobs] == [len(range(n)[i:i + size]) for i in range(0, n, size)]
+        assert sorted(g for job in jobs for g in job) == list(range(n))
+        assert all(job == sorted(job) for job in jobs)
+        # Back and forth: the first turn gives job j group j.
+        assert [job[0] for job in jobs] == list(range(len(jobs)))
 
     def test_empty_strategies_rejected(self):
         with pytest.raises(ValueError, match="empty strategy list"):

@@ -137,6 +137,32 @@ class TestTraining:
         with pytest.raises(ValueError, match=f"id out of range: {bad}"):
             sa.train_lm([[bad]], sa.build_vocab("a b c"), order=2)
 
+    @settings(max_examples=100, deadline=None)
+    @given(corpora(), st.sampled_from([1, 3, lmm._BLOCK_TOKENS]))
+    def test_generator_trains_the_list_model(self, corpus, block):
+        sents, vocab, order, alpha = corpus
+        want = sa.train_lm(sents, vocab, order=order, alpha=alpha)
+        read = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lmm, "_BLOCK_TOKENS", block)
+            got = sa.train_lm((read.append(i) or s for i, s in enumerate(sents)), vocab,
+                              order=order, alpha=alpha)
+        assert read == list(range(len(sents)))
+        assert_same_levels(got, want)
+
+    @pytest.mark.parametrize("bad", [-1, 7, 2**63, -2**70])
+    @pytest.mark.parametrize("block", [1, lmm._BLOCK_TOKENS])
+    def test_generator_names_the_id_out_of_range(self, bad, block, monkeypatch):
+        monkeypatch.setattr(lmm, "_BLOCK_TOKENS", block)
+        vocab = sa.build_vocab("a b c")
+        assert len(vocab) == 7
+        with pytest.raises(ValueError, match=f"id out of range: {bad}$"):
+            sa.train_lm((s for s in [[4, 5], [6, bad, 4], [2**70]]), vocab, order=2)
+
+    def test_empty_generator_is_refused(self):
+        with pytest.raises(ValueError, match="empty corpus"):
+            sa.train_lm(iter([]), toy_vocab(["a"]), order=2)
+
     @pytest.mark.parametrize("grams, counts", [
         ([4], [1]), ([[4, 5]], [1]), ([[4]], [1, 1]), ([[4]], [0]), ([[4]], [-1]),
     ], ids=["flat", "wrong-order", "count-per-gram", "zero-count", "negative-count"])
@@ -653,6 +679,22 @@ class TestModelFileProperties:
                     for prefix in prefixes:
                         assert again.next_dist(prefix).tobytes() == model.next_dist(prefix).tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(corpora())
+    def test_block_writer_equals_whole_level_writer(self, scratch_file, corpus):
+        sents, vocab, order, alpha = corpus
+        model = sa.train_lm(sents, vocab, order=order, alpha=alpha)
+        want = oracles.dump_whole_level(model).encode("utf-8")
+        for size in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lmm, "_BLOCK_LINES", size)
+                lmm.save_lm(model, scratch_file)
+            assert scratch_file.read_bytes() == want
+            again = lmm.load_lm(scratch_file)
+            assert_same_levels(again, model)
+            assert (again.vocab.surfaces, again.vocab.counts) == (model.vocab.surfaces,
+                                                                  model.vocab.counts)
+
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(CORRUPTIONS), st.data())
     def test_corruption_in_a_later_block_keeps_its_message(self, block_model, kind, data):
@@ -734,6 +776,20 @@ class TestImmutability:
         finally:
             tracemalloc.stop()
         assert retained < 1 << 20
+
+    def test_save_lm_peak_memory_is_bounded(self, tmp_path):
+        # The writer holds one block of histories as Python lists, not the
+        # whole top level (8 MB here).
+        sents, vocab = random_corpus(31, 6000, 3000)
+        model = sa.train_lm(sents, vocab, order=3)
+        assert model.total_events == 45_009
+        tracemalloc.start()
+        try:
+            lmm.save_lm(model, tmp_path / "model.arpa")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
 
 def assert_top_k_exact(model, prefix, k):
