@@ -40,7 +40,7 @@ from .corpus import Sentence, Vocabulary, split_lines
 from .lm import NGramLM, check_params, train_lm
 from .parallel import check_threads, fork_map
 from .rng import SplitMix64, check_seed, derive
-from .softmix import PackedCorpus, evaluate_packed, init_model, pack_corpus, train_packed
+from .softmix import PackedCorpus, _Lockstep, init_model, pack_corpus
 
 DEFAULT_GAMMAS = (0.0, 0.05, 0.1, 0.15, 0.2)
 MARKER_FRACTION = 0.12
@@ -302,10 +302,11 @@ def _run_job(
     order, and the trainings run.
 
     The cells of one group share their seed, so strategies whose augmented
-    training splits pack to the same bytes share one training.  Every
-    distinct training of every group runs in lockstep in one
-    ``train_packed`` call, the models of a group on their group's one SGD
-    stream, and all are scored in one ``evaluate_packed`` call.  A row's
+    training splits pack to the same bytes share one training.  The
+    models of every distinct training of every group are stacked once, in
+    one ``softmix._Lockstep``, which trains them in lockstep, the models
+    of a group on their group's one SGD stream, and then scores them on
+    the test split from that same stack.  A row's
     seconds are its own augment and pack time.  The job's training and
     evaluation time is split evenly over the rows that own a distinct
     training (the first row of its group, in strategy order, with each
@@ -332,8 +333,9 @@ def _run_job(
     # while a later group augments.
     models = [init_model(vocab_size, spec.dim, 2, derive(seed, 2)) for seed in seeds]
     streams = {seed: SplitMix64(derive(seed, 3)) for seed in seeds}
-    train_packed(models, splits, train_y, spec.lr, spec.steps, [streams[seed] for seed in seeds])
-    accuracies = evaluate_packed(models, test_split, test_y)
+    run = _Lockstep(models)
+    run.train(splits, train_y, spec.lr, spec.steps, [streams[seed] for seed in seeds])
+    accuracies = run.evaluate(test_split, test_y)
     shared_s = (time.perf_counter() - start) / len(splits)
     rows, owned = [], set()
     for strategy, gamma, rep, model, own_s in cells:

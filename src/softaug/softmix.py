@@ -19,16 +19,17 @@ A minimal linear classifier (softmax cross-entropy) sits on the pooled
 vector.  ``pack_corpus`` stores the corpus's bags flat, as one
 ``PackedCorpus``.
 
-``train_packed`` trains K models of one shape in lockstep, model k on
-packed corpus k and on its own stream of sample indexes (several models
-may share one stream), and ``evaluate_packed`` scores K models on one
-corpus the same way.  ``_Lockstep.schedule`` lays out a bounded chunk of
-steps at a time, step t running sentence ``index[t, k]`` of corpus k
-through model k (evaluation: ``index[t, k] = t``), and a step runs each
-operation once over all K models stacked, except the pooling product,
-which runs once per model.  Each model ends bit for bit as it would
-alone, since every model's share of an operation computes what that
-model's own call computes, NaN bits included (``_RowSoftmax``).
+``_Lockstep`` stacks K models of one shape once, then trains them, model
+k on packed corpus k and on its own stream of sample indexes (several
+models may share one stream), and scores them on one corpus, on that one
+stack.  ``_Lockstep.schedule`` lays out a bounded chunk of steps at a
+time, step t running sentence ``index[t, k]`` of corpus k through model
+k (scoring: ``index[t, k] = t``), and a step runs each operation once
+over all K models stacked, except the pooling product, which runs once
+per model.  Every model's share of an operation computes what that
+model's own call computes, so each model equals its run alone bit for
+bit wherever that run's value is finite, and is NaN in exactly the same
+places; which NaN bits a diverged value carries is not kept.
 ``_Lockstep.forward`` and ``_Lockstep.gradients`` are the one
 forward-backward: a training step is ``gradients`` scaled by the
 learning rate, and ``forward``, ``loss``, ``backward``, ``grad_check``,
@@ -43,7 +44,7 @@ agree bitwise.
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,18 +113,16 @@ def mix_embedding(word: int | SoftWord, emb: np.ndarray) -> np.ndarray:
 
 
 class _RowSoftmax:
-    """``softmax(raw + bias)`` of every row of (K, c) arrays, each row with
-    the bits numpy gives on that row's own arrays.
+    """``softmax(raw + bias)`` of every row of (K, c) arrays, each row's
+    finite values with the bits numpy gives on that row's own arrays, and
+    NaN where those are NaN.
 
     Row r of ``probs`` becomes ``z / z.sum()`` with
     ``z = np.exp(l - l.max())`` and ``l = raw[r] + bias[r]``.  From 2 to
     7 classes numpy takes a row's max and sum in sequence, so they run
     here as operations on whole columns, one per class, over all K rows
-    at once; from 8 classes on numpy's own, pairwise, reductions run.
-    With a NaN about, bits depend on which NaN operand numpy returns.  A
-    reduction by rows returns the one it returns on the row alone, but an
-    add's choice depends on the element's place in the array, so the
-    logits are then added again one row at a time.
+    at once, which is faster than numpy's reductions by rows and gives
+    equal bits; from 8 classes on numpy's own, pairwise, reductions run.
     """
 
     def __init__(self, rows: int, classes: int):
@@ -136,19 +135,16 @@ class _RowSoftmax:
         self._total_col = self._total[:, None]
         self._columns = (list(self.logits.T), list(self.probs.T)) if 2 <= classes < 8 else None
 
-    def __call__(self, bias: np.ndarray) -> bool:
-        """Fill ``probs`` from ``raw`` and *bias*; True when no row holds a NaN."""
+    def __call__(self, bias: np.ndarray) -> None:
+        """Fill ``probs`` from ``raw`` and *bias*."""
         np.add(self.raw, bias, out=self.logits)
-        if self._columns is not None and self._by_columns():
-            return True
-        if self._by_numpy():
-            return True
-        for raw, row_bias, logits in zip(self.raw, bias, self.logits):
-            np.add(raw, row_bias, out=logits)
-        self._by_numpy()
-        return False
+        if self._columns is None:
+            self._by_numpy()
+        else:
+            self._by_columns()
+        self.probs /= self._total_col
 
-    def _by_columns(self) -> bool:
+    def _by_columns(self) -> None:
         (logit_columns, prob_columns), top, total = self._columns, self._top, self._total
         np.maximum(logit_columns[0], logit_columns[1], out=top)
         for column in logit_columns[2:]:
@@ -158,23 +154,18 @@ class _RowSoftmax:
         np.add(prob_columns[0], prob_columns[1], out=total)
         for column in prob_columns[2:]:
             total += column
-        if math.isnan(sum(total.tolist())):
-            return False
-        self.probs /= self._total_col
-        return True
 
-    def _by_numpy(self) -> bool:
+    def _by_numpy(self) -> None:
         np.max(self.logits, axis=1, out=self._top)
         np.subtract(self.logits, self._top_col, out=self.probs)
         np.exp(self.probs, out=self.probs)
         np.sum(self.probs, axis=1, out=self._total)
-        self.probs /= self._total_col
-        return not math.isnan(sum(self._total.tolist()))
 
 
 def _alone(model: ToyModel, sentences: list[SoftSentence], labels: list[int]) -> _Lockstep:
     """The K = 1 lockstep of *model*, step i scheduled on sentence i."""
-    run = _Lockstep([model], [pack_corpus(sentences, len(model.emb))], labels)
+    run = _Lockstep([model])
+    run.load([pack_corpus(sentences, len(model.emb))], labels)
     run.schedule(_in_order(0, len(sentences), 1))
     return run
 
@@ -374,49 +365,37 @@ def _distinct(items: list) -> tuple[list, np.ndarray]:
 
 
 class _Lockstep:
-    """K models of one shape, stacked, stepping through a schedule of
-    sentences of their K corpora.
+    """K models of one shape, stacked once, that train and then score on
+    that one stack.
 
     The embeddings stack to one (K * |V|, d) array and the classifiers to
-    (K, c, d) and (K, c).  ``schedule(index)`` lays out a chunk of steps:
-    step t runs sentence ``index[t, k]`` of corpus k through model k.
-    ``forward(t)`` then takes all K bags' rows at once, runs one
-    matrix-vector product per model (``np.dot``, the product that
+    (K, c, d) and (K, c).  ``train`` and ``evaluate`` each ``load`` their
+    corpora and labels, then run chunks of steps that ``schedule(index)``
+    lays out: step t runs sentence ``index[t, k]`` of corpus k through
+    model k.  ``forward(t)`` then takes all K bags' rows at once, runs
+    one matrix-vector product per model (``np.dot``, the product that
     ``weights @ rows`` makes) and every other operation once over all K,
     the classifier as a stacked product that computes each model's
     product as its own call would.  ``gradients(t)`` runs the backward
-    pass once over all K.  Each model's numbers are therefore bit for bit
-    those of running it alone.
+    pass once over all K.  Each model's numbers are therefore those of
+    running it alone wherever those are finite, bit for bit, and NaN
+    where those are NaN; which NaN an add or a product returns depends
+    on the element's place in the array, and no output reads it.
     """
 
-    def __init__(self, models: list[ToyModel], corpora: list[PackedCorpus], labels: list[int]):
-        if len(models) != len(corpora) or not models:
-            raise ValueError("need one packed corpus per model, and at least one model")
+    def __init__(self, models: list[ToyModel]):
+        if not models:
+            raise ValueError("need at least one model")
         shapes = {(m.emb.shape, m.w.shape, m.b.shape) for m in models}
         if len(shapes) != 1:
             raise ValueError(f"models differ in shape: {sorted(shapes)}")
-        if any(len(corpus) != len(labels) for corpus in corpora):
-            raise ValueError("corpus and labels length mismatch")
-        classes = models[0].num_classes
-        for label in labels:
-            if not 0 <= label < classes:
-                raise ValueError(f"label out of range: {label}")
         vocab_size, dim = models[0].emb.shape
+        classes = models[0].num_classes
+        self.models = models
         self.k = len(models)
-        self.labels = labels
-        self.corpora = corpora
-        # Each distinct corpus's starts and lengths, as one row of a flat
-        # table; model k reads the row of its own corpus.
-        distinct, row_of = _distinct(corpora)
-        self._starts = np.concatenate([c.starts for c in distinct])
-        self._lengths = np.concatenate([c.lengths for c in distinct]).astype(np.float64)
-        self._start_row = row_of * (len(labels) + 1)
-        self._length_row = row_of * len(labels)
-        self._label_array = np.asarray(labels, dtype=np.int64)
         self._shift = np.arange(self.k) * vocab_size
         self._eye = np.eye(classes)
         self._class_row = np.arange(self.k) * classes
-        self._entries = sum(len(c.ids) for c in corpora)
         self.emb = np.concatenate([m.emb for m in models])
         self.w = np.stack([m.w for m in models])
         self.b = np.stack([m.b for m in models])
@@ -432,17 +411,44 @@ class _Lockstep:
         self._dpos_col = self._dpos[:, :, None]
         self._dw = np.empty_like(self.w)
         self._pooled_row = self.pooled[:, None, :]
-        self._dw_by_model = list(zip(self._dw, self._probs_col, self._pooled_row))
+
+    def load(self, corpora: list[PackedCorpus], labels: list[int]) -> None:
+        """Check *corpora*, one per model, and their *labels*, each an
+        integer in [0, c), and lay out the table ``schedule`` reads: each
+        distinct corpus's starts and lengths as one row of a flat table,
+        model k reading the row of its own corpus."""
+        if len(corpora) != self.k:
+            raise ValueError("need one packed corpus per model")
+        if any(len(corpus) != len(labels) for corpus in corpora):
+            raise ValueError("corpus and labels length mismatch")
+        for label in labels:
+            try:
+                in_range = 0 <= operator.index(label) < len(self._eye)
+            except TypeError:
+                raise ValueError(f"label {label!r} is not an integer") from None
+            if not in_range:
+                raise ValueError(f"label out of range: {label}")
+        if not len(labels):
+            raise ValueError("empty corpus")
+        self.labels = labels
+        self.corpora = corpora
+        distinct, row_of = _distinct(corpora)
+        self._starts = np.concatenate([c.starts for c in distinct])
+        self._lengths = np.concatenate([c.lengths for c in distinct]).astype(np.float64)
+        self._start_row = row_of * (len(labels) + 1)
+        self._length_row = row_of * len(labels)
+        self._label_array = np.asarray(labels, dtype=np.int64)
+        self._entries = sum(len(c.ids) for c in corpora)
 
     @property
     def chunk(self) -> int:
         """Steps per schedule chunk: those whose mean entry count over the
-        K corpora fills ``_SCHEDULE_ENTRIES``."""
+        K loaded corpora fills ``_SCHEDULE_ENTRIES``."""
         return max(1, _SCHEDULE_ENTRIES * len(self.labels) // max(self._entries, 1))
 
     def schedule(self, index: np.ndarray) -> None:
         """Lay out the steps of *index*, a (T, K) array: step t runs
-        sentence ``index[t, k]`` of corpus k through model k.
+        sentence ``index[t, k]`` of loaded corpus k through model k.
 
         Block t * K + k holds that bag, its ids offset by k * |V|, so the
         K bags of step t are one contiguous run.  Also lays out each
@@ -500,7 +506,7 @@ class _Lockstep:
         self._divisors = self.divisors[t]
         self.pooled /= self._divisors
         np.matmul(self.w, self._pooled_col, out=self._raw_col)
-        self._finite = self.softmax(self.b)
+        self.softmax(self.b)
 
     def gradients(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """After ``forward(t)``: the loss gradients of step t, not scaled
@@ -517,72 +523,75 @@ class _Lockstep:
         dpos /= self._divisors
         counts = self._counts
         model_grads = dpos if counts is None else dpos.repeat(counts[t], axis=0)
-        if self._finite:
-            np.multiply(self._probs_col, self._pooled_row, out=self._dw)
-        else:
-            # A product of two NaNs: each model's own arrays (see _RowSoftmax).
-            for out, dlogits, pooled_k in self._dw_by_model:
-                np.multiply(dlogits, pooled_k, out=out)
+        np.multiply(self._probs_col, self._pooled_row, out=self._dw)
         return self._row_weights * model_grads, self._dw, probs
+
+    def train(self, corpora: list[PackedCorpus], labels: list[int], lr: float, steps: int,
+              rngs: list[SplitMix64]) -> np.ndarray:
+        """Train model k on packed corpus k with sample stream ``rngs[k]``
+        for *steps* steps.
+
+        Step t visits, for each model, the t-th index its own stream
+        draws; a stream object that several models share is drawn once,
+        so they visit the same sentences, and each stream ends where a
+        solo run of one of its models leaves it.  Chunks of steps are
+        drawn and laid out by ``schedule``.  A step is ``gradients`` times
+        *lr*, subtracted once over all K: the row update is scattered back
+        into the stacked embedding.  Each model's parameters become its
+        slice of the stacked arrays, so the K models are held once while
+        they train and ``evaluate`` scores them as trained.  Returns the
+        (steps, K) pre-update losses.  Every corpus, label, the stream
+        count and *steps* are checked before the first draw.
+        """
+        self.load(corpora, labels)
+        if len(rngs) != self.k:
+            raise ValueError("need one sample stream per model")
+        if steps < 0:
+            raise ValueError("steps must be >= 0")
+        streams, stream_of = _distinct(rngs)
+        emb, w, b = self.emb, self.w, self.b
+        vocab_size = len(emb) // self.k
+        for k, model in enumerate(self.models):
+            model.emb, model.w, model.b = emb[k * vocab_size:(k + 1) * vocab_size], w[k], b[k]
+        losses = np.empty((steps, self.k))
+        chunk = self.chunk
+        for first in range(0, steps, chunk):
+            count = min(chunk, steps - first)
+            draws = np.stack([rng.randint_block(len(labels), count) for rng in streams], axis=1)
+            self.schedule(draws[:, stream_of])
+            for t, loss_row in enumerate(losses[first:first + count]):
+                self.forward(t)
+                self.flat_probs.take(self.loss_index[t], out=loss_row)
+                grows, dw, db = self.gradients(t)
+                grows *= lr
+                rows = self.rows
+                rows -= grows
+                emb[self.row_ids] = rows
+                dw *= lr
+                w -= dw
+                db *= lr
+                b -= db
+        np.log(losses, out=losses)
+        np.negative(losses, out=losses)
+        return losses
+
+    def evaluate(self, corpus: PackedCorpus, labels: list[int]) -> list[float]:
+        """Each model's ``evaluate`` on one packed corpus."""
+        self.load([corpus] * self.k, labels)
+        hits = np.zeros(self.k, dtype=np.int64)
+        chunk = self.chunk
+        for first in range(0, len(corpus), chunk):
+            count = min(chunk, len(corpus) - first)
+            self.schedule(_in_order(first, count, self.k))
+            for t, label in enumerate(labels[first:first + count]):
+                self.forward(t)
+                hits += self.softmax.probs.argmax(axis=1) == label
+        return (hits / len(corpus)).tolist()
 
 
 def _in_order(first: int, count: int, k: int) -> np.ndarray:
     """The schedule index of sentences first .. first + count - 1 for all K."""
     return np.repeat(np.arange(first, first + count)[:, None], k, axis=1)
-
-
-def train_packed(
-    models: list[ToyModel],
-    corpora: list[PackedCorpus],
-    labels: list[int],
-    lr: float,
-    steps: int,
-    rngs: list[SplitMix64],
-) -> np.ndarray:
-    """Train K models of one shape, model k on packed corpus k with
-    sample stream ``rngs[k]``, in lockstep.
-
-    Step t visits, for each model, the t-th index its own stream draws;
-    a stream object that several models share is drawn once, so they
-    visit the same sentences, and each stream ends where a solo run of
-    one of its models leaves it.  Chunks of steps are drawn and laid out
-    by ``_Lockstep.schedule``.  A step is ``_Lockstep.gradients`` times
-    *lr*, subtracted once over all K: the row update is scattered back
-    into the stacked embedding.  Model k ends bit for bit as training it
-    alone would leave it.  Each model's parameters become its slice of
-    the stacked arrays, so the K models are held once while they train.
-    Returns the (steps, K) pre-update losses.  Every corpus, label and
-    stream count is checked before the first draw.
-    """
-    run = _Lockstep(models, corpora, labels)
-    if len(rngs) != run.k:
-        raise ValueError("need one sample stream per model")
-    streams, stream_of = _distinct(rngs)
-    emb, w, b = run.emb, run.w, run.b
-    vocab_size = len(emb) // run.k
-    for k, model in enumerate(models):
-        model.emb, model.w, model.b = emb[k * vocab_size:(k + 1) * vocab_size], w[k], b[k]
-    losses = np.empty((steps, run.k))
-    chunk = run.chunk
-    for first in range(0, steps, chunk):
-        count = min(chunk, steps - first)
-        draws = np.stack([rng.randint_block(len(labels), count) for rng in streams], axis=1)
-        run.schedule(draws[:, stream_of])
-        for t, loss_row in enumerate(losses[first:first + count]):
-            run.forward(t)
-            run.flat_probs.take(run.loss_index[t], out=loss_row)
-            grows, dw, db = run.gradients(t)
-            grows *= lr
-            rows = run.rows
-            rows -= grows
-            emb[run.row_ids] = rows
-            dw *= lr
-            w -= dw
-            db *= lr
-            b -= db
-    np.log(losses, out=losses)
-    np.negative(losses, out=losses)
-    return losses
 
 
 def train_toy(
@@ -596,33 +605,16 @@ def train_toy(
     """Plain SGD, one uniformly drawn sample per step.
 
     Trains *model*, whose parameters end as new arrays, and records the
-    pre-update loss of each visited sample.  Every sentence and label is
-    checked before the first step.
+    pre-update loss of each visited sample.  The corpus, which may not be
+    empty, every label and *steps* are checked before the first draw.
     """
-    losses = train_packed([model], [pack_corpus(corpus, len(model.emb))], labels, lr, steps, [rng])
+    losses = _Lockstep([model]).train([pack_corpus(corpus, len(model.emb))], labels, lr, steps, [rng])
     return model, losses[:, 0].tolist()
-
-
-def evaluate_packed(models: list[ToyModel], corpus: PackedCorpus, labels: list[int]) -> list[float]:
-    """``evaluate`` of each of K models of one shape on one packed corpus,
-    the K in lockstep."""
-    run = _Lockstep(models, [corpus] * len(models), labels)
-    if not len(corpus):
-        raise ValueError("empty corpus")
-    hits = np.zeros(run.k, dtype=np.int64)
-    chunk = run.chunk
-    for first in range(0, len(corpus), chunk):
-        count = min(chunk, len(corpus) - first)
-        run.schedule(_in_order(first, count, run.k))
-        for t, label in enumerate(labels[first:first + count]):
-            run.forward(t)
-            hits += run.softmax.probs.argmax(axis=1) == label
-    return (hits / len(corpus)).tolist()
 
 
 def evaluate(model: ToyModel, corpus: SoftCorpus | list[SoftSentence], labels: list[int]) -> float:
     """Fraction of sentences whose argmax class matches the label."""
-    return evaluate_packed([model], pack_corpus(corpus, len(model.emb)), labels)[0]
+    return _Lockstep([model]).evaluate(pack_corpus(corpus, len(model.emb)), labels)[0]
 
 
 def save_loss_trace(path: str, trace: list[float]) -> None:

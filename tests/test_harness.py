@@ -123,18 +123,24 @@ class TestRunSweep:
     def test_each_distinct_packed_split_is_trained_once(self, small_task, monkeypatch):
         task, lm = small_task
         spec = sa.SweepSpec(**self.SHARED)
-        trainings, calls = [], []
-        real = hn.train_packed
+        trainings, scorings = [], []
+        real_train, real_evaluate = sm._Lockstep.train, sm._Lockstep.evaluate
 
-        def counted(models, *args):
-            calls.append(len(models))
-            trainings.extend(models)
-            return real(models, *args)
+        def train(run, *args):
+            trainings.append(run)
+            return real_train(run, *args)
 
-        monkeypatch.setattr(hn, "train_packed", counted)
+        def evaluate(run, *args):
+            scorings.append(run)
+            return real_evaluate(run, *args)
+
+        monkeypatch.setattr(sm._Lockstep, "train", train)
+        monkeypatch.setattr(sm._Lockstep, "evaluate", evaluate)
         result = sa.run_sweep(spec, task, lm)
-        # One serial job holds all four (gamma, rep) groups: one lockstep call.
-        assert calls == [6]
+        # One serial job holds all four (gamma, rep) groups: one lockstep
+        # trains their 6 models and then scores them, on one stack.
+        assert [run.k for run in trainings] == [6]
+        assert scorings == trainings
 
         train_x = sa.split_task(task, spec.test_fraction)[0]
         distinct = set()
@@ -147,7 +153,7 @@ class TestRunSweep:
                     content = tuple((b.ids.tobytes(), b.weights.tobytes(), b.length) for b in bags)
                     distinct.add((gamma, rep, content))
         # Per rep: one training at gamma 0, base/swap and soft at gamma 0.15.
-        assert len(trainings) == len(distinct) == result.trainings == 6
+        assert sum(run.k for run in trainings) == len(distinct) == result.trainings == 6
         assert sa.run_sweep(spec, task, lm, threads=2).trainings == 6
 
     # Three strategies and more groups than one job holds; the gamma-0

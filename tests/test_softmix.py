@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,7 +52,8 @@ def random_sentence(rng, vocab_size, length, soft_prob=0.5, k=4):
 @st.composite
 def training_runs(draw):
     """(model, corpus, labels, lr, steps, rng seed): hard, soft or mixed
-    sentences, 1, 2, 3 or 9 classes (9 reaches numpy's pairwise sum)."""
+    sentences, 1, 2, 3 or 9 classes (9 reaches numpy's pairwise sum); lr
+    1e200 makes most runs diverge."""
     seed = draw(st.integers(0, 2**64 - 1))
     classes = draw(st.sampled_from([1, 2, 3, 9]))
     soft_prob = draw(st.sampled_from([0.0, 0.5, 1.0]))
@@ -64,7 +66,7 @@ def training_runs(draw):
     labels = [rng.randint(classes) for _ in corpus]
     model = random_model(seed, vocab_size, draw(st.integers(1, 6)), classes)
     steps = draw(st.one_of(st.just(0), st.integers(1, 150)))
-    return model, corpus, labels, draw(st.sampled_from([0.05, 0.5, 3.0])), steps, seed
+    return model, corpus, labels, draw(st.sampled_from([0.05, 0.5, 3.0, 1e200])), steps, seed
 
 
 class TestMixEmbedding:
@@ -373,14 +375,26 @@ class TestTraining:
 
     def test_empty_corpus_cannot_draw_a_sample(self):
         model = random_model(50)
-        assert sa.train_toy(model, [], [], 0.5, 0, SplitMix64(51))[1] == []
-        with pytest.raises(ValueError):
-            sa.train_toy(model, [], [], 0.5, 3, SplitMix64(51))
+        for steps in (0, 3):
+            with pytest.raises(ValueError, match="empty corpus"):
+                sa.train_toy(model, [], [], 0.5, steps, SplitMix64(51))
 
     def test_evaluate_label_out_of_range(self):
         model = random_model(36, classes=2)
         with pytest.raises(ValueError, match="label out of range"):
             sa.evaluate(model, [[1]], [5])
+        with pytest.raises(ValueError, match="label 0.5 is not an integer"):
+            sa.evaluate(model, [[1]], [0.5])
+
+    def test_numpy_integer_labels_pass(self):
+        corpus, labels = self.marker_dataset(37, n=30)
+        as_numpy = list(np.array(labels, dtype=np.int64))
+        m1 = sa.init_model(20, 8, 2, seed=38)
+        m2 = sa.init_model(20, 8, 2, seed=38)
+        _, t1 = sa.train_toy(m1, corpus, labels, 0.5, 50, SplitMix64(39))
+        _, t2 = sa.train_toy(m2, corpus, as_numpy, 0.5, 50, SplitMix64(39))
+        assert t1 == t2
+        assert sa.evaluate(m1, corpus, labels) == sa.evaluate(m2, corpus, as_numpy)
 
 
 class TestPackedCorpus:
@@ -412,7 +426,7 @@ class TestPackedCorpus:
             sum(int(np.argmax(sa.forward(m, s))) == y for s, y in zip(corpus, labels)) / len(corpus)
             for m in models
         ]
-        assert sm.evaluate_packed(models, sm.pack_corpus(corpus, 20), labels) == want
+        assert sm._Lockstep(models).evaluate(sm.pack_corpus(corpus, 20), labels) == want
         assert [sa.evaluate(m, corpus, labels) for m in models] == want
 
 
@@ -588,7 +602,7 @@ def lockstep_runs(draw):
     started from one model: sentence i of each corpus is drawn on its own,
     so its bag and length differ across models, and model k draws its
     samples from seed k, which 1-3 distinct seeds share out; 1, 2 or 9
-    classes and d = 1 to 5."""
+    classes, d = 1 to 5, and lr up to 1e200, where most runs diverge."""
     seed = draw(st.integers(0, 2**64 - 1))
     classes = draw(st.sampled_from([1, 2, 9]))
     vocab_size = draw(st.integers(1, 12))
@@ -607,11 +621,20 @@ def lockstep_runs(draw):
     steps = draw(st.one_of(st.just(0), st.integers(1, 120)))
     streams = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3, unique=True))
     seeds = draw(st.lists(st.sampled_from(streams), min_size=k_models, max_size=k_models))
-    return model, corpora, labels, draw(st.sampled_from([0.05, 0.5, 3.0])), steps, seeds
+    return model, corpora, labels, draw(st.sampled_from([0.05, 0.5, 3.0, 1e200])), steps, seeds
 
 
 def assert_same_bits(a, b):
     assert np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+def assert_same_finite_bits(a, b):
+    """NaN in the same places, and every other value with the same bits:
+    which NaN an operation returns is not part of the result."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    assert a.shape == b.shape
+    assert np.array_equal(np.isnan(a), np.isnan(b))
+    assert_same_bits(a[~np.isnan(a)], b[~np.isnan(b)])
 
 
 class TestLeanTrainingLoop:
@@ -626,9 +649,9 @@ class TestLeanTrainingLoop:
             bags = sm.pack_corpus(corpus, len(ref.emb))
             want = train_per_step(ref, bags, labels, lr, steps, ref_rng)
         assert len(trace) == steps
-        assert_same_bits(trace, want)
+        assert_same_finite_bits(trace, want)
         for got, ref_param in ((model.emb, ref.emb), (model.w, ref.w), (model.b, ref.b)):
-            assert_same_bits(got, ref_param)
+            assert_same_finite_bits(got, ref_param)
         assert rng.next_u64() == ref_rng.next_u64()
 
     @settings(max_examples=150, deadline=None)
@@ -638,8 +661,8 @@ class TestLeanTrainingLoop:
 
     @pytest.mark.parametrize("classes", [2, 9])
     def test_diverging_run_matches_per_step_loop_bitwise(self, classes):
-        """Overflowing logits give inf and NaN probabilities; the NaN bits
-        must still be numpy's."""
+        """Overflowing logits give inf and NaN probabilities, in the same
+        places as the per-step loop's."""
         rng = SplitMix64(52)
         corpus = [random_sentence(rng, 10, 5) for _ in range(6)]
         labels = [rng.randint(classes) for _ in corpus]
@@ -657,15 +680,15 @@ class TestLeanTrainingLoop:
         streams = {seed: SplitMix64(seed) for seed in seeds}
         with np.errstate(all="ignore"):
             packed = [sm.pack_corpus(corpus, vocab_size) for corpus in corpora]
-            losses = sm.train_packed(models, packed, labels, lr, steps, [streams[s] for s in seeds])
+            losses = sm._Lockstep(models).train(packed, labels, lr, steps, [streams[s] for s in seeds])
             assert losses.shape == (steps, len(corpora))
             for k, (trained, corpus, seed) in enumerate(zip(models, corpora, seeds)):
                 ref, ref_rng = model.copy(), SplitMix64(seed)
                 want = train_per_step(ref, [sm.pack_corpus([s], vocab_size)[0] for s in corpus], labels, lr,
                                       steps, ref_rng)
-                assert_same_bits(losses[:, k], want)
+                assert_same_finite_bits(losses[:, k], want)
                 for got, ref_param in ((trained.emb, ref.emb), (trained.w, ref.w), (trained.b, ref.b)):
-                    assert_same_bits(got, ref_param)
+                    assert_same_finite_bits(got, ref_param)
                 assert streams[seed].peek(1).tobytes() == ref_rng.peek(1).tobytes()
 
     @settings(max_examples=150, deadline=None)
@@ -699,8 +722,9 @@ class TestLeanTrainingLoop:
             models = [model.copy() for _ in corpora]
             shared = SplitMix64(68)
             streams = [shared, SplitMix64(69), shared]
-            losses = sm.train_packed(models, packed, labels, 0.5, steps, streams)
-            scores = sm.evaluate_packed(models, packed[0], labels)
+            run = sm._Lockstep(models)
+            losses = run.train(packed, labels, 0.5, steps, streams)
+            scores = run.evaluate(packed[0], labels)
             return losses, models, scores, [s.peek(1).tobytes() for s in streams]
 
         whole = run()
@@ -712,12 +736,32 @@ class TestLeanTrainingLoop:
                 assert_same_bits(a, b)
         assert cut[2:] == whole[2:]
 
+    def test_scoring_after_training_allocates_no_second_stack(self):
+        """12 models of the default task's shape (|V| 504, d 32) trained on
+        one lockstep are scored from the stack they trained on: scoring
+        the test split allocates less than one stack of embeddings."""
+        task = sa.make_synthetic_task(500, 50, 2000, 12, SplitMix64(derive(1, 0xDA7A)))
+        train_x, train_y, test_x, test_y = sa.split_task(task, 0.5)
+        vocab_size = len(task.vocab)
+        models = [sa.init_model(vocab_size, 32, 2, derive(80, k)) for k in range(12)]
+        run = sm._Lockstep(models)
+        run.train([sm.pack_corpus(train_x, vocab_size)] * 12, train_y, 0.5, 50, [SplitMix64(81)] * 12)
+        test_split = sm.pack_corpus(test_x, vocab_size)
+        tracemalloc.start()
+        try:
+            run.evaluate(test_split, test_y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.emb.nbytes == 504 * 32 * 8 * 12
+        assert peak < run.emb.nbytes
+
     def test_lockstep_needs_one_stream_per_model(self):
         models = [sa.init_model(10, 4, 2, seed=70) for _ in range(2)]
         packed = [sm.pack_corpus([[1, 2], [3]], 10)] * 2
         rng = SplitMix64(71)
         with pytest.raises(ValueError, match="one sample stream per model"):
-            sm.train_packed(models, packed, [0, 1], 0.5, 5, [rng])
+            sm._Lockstep(models).train(packed, [0, 1], 0.5, 5, [rng])
         assert rng.peek(1).tobytes() == SplitMix64(71).peek(1).tobytes()
 
     @pytest.mark.parametrize(
@@ -728,39 +772,42 @@ class TestLeanTrainingLoop:
     def test_lockstep_refuses_models_of_unequal_shape(self, shape, match):
         models = [sa.init_model(10, 4, 2, seed=58), sa.init_model(*shape, seed=58)]
         snapshot = [m.copy() for m in models]
-        packed = [sm.pack_corpus([[1, 2], [3]], 10)] * 2
         with pytest.raises(ValueError, match=match):
-            sm.train_packed(models, packed, [0, 1], 0.5, 5, [SplitMix64(59)] * 2)
+            sm._Lockstep(models)
         for model, before in zip(models, snapshot):
             assert np.array_equal(model.emb, before.emb) and np.array_equal(model.w, before.w)
 
     @pytest.mark.parametrize(
-        "corpora, labels, match",
+        "corpora, labels, steps, match",
         [
-            ([[[1, 2], [3]], [[1, 2]]], [0, 1], "corpus and labels length mismatch"),
-            ([[[1, 2], [3]], [[1, 2], [3]]], [0], "corpus and labels length mismatch"),
-            ([[[1, 2], [3]], [[1, 2], [3]]], [0, 2], "label out of range"),
-            ([[[1, 2], [3]]], [0, 1], "one packed corpus per model"),
+            ([[[1, 2], [3]], [[1, 2]]], [0, 1], 5, "corpus and labels length mismatch"),
+            ([[[1, 2], [3]], [[1, 2], [3]]], [0], 5, "corpus and labels length mismatch"),
+            ([[[1, 2], [3]], [[1, 2], [3]]], [0, 2], 5, "label out of range"),
+            ([[[1, 2], [3]], [[1, 2], [3]]], [0, 0.5], 5, "label 0.5 is not an integer"),
+            ([[[1, 2], [3]]], [0, 1], 5, "one packed corpus per model"),
+            ([[], []], [], 5, "empty corpus"),
+            ([[], []], [], 0, "empty corpus"),
+            ([[[1, 2], [3]], [[1, 2], [3]]], [0, 1], -1, "steps must be >= 0"),
         ],
     )
-    def test_lockstep_refuses_bad_corpora_before_the_first_step(self, corpora, labels, match):
+    def test_lockstep_refuses_bad_corpora_before_the_first_step(self, corpora, labels, steps, match):
         models = [sa.init_model(10, 4, 2, seed=60) for _ in range(2)]
         snapshot = [m.copy() for m in models]
         packed = [sm.pack_corpus(corpus, 10) for corpus in corpora]
+        rng = SplitMix64(61)
         with pytest.raises(ValueError, match=match):
-            sm.train_packed(models, packed, labels, 0.5, 5, [SplitMix64(61)] * len(packed))
+            sm._Lockstep(models).train(packed, labels, 0.5, steps, [rng] * len(packed))
+        assert rng.peek(1).tobytes() == SplitMix64(61).peek(1).tobytes()
         for model, before in zip(models, snapshot):
             assert np.array_equal(model.emb, before.emb) and np.array_equal(model.w, before.w)
 
     def test_lockstep_needs_a_model(self):
         with pytest.raises(ValueError, match="at least one model"):
-            sm.train_packed([], [], [0], 0.5, 1, [])
+            sm._Lockstep([])
 
-    # inf - inf makes x86's default NaN, whose sign bit differs from a
-    # NaN that numpy's max propagates.  Below 8 classes the max and sum run
-    # on columns; a NaN anywhere sends every row through numpy's reductions
-    # and re-adds the logits one row at a time, which must leave the other
-    # rows as they were.
+    # Below 8 classes the max and sum run on columns.  inf - inf makes
+    # x86's default NaN, whose sign bit differs from a NaN that numpy's max
+    # propagates: only the NaN places must be numpy's.
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda k: st.integers(1, 10).flatmap(lambda c: st.tuples(
         *(hnp.arrays(np.float64, (k, c), elements=st.floats(allow_nan=True, allow_infinity=True))
@@ -775,9 +822,8 @@ class TestLeanTrainingLoop:
         softmax = sm._RowSoftmax(*raw.shape)
         softmax.raw[...] = raw
         with np.errstate(all="ignore"):
-            finite = softmax(bias)
+            softmax(bias)
             for got, raw_row, bias_row in zip(softmax.probs, raw, bias):
                 logits = raw_row + bias_row
                 z = np.exp(logits - logits.max())
-                assert_same_bits(got, z / z.sum())
-            assert finite == (not np.isnan(softmax.probs).any())
+                assert_same_finite_bits(got, z / z.sum())
