@@ -39,15 +39,14 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+from array import array
 from dataclasses import dataclass, fields
 from functools import cache
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .corpus import (
-    BLANK, BOS, EOS, NUM_SPECIALS, Sentence, read_text, sentence_blocks, split_lines,
-)
+from .corpus import BLANK, BOS, EOS, NUM_SPECIALS, Sentence, iter_lines, sentence_blocks
 from .lm import NGramLM
 from .parallel import check_threads, fork_map
 from .rng import check_seed, derive_block, stream_block
@@ -368,17 +367,21 @@ def augment_corpus(
     vocab_size: int | None = None,
     threads: int = 1,
     return_stats: bool = False,
+    start: int = 0,
 ):
     """Apply one strategy to every sentence, deterministically; returns a
     ``SoftCorpus`` (hard unless the strategy is ``soft``).
 
-    Output depends only on (sentences, config); the worker count changes
-    scheduling, never bytes.  ``smooth`` builds its unigram from
-    *sentences* over *vocab_size* ids unless one is given, and only once
-    a position is selected; ``lm_sample`` and ``soft`` refuse an id
-    outside *lm*'s vocabulary, as ``perplexity`` does.  With
-    ``return_stats=True`` also returns (replaced, eligible) position
-    totals.
+    Output depends only on (sentences, config, start); the worker count
+    changes scheduling, never bytes.  *start* is the corpus index of the
+    first of *sentences*: sentence i draws from ``derive(seed, start +
+    i)``, so a corpus augmented a window at a time, each window with its
+    start and the whole corpus' unigram, gives the one call's result.
+    ``smooth`` builds its unigram from *sentences* over *vocab_size* ids
+    unless one is given, and only once a position is selected;
+    ``lm_sample`` and ``soft`` refuse an id outside *lm*'s vocabulary, as
+    ``perplexity`` does.  With ``return_stats=True`` also returns
+    (replaced, eligible) position totals.
 
     Sentences go to ``_augment_block`` in bounded blocks of consecutive
     sentences, about four per worker when there are several; the blocks'
@@ -390,7 +393,7 @@ def augment_corpus(
     if config.strategy in LM_STRATEGIES and lm is None:
         raise ValueError(f"strategy {config.strategy!r} requires a language model")
     if config.strategy == "base" or config.gamma == 0.0:
-        parts = [_augment_block(sentences, 0, config, lm, None)]
+        parts = [_augment_block(sentences, start, config, lm, None)]
     else:
         @cache
         def cumulative() -> np.ndarray:
@@ -400,12 +403,12 @@ def augment_corpus(
         budget = _BLOCK_TOKENS if threads <= 1 else min(_BLOCK_TOKENS, -(-tokens // (4 * threads)))
         ranges = []
         for block in sentence_blocks(sentences, budget):
-            start = ranges[-1][1] if ranges else 0
-            ranges.append((start, start + len(block)))
+            first = ranges[-1][1] if ranges else 0
+            ranges.append((first, first + len(block)))
         parts = fork_map(
-            lambda r: _augment_block(sentences[r[0]:r[1]], r[0], config, lm, cumulative),
+            lambda r: _augment_block(sentences[r[0]:r[1]], start + r[0], config, lm, cumulative),
             ranges, threads,
-        ) or [_augment_block([], 0, config, lm, cumulative)]
+        ) or [_augment_block([], start, config, lm, cumulative)]
     out = SoftCorpus.concat([corpus for corpus, _, _ in parts])
     if not return_stats:
         return out
@@ -464,16 +467,22 @@ def _soft_line(sentence: SoftSentence) -> str:
     return _soft_lines(SoftCorpus.from_sentences([sentence]))[0]
 
 
+def soft_corpus_lines(corpus: SoftCorpus) -> Iterator[str]:
+    """The JSON Lines text of *corpus*, one line per sentence with its
+    line break, formatted from the columns a chunk of sentences at a time."""
+    for first in range(0, len(corpus), _CHUNK_SENTENCES):
+        part = corpus.part(first, min(len(corpus), first + _CHUNK_SENTENCES))
+        yield from (line + "\n" for line in _soft_lines(part))
+
+
 def write_soft_corpus(path: str, sentences: SoftCorpus | Iterable[SoftSentence]) -> None:
-    """One JSON object per line (see ``parse_soft_line``), formatted from
-    the corpus's columns a chunk of sentences at a time.  Probabilities
-    are written at 12 significant digits, as the shortest repr of that
-    rounding, so write -> read -> write gives the same bytes."""
+    """One JSON object per line (see ``parse_soft_line``), formatted by
+    ``soft_corpus_lines``.  Probabilities are written at 12 significant
+    digits, as the shortest repr of that rounding, so write -> read ->
+    write gives the same bytes."""
     corpus = sentences if isinstance(sentences, SoftCorpus) else SoftCorpus.from_sentences(sentences)
     with open(path, "w", encoding="utf-8") as fh:
-        for first in range(0, len(corpus), _CHUNK_SENTENCES):
-            part = corpus.part(first, min(len(corpus), first + _CHUNK_SENTENCES))
-            fh.writelines(line + "\n" for line in _soft_lines(part))
+        fh.writelines(soft_corpus_lines(corpus))
 
 
 def _integer(value) -> int:
@@ -580,7 +589,9 @@ def _soft_records(lines: list[str]) -> SoftCorpus | None:
     starts = [0]
     soft_at: list[int] = []
     sizes: list[int] = []
-    pairs: list = []
+    # Every entry has two items, so the flat list alternates id, p; each
+    # line's [id, p] lists are dropped with its record.
+    flat: list = []
     try:
         for line in lines:
             obj = json.loads(line, object_pairs_hook=_unique_keys)
@@ -596,16 +607,16 @@ def _soft_records(lines: list[str]) -> SoftCorpus | None:
                     return None
                 soft_at.append(base + pos)
                 sizes.append(len(entry_pairs))
-                pairs.extend(entry_pairs)
-        # Every entry has two items, so the flat list alternates id, p.
-        flat = list(itertools.chain.from_iterable(pairs))
-        ids_in, probs_in = flat[::2], flat[1::2]
-        if not (set(map(type, toks)) <= {int} and set(map(type, ids_in)) <= {int}
-                and set(map(type, probs_in)) <= {int, float}):
+                flat.extend(itertools.chain.from_iterable(entry_pairs))
+        if not (set(map(type, toks)) <= {int} and set(map(type, flat[::2])) <= {int}
+                and set(map(type, flat[1::2])) <= {int, float}):
             return None
         tokens = np.array(toks, dtype=np.int64)
-        ids = np.array(ids_in, dtype=np.int64)
-        probs = np.array(probs_in, dtype=np.float64)
+        ids = np.array(flat[::2], dtype=np.int64)
+        probs = np.array(flat[1::2], dtype=np.float64)
+        # The support checks need only the arrays.
+        toks.clear()
+        flat.clear()
     except Exception:
         # Whatever failed, the caller's parse_soft_line says what.
         return None
@@ -623,16 +634,22 @@ def _soft_records(lines: list[str]) -> SoftCorpus | None:
 
 
 def read_soft_corpus(path: str) -> SoftCorpus:
-    """One soft sentence per line, as a ``SoftCorpus``, parsed and checked
-    a chunk of lines at a time by ``_soft_records``.  A blank line is
-    refused: dropping it would shift every later sentence one place off
-    its label.  A chunk that it refuses is parsed again line by line by
-    ``parse_soft_line``, and the first line that fails is named with its
-    message."""
-    lines = split_lines(read_text(path))
-    parts = []
-    for first in range(0, len(lines), _CHUNK_SENTENCES):
-        chunk = lines[first:first + _CHUNK_SENTENCES]
+    """One soft sentence per line, as a ``SoftCorpus``, read from
+    ``iter_lines`` and parsed and checked a chunk of lines at a time by
+    ``_soft_records``.  A blank line is refused: dropping it would shift
+    every later sentence one place off its label.  A chunk that it
+    refuses is parsed again line by line by ``parse_soft_line``, and the
+    first line that fails is named with its message.
+
+    Beyond the corpus it returns, it holds one block of the file and one
+    chunk's lines and parse.  Each column grows as an ``array.array``,
+    whose appends reallocate it in place where they can, and the result's
+    arrays view those buffers: no column is ever copied whole."""
+    # Tokens, sentence lengths, soft positions, support sizes, ids, probabilities.
+    columns = [array("q") for _ in range(5)] + [array("d")]
+    lines = iter_lines(path)
+    first = 0
+    while chunk := list(itertools.islice(lines, _CHUNK_SENTENCES)):
         part = _soft_records(chunk)
         if part is None:
             sentences = []
@@ -642,5 +659,11 @@ def read_soft_corpus(path: str) -> SoftCorpus:
                 except ValueError as exc:
                     raise ValueError(f"line {lineno} of {path}: {exc}") from exc
             part = SoftCorpus.from_sentences(sentences)
-        parts.append(part)
-    return SoftCorpus.concat(parts) if parts else _soft_records([])
+        shift = len(columns[0])
+        for column, values in zip(columns, (part.tokens, np.diff(part.starts), part.soft_at + shift,
+                                            np.diff(part.support), part.ids, part.probs)):
+            column.frombytes(values.tobytes())
+        first += len(chunk)
+    tokens, lengths, soft_at, sizes, ids = (np.frombuffer(c, dtype=np.int64) for c in columns[:5])
+    probs = np.frombuffer(columns[5], dtype=np.float64)
+    return SoftCorpus(tokens, _offsets(lengths), soft_at, _offsets(sizes), ids, probs)

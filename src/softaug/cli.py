@@ -9,9 +9,12 @@ Exit codes: 0 success, 1 data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import stat
 import sys
+import tempfile
 
 import numpy as np
 
@@ -50,11 +53,58 @@ def _checked(check, *args):
         _usage_error(str(exc))
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A text file that takes *path*'s place by a rename once the block
+    completes, and is removed if the block raises: *path* never holds a
+    partial output, and it may also be an input that the block reads.  A
+    symbolic link's target is replaced, and a path that names no regular
+    file (a device, a pipe) is written directly."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", suffix=".tmp",
+                                   dir=os.path.dirname(target))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            yield fh
+        os.chmod(tmp, _file_mode(target))
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _file_mode(path: str) -> int:
+    """The permissions *path* has, or that ``open`` would give it."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
+def _reader(path: str):
+    """A function that gives the lines of the input at *path* each time it
+    is called: read again from a regular file, held from the one read that
+    a pipe or a device allows."""
+    if os.path.isfile(path):
+        return lambda: cp.iter_lines(path)
+    lines = list(cp.iter_lines(path))
+    return lambda: iter(lines)
+
+
 def cmd_vocab(args) -> int:
     _echo_config("vocab", args)
     _checked(cp.check_max_size, args.max_size)
     # Several inputs build one joint vocabulary; run per file for separate ones.
-    lines = [line for path in args.input for line in cp.split_lines(cp.read_text(path))]
+    lines = (line for path in args.input for line in cp.iter_lines(path))
     vocab = cp.build_vocab(lines, max_size=args.max_size)
     vocab.save(args.output)
     print(f"wrote {len(vocab)} entries to {args.output}", file=sys.stderr)
@@ -64,7 +114,7 @@ def cmd_vocab(args) -> int:
 def cmd_train_bpe(args) -> int:
     _echo_config("train-bpe", args)
     _checked(cp.check_merges, args.merges)
-    table = cp.learn_bpe(cp.count_words(cp.read_text(args.input)), args.merges)
+    table = cp.learn_bpe(cp.count_words(cp.iter_lines(args.input)), args.merges)
     table.save(args.output)
     print(f"learned {len(table)} merges", file=sys.stderr)
     return 0
@@ -74,8 +124,8 @@ def cmd_apply_bpe(args) -> int:
     _echo_config("apply-bpe", args)
     table = cp.MergeTable.load(args.codes)
     cache: dict = {}
-    with open(args.output, "w", encoding="utf-8") as fh:
-        for line in cp.split_lines(cp.read_text(args.input)):
+    with _replacing(args.output) as fh:
+        for line in cp.iter_lines(args.input):
             fh.write(" ".join(cp.apply_bpe(line, table, cache)) + "\n")
     return 0
 
@@ -83,10 +133,11 @@ def cmd_apply_bpe(args) -> int:
 def cmd_train_lm(args) -> int:
     _echo_config("train-lm", args)
     _checked(lmmod.check_params, args.order, args.discount, args.alpha)
-    lines = cp.split_lines(cp.read_text(args.input))
-    vocab = cp.build_vocab(lines)
-    # Encoded as training reads them: no list of every sentence is held.
-    sentences = (vocab.encode_tokens(line.split()) for line in lines)
+    # Two passes over the input: its vocabulary, then its sentences, encoded
+    # as training reads them.
+    lines = _reader(args.input)
+    vocab = cp.build_vocab(lines())
+    sentences = (vocab.encode_tokens(line.split()) for line in lines())
     model = lmmod.train_lm(sentences, vocab, args.order, args.discount, args.alpha)
     lmmod.save_lm(model, args.output)
     print(
@@ -99,10 +150,26 @@ def cmd_train_lm(args) -> int:
 def cmd_ppl(args) -> int:
     _echo_config("ppl", args)
     model = lmmod.load_lm(args.lm)
-    lines = cp.split_lines(cp.read_text(args.input))
-    sentences = (model.vocab.encode_tokens(line.split()) for line in lines)
+    sentences = (model.vocab.encode_tokens(line.split()) for line in cp.iter_lines(args.input))
     print(f"{lmmod.perplexity(model, sentences):.4f}")
     return 0
+
+
+def _windows(lines, threads: int):
+    """The token lists of *lines* in the windows of ``augment``, each read,
+    encoded, augmented and written before the next is read: a window is
+    closed once its tokens and EOSes reach one augment block per worker."""
+    return cp.sentence_blocks((line.split() for line in lines), aug._BLOCK_TOKENS * threads)
+
+
+def _smooth_unigram(vocab: cp.Vocabulary) -> np.ndarray | None:
+    """``smooth``'s unigram over the whole input, from the input's own
+    vocabulary: its counts are the input's counts of each id, specials 0,
+    as ``unigram_dist`` counts them.  None if every count is 0; each window
+    then refuses to draw, as the whole input would."""
+    counts = np.array(vocab.counts, dtype=np.float64)
+    total = counts.sum()
+    return counts / total if total else None
 
 
 def cmd_augment(args) -> int:
@@ -119,27 +186,37 @@ def cmd_augment(args) -> int:
     _checked(parallel.check_threads, args.threads)
     if args.strategy in aug.LM_STRATEGIES and not args.lm:
         _usage_error(f"strategy {args.strategy!r} requires --lm")
-    lines = cp.split_lines(cp.read_text(args.input))
+    lines = _reader(args.input)
     model = lmmod.load_lm(args.lm) if args.strategy in aug.LM_STRATEGIES else None
-    # The model's vocabulary, or the input's own; an empty input has none.
-    vocab = model.vocab if model else cp.build_vocab(lines) if lines else None
-    token_lines = [line.split() for line in lines]
-    sentences = [vocab.encode_tokens(toks) for toks in token_lines] if vocab else []
-    out, (replaced, eligible) = aug.augment_corpus(
-        sentences,
-        config,
-        lm=model,
-        vocab_size=len(vocab) if vocab else None,
-        threads=args.threads,
-        return_stats=True,
-    )
-
-    if args.strategy == "soft":
-        aug.write_soft_corpus(args.output, out)
+    if model:
+        vocab = model.vocab
+    elif next(lines(), None) is not None:
+        vocab = cp.build_vocab(lines())  # the input's own, from a first pass
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            for toks, orig_ids, new_ids in zip(token_lines, sentences, out):
-                fh.write(" ".join(_render_tokens(toks, orig_ids, new_ids, vocab)) + "\n")
+        vocab = None  # an empty input needs none
+    unigram = _smooth_unigram(vocab) if vocab and args.strategy == "smooth" else None
+    start = replaced = eligible = 0
+    with _replacing(args.output) as fh:
+        for token_lines in _windows(lines(), args.threads):
+            sentences = [vocab.encode_tokens(toks) for toks in token_lines]
+            out, (window_replaced, window_eligible) = aug.augment_corpus(
+                sentences,
+                config,
+                lm=model,
+                unigram=unigram,
+                vocab_size=len(vocab),
+                threads=args.threads,
+                return_stats=True,
+                start=start,
+            )
+            if args.strategy == "soft":
+                fh.writelines(aug.soft_corpus_lines(out))
+            else:
+                fh.writelines(" ".join(_render_tokens(toks, orig_ids, new_ids, vocab)) + "\n"
+                              for toks, orig_ids, new_ids in zip(token_lines, sentences, out))
+            start += len(sentences)
+            replaced += window_replaced
+            eligible += window_eligible
 
     rate = replaced / eligible if eligible else 0.0
     print(f"replacement rate: {rate:.4f} ({replaced}/{eligible})", file=sys.stderr)

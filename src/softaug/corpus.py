@@ -1,6 +1,7 @@
 """Corpus ingestion: vocabulary construction and byte-pair subword segmentation.
 
-Corpora are UTF-8 text files, one whitespace-tokenized sentence per line.
+Corpora are UTF-8 text files, one whitespace-tokenized sentence per line;
+``iter_lines`` reads one a bounded block at a time.
 A :class:`Vocabulary` maps token strings to dense integer ids with four
 reserved specials in the fixed order ``<s> </s> <unk> <blank>``.  Byte-pair
 merges are learned greedily on word counts with a ``</w>`` marker attached
@@ -17,10 +18,11 @@ present pair" without that bound is not, when two merges build one string.
 
 from __future__ import annotations
 
+import codecs
 import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 BOS, EOS, UNK, BLANK = 0, 1, 2, 3
 BOS_TOKEN, EOS_TOKEN, UNK_TOKEN, BLANK_TOKEN = "<s>", "</s>", "<unk>", "<blank>"
@@ -32,6 +34,10 @@ CONT_MARKER = "@@"
 
 # A tokenized sentence is a plain list of vocabulary ids.
 Sentence = list
+
+# Bytes per read of ``iter_lines``: it holds about one such block of the
+# file, plus the line that crosses the block's end.
+_READ_BYTES = 1 << 14
 
 
 def read_text(path: str) -> str:
@@ -53,6 +59,41 @@ def split_lines(text: str) -> list[str]:
     if not lines[-1]:
         lines.pop()
     return lines
+
+
+def iter_lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 file by ``split_lines``' rule, read a block of
+    ``_READ_BYTES`` at a time.  Malformed UTF-8 raises ``read_text``'s
+    message, its byte offset counted from the start of the file."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    pieces: list[str] = []  # the text after the last complete line break
+    done = 0  # bytes handed to the decoder
+    with open(path, "rb") as fh:
+        while True:
+            raw = fh.read(_READ_BYTES)
+            held = len(decoder.getstate()[0])
+            try:
+                piece = decoder.decode(raw, final=not raw)
+            except UnicodeDecodeError as exc:
+                # The decoder's offsets count the bytes it held back first.
+                raise ValueError(
+                    f"malformed UTF-8 at byte {done - held + exc.start} in {path}"
+                ) from exc
+            if not raw:
+                yield from split_lines("".join(pieces) + piece)
+                return
+            done += len(raw)
+            pieces.append(piece)
+            # A final "\r" may be the first half of "\r\n", so it waits
+            # for the next block; a line without a break waits whole.
+            if not ("\n" in piece or "\r" in piece
+                    or len(pieces) > 1 and pieces[-2].endswith("\r")):
+                continue
+            text = "".join(pieces)
+            stop = len(text) - text.endswith("\r")
+            end = max(text.rfind("\n", 0, stop), text.rfind("\r", 0, stop)) + 1
+            yield from split_lines(text[:end])
+            pieces = [text[end:]]
 
 
 def _counted_lines(path: str, magic: str) -> list[str]:
@@ -179,13 +220,14 @@ def build_vocab(corpus: str | Iterable[str], max_size: int | None = None) -> Voc
 
 
 def count_words(corpus: str | Iterable[str]) -> dict[str, int]:
-    """Whitespace word counts over a corpus, for BPE learning."""
-    lines = split_lines(corpus) if isinstance(corpus, str) else list(corpus)
+    """Whitespace word counts over a corpus, for BPE learning, in one pass
+    over its lines; a corpus without lines is refused."""
+    counts: Counter[str] = Counter()
+    lines = 0
+    for lines, line in enumerate(split_lines(corpus) if isinstance(corpus, str) else corpus, 1):
+        counts.update(line.split())
     if not lines:
         raise ValueError("empty corpus")
-    counts: Counter[str] = Counter()
-    for line in lines:
-        counts.update(line.split())
     return dict(counts)
 
 

@@ -47,7 +47,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import BLANK, BOS, EOS, UNK, Sentence, Vocabulary, sentence_blocks, split_lines
+from .corpus import (
+    BLANK, BOS, EOS, UNK, Sentence, Vocabulary, iter_lines, sentence_blocks, split_lines,
+)
 
 # Entries in the top-k cache.  An entry holds 2k numbers, never 2|V|.
 _CACHE_LIMIT = 4096
@@ -418,10 +420,10 @@ def save_lm(lm: NGramLM, path: str) -> None:
 
 
 def _parse_lines(lines: Iterable[str], path: str) -> NGramLM:
-    """Build the model from count-file lines, reading the gram lines in
-    blocks of ``_BLOCK_LINES``."""
+    """Build the model from count-file lines (without their line breaks),
+    reading the gram lines in blocks of ``_BLOCK_LINES``."""
     lines = iter(lines)
-    first = next(lines, "").rstrip("\n")
+    first = next(lines, "")
     head = first.split()
     if head[:2] != _MAGIC.split():
         raise ValueError(f"{path} is not an n-gram count file (no {_MAGIC!r} header)")
@@ -438,7 +440,7 @@ def _parse_lines(lines: Iterable[str], path: str) -> NGramLM:
         raise ValueError(f"bad header in {path}: {first!r}") from exc
     check_params(order, discount, alpha)
 
-    entries = [_data_line(lineno, line.rstrip("\n"), 0, path)
+    entries = [_data_line(lineno, line, 0, path)
                for lineno, line in enumerate(itertools.islice(lines, size), 2)]
     if len(entries) != size:
         raise ValueError(f"{path} ends inside its vocabulary")
@@ -451,7 +453,7 @@ def _parse_lines(lines: Iterable[str], path: str) -> NGramLM:
     total, prev = 0, ()
     lineno = 1 + size  # the last line read
     while True:
-        block = [line.rstrip("\n") for line in itertools.islice(lines, _BLOCK_LINES)]
+        block = list(itertools.islice(lines, _BLOCK_LINES))
         if not block:
             raise ValueError(f"{path} has no {_END} line")
         end = block.index(_END) if _END in block else len(block)
@@ -468,7 +470,7 @@ def _parse_lines(lines: Iterable[str], path: str) -> NGramLM:
             grams.append(block_grams)
             counts.append(np.array(block_counts, dtype=np.int64))
         if end < len(block):
-            after = block[end + 1 :] or [line.rstrip("\n") for line in itertools.islice(lines, 1)]
+            after = block[end + 1 :] or list(itertools.islice(lines, 1))
             if after:
                 raise ValueError(f"line {lineno + end + 2} of {path} follows the {_END} line: "
                                  f"{after[0]!r}")
@@ -545,8 +547,4 @@ def parse_lm(text: str, path: str = "<string>") -> NGramLM:
 
 def load_lm(path: str) -> NGramLM:
     """Read a count file in bounded blocks of lines (see ``dump_lm``)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return _parse_lines(fh, path)
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"malformed UTF-8 in {path}") from exc
+    return _parse_lines(iter_lines(path), path)

@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import softaug as sa
-from softaug import augment as ag
+from softaug import augment as ag, harness
 from softaug.corpus import BLANK
 from softaug.rng import SplitMix64, derive, derive_block, stream_block
 
@@ -319,6 +320,22 @@ class TestSoftCorpus:
         whole = ag._augment_block(sents, 0, cfg, model, cumulative)
         assert sa.SoftCorpus.concat([p[0] for p in parts]) == whole[0]
         assert [sum(p[k] for p in parts) for k in (1, 2)] == list(whole[1:])
+
+
+    @pytest.mark.parametrize("strategy", sa.STRATEGIES)
+    @given(sents=TestBlockDraws.corpus, cut=st.integers(0, 12), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=20)
+    def test_windows_with_their_start_equal_one_call(self, tiny_lm, strategy, sents, cut, seed):
+        model = tiny_lm[0]
+        assume(strategy != "smooth" or any(t >= 4 for s in sents for t in s))
+        cut = min(cut, len(sents))
+        cfg = sa.AugmentConfig(strategy=strategy, gamma=0.6, topk=3, seed=seed)
+        uni = ag.unigram_dist(sents, 10) if strategy == "smooth" else None
+        windows = [sa.augment_corpus(sents[:cut], cfg, model, uni, return_stats=True),
+                   sa.augment_corpus(sents[cut:], cfg, model, uni, return_stats=True, start=cut)]
+        whole, stats = sa.augment_corpus(sents, cfg, model, uni, return_stats=True)
+        assert sa.SoftCorpus.concat([w[0] for w in windows]) == whole
+        assert [sum(w[1][k] for w in windows) for k in (0, 1)] == list(stats)
 
 
 class TestTopK:
@@ -892,3 +909,36 @@ class TestSoftFileReader:
         assert corpus.soft_at.tolist() == [0, 2]
         assert corpus == [[sa.SoftWord(sa.Dist(np.array([1.0]), np.array([5])), 5), 6,
                            sa.SoftWord(sa.Dist(np.array([0.5, 0.5]), np.array([7, 4])), 7)], [8]]
+
+    def test_columns_equal_the_whole_file_as_one_chunk(self, tmp_path):
+        lines = ['{"toks":[5,6,7],"soft":{"2":{"orig":7,"p":[[7,0.5],[4,0.5]]},'
+                 '"0":{"orig":5,"p":[[5,1.0]]}}}', '{"toks":[],"soft":{}}',
+                 '{"toks":[8],"soft":{"0":{"orig":8,"p":[[9,0.25],[8,0.75]]}}}'] * 50
+        path = tmp_path / "soft.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        got, want = sa.read_soft_corpus(path), ag._soft_records(lines)
+        for field in dataclasses.fields(sa.SoftCorpus):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+
+    def test_peak_memory_is_the_corpus_and_a_chunk(self, tmp_path):
+        """Reading the seed-1 wide task's soft corpus (2,000 lines, 2.88 MB)
+        holds the corpus it returns and one chunk, not the file's text and
+        lines (about 6 MB more)."""
+        params = {"vocab_size": 8000, "classes": 400, "sentences": 4000, "length": 12}
+        spec = sa.SweepSpec(strategies=("soft",), gammas=(0.15,), reps=1, seed=1, topk=32)
+        task = harness.task_from_params(params, spec.seed)
+        train_x = harness.split_task(task, spec.test_fraction)[0]
+        cfg = sa.AugmentConfig("soft", 0.15, window_k=spec.window, topk=spec.topk, seed=derive(1, 1))
+        path = tmp_path / "soft.jsonl"
+        sa.write_soft_corpus(path, sa.augment_corpus(train_x, cfg, lm=harness.train_task_lm(spec, task)))
+        assert len(train_x) == 2000
+        sa.read_soft_corpus(path)  # a first call imports what numpy loads lazily
+        tracemalloc.start()
+        try:
+            corpus = sa.read_soft_corpus(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(getattr(corpus, f.name).nbytes for f in dataclasses.fields(corpus))
+        assert peak < nbytes + 1_000_000

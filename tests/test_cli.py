@@ -1,11 +1,13 @@
+import itertools
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 import softaug as sa
-from softaug import augment as aug, cli, harness, lm as lmm, parallel
+from softaug import augment as aug, cli, corpus as cp, harness, lm as lmm, parallel
 from softaug.rng import SplitMix64
 
 
@@ -277,6 +279,99 @@ class TestAugmentCommand:
         assert "config:" in header
         config = json.loads(header.split("config: ")[1])
         assert config["seed"] == 5 and config["window"] == 3 and config["topk"] == 32
+
+
+def windows_of(size):
+    """A stand-in for ``cli._windows``: windows of *size* lines."""
+    def windows(lines, threads):
+        lines = iter(lines)
+        while window := [line.split() for line in itertools.islice(lines, size)]:
+            yield window
+    return windows
+
+
+class TestAugmentWindows:
+    """``augment`` reads, augments and writes one window of lines at a time."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """The first sentence index of each window ``augment_corpus`` gets."""
+        seen = []
+        whole = aug.augment_corpus
+
+        def recorded(*args, **kwargs):
+            seen.append(kwargs["start"])
+            return whole(*args, **kwargs)
+
+        monkeypatch.setattr(aug, "augment_corpus", recorded)
+        return seen
+
+    @pytest.mark.parametrize("strategy", aug.STRATEGIES)
+    def test_bytes_and_rate_equal_one_window(self, workdir, tmp_path, capsys, monkeypatch, starts,
+                                             strategy):
+        raw = tmp_path / "raw.txt"
+        lines = (workdir / "sub.txt").read_text().splitlines(keepends=True)[:16]
+        raw.write_text("".join(lines[:7] + ["\n"] + lines[7:]))
+        model = ["--lm", workdir / "model.arpa"] if strategy in aug.LM_STRATEGIES else []
+
+        def run(name, threads):
+            run_main("augment", "--input", raw, "--strategy", strategy, "--gamma", 0.4, "--seed", 3,
+                     "--threads", threads, *model, "--output", tmp_path / name)
+            return (tmp_path / name).read_bytes(), capsys.readouterr().err.splitlines()[-1]
+
+        whole = run("whole", 1)
+        assert starts == [0] and whole[1].startswith("replacement rate: ")
+        for size in (1, 7):
+            monkeypatch.setattr(cli, "_windows", windows_of(size))
+            for threads in (1, 2, 3):
+                starts.clear()
+                assert run(f"{size}-{threads}", threads) == whole, (size, threads)
+                assert starts == list(range(0, 17, size))
+
+    @pytest.mark.parametrize("strategy", ["swap", "soft"])
+    def test_output_may_be_the_input(self, workdir, tmp_path, monkeypatch, strategy):
+        raw = tmp_path / "raw.txt"
+        raw.write_bytes((workdir / "sub.txt").read_bytes())
+        args = ["augment", "--input", raw, "--strategy", strategy, "--gamma", 0.3,
+                "--lm", workdir / "model.arpa"]
+        run_main(*args, "--output", tmp_path / "other")
+        monkeypatch.setattr(cli, "_windows", windows_of(7))
+        run_main(*args, "--output", raw)
+        assert raw.read_bytes() == (tmp_path / "other").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["other", "raw.txt"]
+
+    @pytest.mark.parametrize("strategy", ["soft", "blank"])
+    def test_malformed_utf8_after_the_first_window_leaves_no_output(
+            self, workdir, tmp_path, capsys, monkeypatch, starts, strategy):
+        raw = tmp_path / "raw.txt"
+        good = "".join((workdir / "sub.txt").read_text().splitlines(keepends=True)[:5]).encode()
+        raw.write_bytes(good + b"alpha \xff beta\n" + good)
+        monkeypatch.setattr(cli, "_windows", windows_of(1))
+        monkeypatch.setattr(cp, "_READ_BYTES", 16)
+        args = ["augment", "--input", raw, "--strategy", strategy, "--gamma", 0.3,
+                "--lm", workdir / "model.arpa"]
+        for out in (tmp_path / "out", raw):
+            assert cli.main([*map(str, args), "--output", str(out)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err[-1] == f"error: malformed UTF-8 at byte {len(good) + 6} in {raw}"
+            assert "Traceback" not in "\n".join(err)
+            # The model's strategy needs no first pass: five windows went out first.
+            assert starts == ([0, 1, 2, 3, 4] if strategy == "soft" else [])
+            starts.clear()
+            assert sorted(os.listdir(tmp_path)) == ["raw.txt"]
+        assert raw.read_bytes() == good + b"alpha \xff beta\n" + good
+
+    @pytest.mark.parametrize("command, args", [
+        ("train-lm", ["--order", "2"]), ("augment", ["--strategy", "smooth", "--gamma", "0.3"])])
+    def test_piped_input_of_a_two_pass_command(self, workdir, tmp_path, command, args):
+        run_cli(command, "--input", workdir / "sub.txt", *args, "--output", tmp_path / "file")
+        proc = subprocess.run(
+            [sys.executable, "-m", "softaug", command, "--input", "/dev/stdin", *args,
+             "--output", str(tmp_path / "pipe")],
+            input=(workdir / "sub.txt").read_text(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "pipe").read_bytes() == (tmp_path / "file").read_bytes()
 
 
 # Four sentences, one per line as file iteration reads them: str.splitlines

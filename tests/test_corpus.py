@@ -1,4 +1,7 @@
 import io
+import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -92,7 +95,56 @@ class TestSplitLines:
             cp.count_words(iter([]))
 
 
+class TestIterLines:
+    """``iter_lines`` reads a file a block at a time, by ``split_lines``' rule."""
+
+    @pytest.mark.parametrize("block", [1, 3, None])
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text("a \r\n\u00e9\u20ac\U0001f600" + NON_BREAKS, max_size=24))
+    def test_same_lines_as_read_text(self, scratch_file, block, text):
+        scratch_file.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(cp, "_READ_BYTES", block or cp._READ_BYTES):
+            assert list(cp.iter_lines(scratch_file)) == cp.split_lines(cp.read_text(scratch_file))
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x28", b"\xe2\x82", b"\xed\xa0\x80"])
+    @pytest.mark.parametrize("block", [1, 4, 7, None])
+    def test_bad_byte_in_a_later_block_is_named_at_its_file_offset(self, tmp_path, bad, block):
+        path = tmp_path / "bad.txt"
+        good = "ab\u20ac\r\ncd \u00e9\r".encode("utf-8") * 40
+        path.write_bytes(good + bad + b"tail\n")
+        message = f"malformed UTF-8 at byte {len(good)} in {path}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cp.read_text(path)
+        with mock.patch.object(cp, "_READ_BYTES", block or cp._READ_BYTES):
+            lines = cp.iter_lines(path)
+            if block:
+                assert next(lines) == "ab\u20ac"  # read before the bad block is
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                list(lines)
+
+    def test_cut_short_character_at_the_end(self, tmp_path):
+        path = tmp_path / "cut.txt"
+        path.write_bytes(b"ab\nc\xe2\x82")
+        for block in (1, 2, 1 << 14):
+            with mock.patch.object(cp, "_READ_BYTES", block):
+                with pytest.raises(ValueError, match="^malformed UTF-8 at byte 4 in "):
+                    list(cp.iter_lines(path))
+
+
 class TestBuildVocab:
+    def test_count_words_holds_no_list_of_its_lines(self):
+        # Each line is a new string; a list of them would hold ~6 MB.
+        lines = (f"a{i % 7} b{i % 5}" for i in range(100_000))
+        tracemalloc.start()
+        try:
+            counts = cp.count_words(lines)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == ({f"a{i}": len(range(i, 100_000, 7)) for i in range(7)}
+                          | {f"b{i}": 20_000 for i in range(5)})
+        assert peak < 500_000
+
     def test_zero_tokens_yields_only_specials(self):
         vocab = cp.build_vocab("\n", max_size=10)
         assert vocab.surfaces == list(cp.SPECIAL_TOKENS)

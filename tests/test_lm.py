@@ -736,8 +736,9 @@ class TestModelFileProperties:
 
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "model.arpa"
-        path.write_bytes(b"#ngram-counts v1 order=1 discount=0.5 alpha=0.1 events=1 vocab=5\n\xff\n")
-        with pytest.raises(ValueError, match="malformed UTF-8"):
+        head = b"#ngram-counts v1 order=1 discount=0.5 alpha=0.1 events=1 vocab=5\n"
+        path.write_bytes(head + b"\xff\n")
+        with pytest.raises(ValueError, match=f"^malformed UTF-8 at byte {len(head)} in "):
             lmm.load_lm(path)
 
     @pytest.mark.parametrize("text", ["", "\n", OLD_ARPA], ids=["empty", "blank", "old-arpa"])
